@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from copula_ot.copulas import independence
-from copula_ot.counterexample import gap_search
+from copula_ot.counterexample import CurvePoint, gap_search
 
 
 def parse_args(argv=None):
@@ -41,23 +41,13 @@ def main(argv=None) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "epsilon", "diamond_cost", "alt_cost", "gap", "exact_cost"])
+        writer.writerow(["k", *CurvePoint._fields])
         print(f"{'k':>4} {'accepted eps':>13} {'gap':>12} {'limit gap':>12}")
         for k in args.resolutions:
             report = gap_search(
                 independence(2, k), args.p, args.q, attach_exact=not args.skip_exact
             )
-            for pt in report.curve:
-                writer.writerow(
-                    [
-                        k,
-                        pt.epsilon,
-                        pt.diamond_cost,
-                        pt.alt_cost,
-                        pt.gap,
-                        "" if pt.exact_cost is None else pt.exact_cost,
-                    ]
-                )
+            writer.writerows([k, *pt.csv_row()] for pt in report.curve)
             limit_gap = report.limit_diamond - report.limit_alt
             print(f"{k:>4} {report.epsilon:>13.6e} {report.gap:>12.6f} {limit_gap:>12.6f}")
     print(f"curves -> {args.out}")

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .copulas import (
+    CHECKERBOARD,
     Copula,
     comonotone,
     copula_from_dict,
@@ -29,21 +30,24 @@ from .copulas import (
     independence,
 )
 from .counterexample import (
+    CurvePoint,
     NoViolatingPair,
     ScheduleExhausted,
     gap_search,
     report_to_dict,
 )
 from .instances import VerifyConfig, run_verification
-from .measures import MultivariateMeasure, measure_from_dict, measures_close
+from .measures import MultivariateMeasure, measure_from_dict
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     PairCountCapExceeded,
+    TransportPlan,
     diamond,
     exact_ot,
     plan_cost,
     plan_to_dict,
+    validate_plan,
 )
 
 EXIT_OK = 0
@@ -52,6 +56,8 @@ EXIT_USAGE = 2
 EXIT_PAIR_CAP = 3
 EXIT_NO_PAIR = 4
 EXIT_EXHAUSTED = 5
+
+DEFAULT_CARRIER_RESOLUTION = 16
 
 
 def _fmt(value: float) -> str:
@@ -89,8 +95,13 @@ def _write_json(path: Path, obj: object) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_plan(path: str, plan) -> None:
-    _write_json(Path(path), plan_to_dict(plan))
+def _report_plan(plan: TransportPlan, cost: float, spec: CostSpec, emit_path: str | None) -> None:
+    print(f"plan entries: {len(plan)}")
+    print(f"cost (integral of ||x-y||_q^p): {_fmt(cost)}")
+    print(f"cost^(1/p): {_fmt(cost ** (1.0 / spec.p))}")
+    if emit_path:
+        _write_json(Path(emit_path), plan_to_dict(plan))
+        print(f"plan written to {emit_path}")
 
 
 def cmd_diamond(args: argparse.Namespace) -> int:
@@ -108,22 +119,14 @@ def cmd_diamond(args: argparse.Namespace) -> int:
     mu_marginals = [mu.marginal(i) for i in range(1, n + 1)]
     rho_marginals = [rho.marginal(i) for i in range(1, n + 1)]
     plan = diamond(copula, mu_marginals, rho_marginals)
-    if not measures_close(plan.first_marginal(), mu, 1e-10) or not measures_close(
-        plan.second_marginal(), rho, 1e-10
-    ):
+    if not validate_plan(plan, mu, rho):
         print(
             "warning: the supplied joint laws do not match the copula composed "
             "with their marginals; the plan couples the recomposed laws",
             file=sys.stderr,
         )
-    cost = plan_cost(plan, spec)
     print(f"copula: {label}")
-    print(f"plan entries: {len(plan)}")
-    print(f"cost (integral of ||x-y||_q^p): {_fmt(cost)}")
-    print(f"cost^(1/p): {_fmt(cost ** (1.0 / spec.p))}")
-    if args.emit_plan:
-        _emit_plan(args.emit_plan, plan)
-        print(f"plan written to {args.emit_plan}")
+    _report_plan(plan, plan_cost(plan, spec), spec, args.emit_plan)
     return EXIT_OK
 
 
@@ -133,12 +136,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     spec = CostSpec(args.p, args.q)
     result = exact_ot(mu, rho, spec, args.max_pairs)
     print(f"support sizes: {len(mu)} x {len(rho)}")
-    print(f"plan entries: {len(result.plan)}")
-    print(f"cost (integral of ||x-y||_q^p): {_fmt(result.value)}")
-    print(f"cost^(1/p): {_fmt(result.value ** (1.0 / spec.p))}")
-    if args.emit_plan:
-        _emit_plan(args.emit_plan, result.plan)
-        print(f"plan written to {args.emit_plan}")
+    _report_plan(result.plan, result.value, spec, args.emit_plan)
     return EXIT_OK
 
 
@@ -157,11 +155,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = VerifyConfig(
         seed=args.seed,
         instances=args.instances,
+        dimensions=tuple(args.dimensions),
+        exponents=tuple(args.exponents),
         exponent_pair=pair,
+        max_resolution=args.max_resolution,
+        max_marginal_atoms=args.max_atoms,
         pair_cap=args.max_pairs,
     )
     rows = run_verification(config)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["instance", "n", "p", "diamond_cost", "exact_cost", "rel_err"])
@@ -173,6 +176,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = max((row.rel_err for row in rows), default=0.0)
     print(f"instances evaluated: {len(rows)}")
     print(f"max relative error: {_fmt(worst)}")
+    print(f"{'n':>3} {'p':>6} {'worst rel err':>15}")
+    for n, p in sorted({(row.n, row.p) for row in rows}):
+        setting_worst = max(row.rel_err for row in rows if (row.n, row.p) == (n, p))
+        print(f"{n:>3} {p:>6g} {setting_worst:>15.3e}")
     print(f"rows written to {out}")
     if offenders:
         print(f"optimality violations: {len(offenders)} rows exceed {config.rel_opt_tol}")
@@ -190,31 +197,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_counterexample(args: argparse.Namespace) -> int:
     if args.p == args.q:
         raise ValueError("counterexample search requires p != q; at p = q the quantile coupling is optimal")
-    copula, label = _resolve_copula(args.copula, args.n, args.k)
+    k = DEFAULT_CARRIER_RESOLUTION if args.k is None else args.k
+    copula, label = _resolve_copula(args.copula, args.n, k)
+    if copula.variant == CHECKERBOARD and args.k is not None and args.k != copula.k:
+        raise ValueError(f"--k {args.k} differs from the checkerboard file's k = {copula.k}")
     out = Path(args.out)
     curve_path = out.with_suffix(".csv")
 
     def write_curve(curve) -> None:
         with curve_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epsilon", "diamond_cost", "alt_cost", "gap", "exact_cost"])
-            for pt in curve:
-                writer.writerow(
-                    [
-                        pt.epsilon,
-                        pt.diamond_cost,
-                        pt.alt_cost,
-                        pt.gap,
-                        "" if pt.exact_cost is None else pt.exact_cost,
-                    ]
-                )
+            writer.writerow(CurvePoint._fields)
+            writer.writerows(pt.csv_row() for pt in curve)
 
     try:
         report = gap_search(
             copula,
             args.p,
             args.q,
-            carrier_resolution=args.k,
+            carrier_resolution=k,
             pair_cap=args.max_pairs,
             copula_label=label,
         )
@@ -274,9 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--emit-plan", default=None)
     e.set_defaults(handler=cmd_exact)
 
+    campaign = VerifyConfig()
     v = sub.add_parser("verify", help="randomized certification campaign")
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--instances", type=int, default=200, help="instances per setting")
+    v.add_argument("--seed", type=int, default=campaign.seed)
+    v.add_argument(
+        "--instances", type=int, default=campaign.instances, help="instances per setting"
+    )
+    v.add_argument("--dimensions", type=int, nargs="+", default=list(campaign.dimensions))
+    v.add_argument("--exponents", type=float, nargs="+", default=list(campaign.exponents))
+    v.add_argument("--max-resolution", type=int, default=campaign.max_resolution)
+    v.add_argument("--max-atoms", type=int, default=campaign.max_marginal_atoms)
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--q", type=float, default=None)
     v.add_argument(
@@ -297,7 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="independence | comonotone | countermonotone | checkerboard:<path>",
     )
     c.add_argument("--n", type=int, default=2, help="dimension for builtin copula names")
-    c.add_argument("--k", type=int, default=16, help="carrier resolution")
+    c.add_argument(
+        "--k",
+        type=int,
+        default=None,
+        help=f"carrier resolution (default {DEFAULT_CARRIER_RESOLUTION})",
+    )
     c.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP)
     c.add_argument("--out", default="counterexample_report.json")
     c.set_defaults(handler=cmd_counterexample)

@@ -82,6 +82,10 @@ class CurvePoint(NamedTuple):
     gap: float
     exact_cost: float | None = None
 
+    def csv_row(self) -> list:
+        """The fields in order, a missing exact cost as an empty field."""
+        return ["" if v is None else v for v in self]
+
 
 class EpsilonConstruction(NamedTuple):
     """One point of the construction: both measures and both competitor plans."""
@@ -265,23 +269,18 @@ def build_pair(
     for a in range(k):
         b2 = int(adv[a])
         src = T[a]
-        src_nz = np.nonzero(src) if n > 2 else (np.nonzero(src)[0],)
+        src_nz = np.nonzero(src)
         if len(src_nz[0]) == 0:
             continue
         src_mass = src[src_nz]
-        y_atoms = np.empty((len(src_mass), n))
-        y_atoms[:, 0] = mids[a]
-        y_atoms[:, 1] = epsilon * mids[src_nz[0]]
-        for t in range(n - 2):
-            y_atoms[:, 2 + t] = epsilon * mids[src_nz[1 + t]]
+        y_atoms = np.column_stack(
+            [np.full(len(src_mass), mids[a])] + [epsilon * mids[idx] for idx in src_nz]
+        )
         tgt = T[:, b2]
-        tgt_nz = np.nonzero(tgt) if n > 2 else (np.nonzero(tgt)[0],)
+        tgt_nz = np.nonzero(tgt)
         tgt_mass = tgt[tgt_nz] / colsum[b2]
-        z_atoms = np.empty((len(tgt_mass), n))
-        z_atoms[:, 0] = epsilon * mids[tgt_nz[0]]
-        z_atoms[:, 1] = mids[b2]
-        for t in range(n - 2):
-            z_atoms[:, 2 + t] = epsilon * mids[tgt_nz[1 + t]]
+        z_cols = [epsilon * mids[idx] for idx in tgt_nz]
+        z_atoms = np.column_stack(z_cols[:1] + [np.full(len(tgt_mass), mids[b2])] + z_cols[1:])
         xs.append(np.repeat(y_atoms, len(tgt_mass), axis=0))
         ys.append(np.tile(z_atoms, (len(src_mass), 1)))
         ws.append((src_mass[:, None] * tgt_mass[None, :]).ravel())

@@ -22,15 +22,31 @@ import numpy as np
 MASS_TOL = 1e-12
 
 
-def _as_finite_array(values, what: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{what}: expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{what}: empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what}: values must be finite")
-    return arr
+def _checked_rows(
+    atoms, weights, what: str = "atoms", ndims: tuple[int, ...] = (1, 2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite atom rows of shape (m, d) and m finite nonnegative weights.
+
+    A flat atom list is read as m points on the line.  These are the input
+    checks of every measure and transport-plan constructor.
+    """
+    a = np.asarray(atoms, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    for arr, name, allowed in ((a, what, ndims), (w, "weights", (1,))):
+        if arr.ndim not in allowed:
+            wanted = " or ".join(map(str, allowed))
+            raise ValueError(
+                f"{name}: expected a {wanted}-dimensional array, got shape {arr.shape}"
+            )
+        if arr.size == 0:
+            raise ValueError(f"{name}: empty input")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name}: values must be finite")
+    if a.shape[0] != w.shape[0]:
+        raise ValueError(f"{what} and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    return a.reshape(a.shape[0], -1), w
 
 
 def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,19 +59,34 @@ def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarr
     rows = rows[order]
     weights = weights[order]
     new_group = np.ones(len(rows), dtype=bool)
-    new_group[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], len(rows))
-    out_rows = []
-    out_weights = []
-    for s, e in zip(starts, ends):
-        w = float(weights[s]) if e - s == 1 else math.fsum(weights[s:e])
-        if w != 0.0:
-            out_rows.append(rows[s])
-            out_weights.append(w)
-    if not out_rows:
-        raise ValueError("all weights merged to zero")
-    return np.array(out_rows), np.array(out_weights)
+    new_group[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = new_group.nonzero()[0]
+    if len(starts) < len(rows):
+        # Singleton groups keep their weight; only the others need an fsum.
+        ends = np.append(starts[1:], len(rows))
+        multi = np.flatnonzero(ends - starts > 1)
+        merged = weights[starts]
+        for g, s, e in zip(multi.tolist(), starts[multi].tolist(), ends[multi].tolist()):
+            merged[g] = math.fsum(weights[s:e])
+        rows, weights = rows[starts], merged
+    keep = weights != 0.0
+    if not keep.all():
+        if not keep.any():
+            raise ValueError("all weights merged to zero")
+        rows, weights = rows[keep], weights[keep]
+    return rows, weights
+
+
+def _canonical(atoms, weights, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, merged atom rows and their weights normalized to unit mass."""
+    a, w = _checked_rows(atoms, weights, ndims=ndims)
+    # Normalize by the total of the raw weights, not of the merged ones: the
+    # two can differ by an ulp, and stored measures carry this rounding.
+    total = math.fsum(w)
+    if total <= 0.0:
+        raise ValueError("weights must have positive total mass")
+    rows, merged = merge_weighted_rows(a, w)
+    return rows, merged / total
 
 
 @dataclass(frozen=True)
@@ -124,20 +155,8 @@ class DiscreteMeasure1D:
 
 def make_measure_1d(atoms: Iterable[float], weights: Iterable[float]) -> DiscreteMeasure1D:
     """Canonicalize (sort, merge exact duplicates, drop zeros) and normalize."""
-    a = _as_finite_array(atoms, "atoms", ndim=1)
-    w = _as_finite_array(weights, "weights", ndim=1)
-    if a.shape != w.shape:
-        raise ValueError(f"atoms and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = math.fsum(w)
-    if total <= 0.0:
-        raise ValueError("weights must have positive total mass")
-    rows, merged = merge_weighted_rows(a.reshape(-1, 1), w)
-    return DiscreteMeasure1D(
-        atoms=tuple(float(x) for x in rows[:, 0]),
-        weights=tuple(float(v) / total for v in merged),
-    )
+    rows, w = _canonical(atoms, weights, ndims=(1,))
+    return DiscreteMeasure1D(atoms=tuple(rows[:, 0].tolist()), weights=tuple(w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -196,23 +215,11 @@ class MultivariateMeasure:
 
 def make_measure(atoms, weights) -> MultivariateMeasure:
     """Canonicalize atom rows (exact-equality merge) and normalize weights."""
-    a = np.asarray(atoms, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    a = _as_finite_array(a, "atoms", ndim=2)
-    w = _as_finite_array(weights, "weights", ndim=1)
-    if a.shape[0] != w.shape[0]:
-        raise ValueError(f"atoms and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = math.fsum(w)
-    if total <= 0.0:
-        raise ValueError("weights must have positive total mass")
-    rows, merged = merge_weighted_rows(a, w)
+    rows, w = _canonical(atoms, weights, ndims=(1, 2))
     return MultivariateMeasure(
-        dimension=a.shape[1],
-        atoms=tuple(tuple(float(x) for x in row) for row in rows),
-        weights=tuple(float(v) / total for v in merged),
+        dimension=rows.shape[1],
+        atoms=tuple(map(tuple, rows.tolist())),
+        weights=tuple(w.tolist()),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,8 +24,10 @@ from scipy.optimize import linprog
 
 from .copulas import Copula, push_through_quantiles
 from .measures import (
+    MASS_TOL,
     DiscreteMeasure1D,
     MultivariateMeasure,
+    _checked_rows,
     make_measure,
     measures_close,
     merge_weighted_rows,
@@ -75,7 +78,7 @@ class TransportPlan:
 
     The (x, y) pairs are pairwise distinct and the weights sum to one.  Build
     through :func:`make_plan`, which canonicalizes like the measure
-    constructors do.
+    constructors do.  The plan is immutable, so each marginal is built once.
     """
 
     x: np.ndarray
@@ -89,36 +92,32 @@ class TransportPlan:
     def dimension(self) -> int:
         return self.x.shape[1]
 
-    def first_marginal(self) -> MultivariateMeasure:
+    @cached_property
+    def _first_marginal(self) -> MultivariateMeasure:
         return make_measure(self.x, self.w)
 
-    def second_marginal(self) -> MultivariateMeasure:
+    @cached_property
+    def _second_marginal(self) -> MultivariateMeasure:
         return make_measure(self.y, self.w)
+
+    def first_marginal(self) -> MultivariateMeasure:
+        return self._first_marginal
+
+    def second_marginal(self) -> MultivariateMeasure:
+        return self._second_marginal
 
 
 def make_plan(x, y, w) -> TransportPlan:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != w.shape[0] or w.ndim != 1:
-        raise ValueError(
-            f"make_plan: inconsistent shapes x={x.shape}, y={y.shape}, w={w.shape}"
-        )
-    if x.shape[0] == 0:
-        raise ValueError("make_plan: empty plan")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
-        raise ValueError("make_plan: entries must be finite")
-    if np.any(w < 0):
-        raise ValueError("make_plan: weights must be nonnegative")
-    rows, merged = merge_weighted_rows(np.hstack([x, y]), w)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError(f"make_plan: inconsistent shapes x={x.shape}, y={y.shape}")
+    xy, w = _checked_rows(np.column_stack([x, y]), w, "make_plan: x, y", ndims=(2,))
+    rows, merged = merge_weighted_rows(xy, w)
     total = math.fsum(merged)
-    if abs(total - 1.0) > 1e-12 * max(1, len(merged)):
+    if abs(total - 1.0) > MASS_TOL * max(1, len(merged)):
         raise ValueError(f"make_plan: weights sum to {total!r}, expected 1")
-    n = x.shape[1]
+    n = xy.shape[1] // 2
     px = rows[:, :n].copy()
     py = rows[:, n:].copy()
     for arr in (px, py, merged):
@@ -203,17 +202,12 @@ def solve_transport(
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
         raise ValueError("solve_transport: weight vectors do not match the cost matrix")
-    row_idx = []
-    col_idx = []
-    for r in range(a):
-        row_idx.extend([r] * b)
-        col_idx.extend(range(r * b, (r + 1) * b))
-    for c in range(b):
-        row_idx.extend([a + c] * a)
-        col_idx.extend(range(c, a * b, b))
-    data = np.ones(2 * a * b)
+    # Variable v is entry (v // b, v % b) of the plan: it enters the mass
+    # constraint of row v // b and that of column v % b.
+    v = np.arange(a * b)
     constraints = sparse.coo_matrix(
-        (data, (row_idx, col_idx)), shape=(a + b, a * b)
+        (np.ones(2 * a * b), (np.concatenate([v // b, a + v % b]), np.concatenate([v, v]))),
+        shape=(a + b, a * b),
     )
     rhs = np.concatenate([row_weights, col_weights])
     res = linprog(
@@ -229,6 +223,33 @@ def solve_transport(
     return res.x.reshape(a, b)
 
 
+def _lp_plan(
+    name: str,
+    mu: MultivariateMeasure,
+    rho: MultivariateMeasure,
+    cost_of,
+    pair_cap: int,
+) -> TransportPlan:
+    """Optimal vertex plan for the cost matrix ``cost_of(X, Y)`` over atom arrays.
+
+    Checks dimensions and the pair cap before the cost matrix is built, and
+    drops LP entries at or below 1e-15 before canonicalizing the plan.
+    """
+    if mu.dimension != rho.dimension:
+        raise ValueError(f"{name}: dimension mismatch, {mu.dimension} vs {rho.dimension}")
+    pairs = len(mu) * len(rho)
+    if pairs > pair_cap:
+        raise PairCountCapExceeded(
+            f"{name}: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
+        )
+    X = mu.atom_array
+    Y = rho.atom_array
+    P = solve_transport(mu.weight_array, rho.weight_array, cost_of(X, Y))
+    keep = P > 1e-15
+    ri, ci = np.nonzero(keep)
+    return make_plan(X[ri], Y[ci], P[keep])
+
+
 def exact_ot(
     mu: MultivariateMeasure,
     rho: MultivariateMeasure,
@@ -240,23 +261,12 @@ def exact_ot(
     Raises PairCountCapExceeded when |supp mu| * |supp rho| > pair_cap; the
     cap keeps accidental huge LPs from running away.
     """
-    if mu.dimension != rho.dimension:
-        raise ValueError(
-            f"exact_ot: dimension mismatch, {mu.dimension} vs {rho.dimension}"
-        )
-    pairs = len(mu) * len(rho)
-    if pairs > pair_cap:
-        raise PairCountCapExceeded(
-            f"exact_ot: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
-        )
-    X = mu.atom_array
-    Y = rho.atom_array
-    diff = np.abs(X[:, None, :] - Y[None, :, :]) ** spec.q
-    cost = diff.sum(axis=2) ** (spec.p / spec.q)
-    P = solve_transport(mu.weight_array, rho.weight_array, cost)
-    keep = P > 1e-15
-    ri, ci = np.nonzero(keep)
-    plan = make_plan(X[ri], Y[ci], P[keep])
+
+    def cost_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        diff = np.abs(X[:, None, :] - Y[None, :, :]) ** spec.q
+        return diff.sum(axis=2) ** (spec.p / spec.q)
+
+    plan = _lp_plan("exact_ot", mu, rho, cost_of, pair_cap)
     return OTResult(value=plan_cost(plan, spec), plan=plan)
 
 
@@ -266,19 +276,7 @@ def max_inner_product(
     pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> OTResult:
     """Maximize the integral of <x, y> over the transport polytope."""
-    if mu.dimension != rho.dimension:
-        raise ValueError("max_inner_product: dimension mismatch")
-    pairs = len(mu) * len(rho)
-    if pairs > pair_cap:
-        raise PairCountCapExceeded(
-            f"max_inner_product: {pairs} atom pairs exceed the cap {pair_cap}"
-        )
-    X = mu.atom_array
-    Y = rho.atom_array
-    P = solve_transport(mu.weight_array, rho.weight_array, -(X @ Y.T))
-    keep = P > 1e-15
-    ri, ci = np.nonzero(keep)
-    plan = make_plan(X[ri], Y[ci], P[keep])
+    plan = _lp_plan("max_inner_product", mu, rho, lambda X, Y: -(X @ Y.T), pair_cap)
     return OTResult(value=inner_product_score(plan), plan=plan)
 
 

@@ -5,6 +5,22 @@ after the normal pytest summary so a full-suite run ends with an explicit
 PASS/FAIL scoreboard.
 """
 
+import os
+from pathlib import Path
+
+import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _checkout_on_subprocess_path():
+    """pyproject's pythonpath reaches only this process; tests that run
+    `python -m copula_ot` in a subprocess need the checkout's sources too."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
+
+
 CRITERIA: dict[int, tuple[str, bool, str]] = {}
 
 

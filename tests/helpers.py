@@ -8,6 +8,8 @@ comparison is exact, not approximate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from copula_ot.copulas import CHECKERBOARD, COUNTERMONOTONE, Copula
@@ -48,6 +50,18 @@ def grid_pushforward(copula: Copula, groups, g: int) -> dict:
             )
             out[key] = out.get(key, 0.0) + 1.0 / g
     return out
+
+
+def merge_rows_oracle(rows, weights) -> list[tuple[tuple[float, ...], float]]:
+    """Dict-of-rows merge: fsum the weights of each distinct row, drop zero totals.
+
+    Returns (row, weight) pairs in lexicographic row order.
+    """
+    groups: dict = {}
+    for row, w in zip(np.asarray(rows).tolist(), np.asarray(weights).tolist()):
+        groups.setdefault(tuple(row), []).append(w)
+    merged = ((row, math.fsum(ws)) for row, ws in groups.items())
+    return sorted((row, w) for row, w in merged if w != 0.0)
 
 
 def measure_as_dict(measure) -> dict:

@@ -146,6 +146,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "matched the exact optimum" in out
 
+    def test_grid_flags_select_settings_and_create_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "sub" / "v.csv"
+        rc = main(
+            [
+                "verify", "--dimensions", "2", "--exponents", "1.5",
+                "--instances", "3", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.split(",")[1:3] == ["2", "1.5"] for line in lines[1:])
+        text = capsys.readouterr().out
+        assert "worst rel err" in text
+        assert [line.split()[:2] for line in text.splitlines() if line.startswith("  2 ")] == [
+            ["2", "1.5"]
+        ]
+
     def test_allow_pq_smoke_reports_violations(self, tmp_path, capsys):
         rc = main(
             [
@@ -189,6 +207,21 @@ class TestCounterexample:
         )
         assert rc == 0
         assert json.loads(out.read_text())["copula"] == "checkerboard(n=2, k=4)"
+
+    def test_checkerboard_rejects_a_different_k(self, tmp_path, capsys):
+        cop_path = tmp_path / "cop.json"
+        cop_path.write_text(json.dumps(copula_to_dict(independence(2, 4))))
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "counterexample", "--p", "1", "--q", "2", "--k", "8",
+                "--copula", f"checkerboard:{cop_path}", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--k 8" in err and "k = 4" in err
+        assert not out.exists()
 
     def test_no_violating_pair_exit(self, tmp_path, capsys):
         rc = main(

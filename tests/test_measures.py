@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from copula_ot.measures import (
     DiscreteMeasure1D,
@@ -11,9 +11,10 @@ from copula_ot.measures import (
     measure_from_dict,
     measure_to_dict,
     measures_close,
+    merge_weighted_rows,
 )
 
-from helpers import measure_as_dict
+from helpers import measure_as_dict, merge_rows_oracle
 
 
 def measures_1d():
@@ -75,6 +76,39 @@ class TestConstruction:
     def test_atoms_sorted_lexicographically(self):
         m = make_measure([[1, 0], [0, 2], [0, 1]], [1, 1, 1])
         assert m.atoms == ((0.0, 1.0), (0.0, 2.0), (1.0, 0.0))
+
+
+@st.composite
+def weighted_rows(draw):
+    """Small-integer rows, some repeated on purpose, with weights that may be zero."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=6))
+    rows = rows + [rows[t] for t in repeats]
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+    weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+    order = draw(st.permutations(range(len(rows))))
+    return (
+        np.array([rows[t] for t in order], dtype=float),
+        np.array([weights[t] for t in order], dtype=float),
+    )
+
+
+class TestMergeWeightedRows:
+    @given(weighted_rows())
+    @example((np.array([[1.0], [1.0], [2.0]]), np.array([0.0, 0.0, 0.0])))
+    @example((np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0.1, 0.2])))
+    def test_matches_dict_oracle_bit_for_bit(self, data):
+        rows, weights = data
+        expected = merge_rows_oracle(rows, weights)
+        if not expected:
+            with pytest.raises(ValueError, match="zero"):
+                merge_weighted_rows(rows, weights)
+            return
+        got_rows, got_weights = merge_weighted_rows(rows, weights)
+        assert got_rows.tolist() == [list(row) for row, _ in expected]
+        assert [w.hex() for w in got_weights.tolist()] == [w.hex() for _, w in expected]
 
 
 class TestCdfQuantile:

@@ -85,6 +85,11 @@ class TestPlans:
         assert second.atoms == ((5.0,), (6.0,))
         assert second.weights == (0.75, 0.25)
 
+    def test_marginals_are_built_once(self):
+        plan = make_plan([[0], [0], [1]], [[5], [6], [5]], [0.25, 0.25, 0.5])
+        assert plan.first_marginal() is plan.first_marginal()
+        assert plan.second_marginal() is plan.second_marginal()
+
     def test_validate_plan(self):
         mu = make_measure([[0], [1]], [0.5, 0.5])
         rho = make_measure([[5], [6]], [0.75, 0.25])

@@ -5,7 +5,6 @@ from .copulas import (
     bivariate_margin,
     checkerboard,
     comonotone,
-    conditional,
     copula_cdf,
     copula_from_dict,
     copula_to_dict,
@@ -18,7 +17,6 @@ from .copulas import (
     independence,
     push_through_quantiles,
     sklar_compose,
-    uniform_grid_measure,
 )
 from .counterexample import (
     CounterexampleReport,

@@ -72,7 +72,14 @@ def _load_measure(path: str) -> MultivariateMeasure:
     return measure_from_dict(_load_json(path))
 
 
-def _resolve_copula(name: str, n: int, k: int) -> tuple[Copula, str]:
+def _resolve_copula(name: str, n: int, k: int | None, default_k: int) -> tuple[Copula, str]:
+    """Copula and label for ``--copula``; ``k`` None means ``default_k`` for builtin names."""
+    if name.startswith("checkerboard:"):
+        copula = copula_from_dict(_load_json(name.split(":", 1)[1]))
+        if copula.variant == CHECKERBOARD and k is not None and k != copula.k:
+            raise ValueError(f"--k {k} differs from the checkerboard file's k = {copula.k}")
+        return copula, copula.describe()
+    k = default_k if k is None else k
     if name == "independence":
         return independence(n, k), f"independence(n={n}, k={k})"
     if name == "comonotone":
@@ -81,10 +88,6 @@ def _resolve_copula(name: str, n: int, k: int) -> tuple[Copula, str]:
         if n != 2:
             raise ValueError("countermonotone exists only for n=2")
         return countermonotone(), "countermonotone(n=2)"
-    if name.startswith("checkerboard:"):
-        path = name.split(":", 1)[1]
-        copula = copula_from_dict(_load_json(path))
-        return copula, copula.describe()
     raise ValueError(
         f"unknown copula {name!r}; expected independence, comonotone, "
         f"countermonotone, or checkerboard:<path>"
@@ -112,7 +115,7 @@ def cmd_diamond(args: argparse.Namespace) -> int:
             f"measures disagree in dimension: {mu.dimension} vs {rho.dimension}"
         )
     n = mu.dimension
-    copula, label = _resolve_copula(args.copula, n, args.k)
+    copula, label = _resolve_copula(args.copula, n, args.k, 1)
     if copula.n != n:
         raise ValueError(f"copula dimension {copula.n} does not match the measures ({n})")
     spec = CostSpec(args.p, args.q)
@@ -197,10 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_counterexample(args: argparse.Namespace) -> int:
     if args.p == args.q:
         raise ValueError("counterexample search requires p != q; at p = q the quantile coupling is optimal")
-    k = DEFAULT_CARRIER_RESOLUTION if args.k is None else args.k
-    copula, label = _resolve_copula(args.copula, args.n, k)
-    if copula.variant == CHECKERBOARD and args.k is not None and args.k != copula.k:
-        raise ValueError(f"--k {args.k} differs from the checkerboard file's k = {copula.k}")
+    copula, label = _resolve_copula(args.copula, args.n, args.k, DEFAULT_CARRIER_RESOLUTION)
     out = Path(args.out)
     curve_path = out.with_suffix(".csv")
 
@@ -215,7 +215,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             copula,
             args.p,
             args.q,
-            carrier_resolution=k,
+            carrier_resolution=DEFAULT_CARRIER_RESOLUTION if args.k is None else args.k,
             pair_cap=args.max_pairs,
             copula_label=label,
         )
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="independence",
         help="independence | comonotone | countermonotone | checkerboard:<path>",
     )
-    d.add_argument("--k", type=int, default=1, help="checkerboard resolution for builtin names")
+    d.add_argument("--k", type=int, default=None, help="checkerboard resolution for builtin names (default 1)")
     d.add_argument("--emit-plan", default=None, help="write the plan JSON here")
     d.set_defaults(handler=cmd_diamond)
 

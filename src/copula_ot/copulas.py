@@ -28,7 +28,6 @@ from .measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
     make_measure,
-    make_measure_1d,
 )
 
 CHECKERBOARD = "checkerboard"
@@ -171,32 +170,6 @@ def bivariate_margin(copula: Copula, i: int, j: int) -> Copula:
     return checkerboard(2, copula.k, margin)
 
 
-def conditional(copula: Copula, given: int, at: float) -> DiscreteMeasure1D:
-    """Conditional law of the other coordinate of a bivariate copula.
-
-    ``given`` is 1 or 2; ``at`` is the conditioning value in (0, 1).  For a
-    checkerboard the result is the normalized slice through the cell
-    containing ``at``, supported on cell midpoints; for the monotone variants
-    it is a point mass.
-    """
-    if copula.n != 2:
-        raise ValueError(f"conditional: requires a bivariate copula, got n={copula.n}")
-    if given not in (1, 2):
-        raise ValueError(f"conditional: given must be 1 or 2, got {given}")
-    if not 0.0 < at < 1.0:
-        raise ValueError(f"conditional: conditioning value must lie in (0, 1), got {at!r}")
-    if copula.variant == COMONOTONE:
-        return make_measure_1d([at], [1.0])
-    if copula.variant == COUNTERMONOTONE:
-        return make_measure_1d([1.0 - at], [1.0])
-    k = copula.k
-    cell = min(int(at * k), k - 1)
-    slice_masses = copula.masses[cell, :] if given == 1 else copula.masses[:, cell]
-    mids = (np.arange(k) + 0.5) / k
-    # make_measure_1d drops zero cells and renormalizes by the slice sum
-    return make_measure_1d(mids, slice_masses)
-
-
 def empirical_copula(measure: MultivariateMeasure, k: int) -> Copula:
     """Checkerboard fit of the rank structure of a uniform-weight sample.
 
@@ -225,14 +198,6 @@ def empirical_copula(measure: MultivariateMeasure, k: int) -> Copula:
     tensor = np.zeros((k,) * n)
     np.add.at(tensor, tuple(bins[:, d] for d in range(n)), 1.0 / count)
     return checkerboard(n, k, tensor)
-
-
-def uniform_grid_measure(k: int) -> DiscreteMeasure1D:
-    """Uniform law on the k cell midpoints (2r+1)/(2k)."""
-    if k < 1:
-        raise ValueError("uniform_grid_measure: resolution must be >= 1")
-    mids = (np.arange(k) + 0.5) / k
-    return make_measure_1d(mids, np.full(k, 1.0 / k))
 
 
 def discretize(copula: Copula, k: int) -> Copula:

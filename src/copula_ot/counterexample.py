@@ -2,20 +2,22 @@
 
 The cost ||x - y||_q^p makes the quantile coupling of two joint laws with a
 shared copula optimal exactly when p = q.  For p != q this module builds an
-explicit competitor.  Fix a coordinate pair (i, j) where the copula is not
-extremal, scale all coordinates except i (resp. j) by a small epsilon on the
-source (resp. target) side, and rewire the dependence between coordinates i
-and j of the target through an extremal adversary: comonotone for q > p,
-countermonotone for q < p.  The rewired target has the same law as the
-original one, yet as epsilon -> 0 the two couplings separate: the quantile
-coupling's cost tends to an integral driven by the original copula while the
-competitor's tends to the extremal rearrangement, which is strictly better.
-Whether the sign of improvement is comonotone or countermonotone is read off
-the mixed second derivative of -(u1^q + u2^q)^{p/q}.
+explicit competitor.  Fix a coordinate pair (i, j) whose carrier margin is
+not the adversary's rearrangement, scale all coordinates except i (resp. j)
+by a small epsilon on the source (resp. target) side, and rewire the
+dependence between coordinates i and j of the target through that extremal
+adversary: comonotone for q > p, countermonotone for q < p.  The rewired
+target has the same law as the original one, yet as epsilon -> 0 the two
+couplings separate: the quantile coupling's cost tends to an integral driven
+by the original copula while the competitor's tends to the extremal
+rearrangement, which is strictly better.  Whether the sign of improvement is
+comonotone or countermonotone is read off the mixed second derivative of
+-(u1^q + u2^q)^{p/q}.
 
 Everything here works on a checkerboard carrier: midpoint grids make every
 expectation a finite sum, so both the limiting scores and the finite-epsilon
-plans are computed without quadrature error.
+plans are computed without quadrature error, and the pair is decided exactly
+on the same carrier (see :func:`find_violating_pair`).
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ from .copulas import (
     Copula,
     bivariate_margin,
     comonotone,
-    copula_cdf,
     countermonotone,
     discretize,
-    frechet_lower,
-    frechet_upper,
 )
 from .measures import MultivariateMeasure, make_measure, measures_close
 from .transport import (
@@ -64,7 +63,7 @@ CAVEAT = (
 
 
 class NoViolatingPair(RuntimeError):
-    """Every tested coordinate pair sits on the relevant extremal bound."""
+    """Every coordinate pair's carrier margin sits on the adversary's permutation cells."""
 
 
 class ScheduleExhausted(RuntimeError):
@@ -159,36 +158,31 @@ def adversary_copula(p: float, q: float) -> Copula:
     return comonotone(2) if q > p else countermonotone()
 
 
-def find_violating_pair(
-    copula: Copula,
-    p: float,
-    q: float,
-    grid: int = 17,
-) -> tuple[int, int, float, float] | None:
-    """First coordinate pair (1-based) strictly off the relevant extremal bound.
+def find_violating_pair(carrier: Copula, p: float, q: float) -> tuple[int, int] | None:
+    """First coordinate pair (1-based) whose carrier margin leaves the adversary's cells.
 
-    Scans interior lattice points l/grid.  For q < p the construction needs a
-    pair whose margin sits strictly above the two-dimensional lower bound;
-    for q > p, strictly below the upper bound.  Returns (i, j, u_i, u_j) or
-    None when every pair is extremal, in which case no counterexample of this
-    form exists for the given exponent order.
+    The adversary couples the k midpoints of a pair by a permutation adv: the
+    identity for q > p, the reversal for q < p.  The limit cost
+    (u^q + v^q)^{p/q} is strictly Monge on distinct midpoints and the
+    carrier's margins are uniform, so adv is the only coupling of a margin
+    that ties with the adversary in the limit.  A pair (i, j) is therefore
+    violating, with a strictly positive limit gap, exactly when its k x k
+    margin has mass off the cells (a, adv[a]).  Returns None when every pair
+    sits on them.
     """
     _check_exponents(p, q)
     if p == q:
         raise ValueError("find_violating_pair: requires p != q")
-    if grid < 2:
-        raise ValueError("find_violating_pair: grid must be >= 2")
-    levels = np.arange(1, grid) / grid
-    for i in range(1, copula.n + 1):
-        for j in range(i + 1, copula.n + 1):
-            margin = bivariate_margin(copula, i, j)
-            for ui in levels:
-                for uj in levels:
-                    c = copula_cdf(margin, (ui, uj))
-                    if q < p and c > frechet_lower((ui, uj)) + 1e-12:
-                        return (i, j, float(ui), float(uj))
-                    if q > p and c < frechet_upper((ui, uj)) - 1e-12:
-                        return (i, j, float(ui), float(uj))
+    if carrier.variant != CHECKERBOARD:
+        raise ValueError("find_violating_pair: carrier must be a checkerboard; discretize monotone copulas first")
+    k = carrier.k
+    adversary_cells = (np.arange(k), _adversary_index_map(adversary_copula(p, q), k))
+    for i in range(1, carrier.n + 1):
+        for j in range(i + 1, carrier.n + 1):
+            off = bivariate_margin(carrier, i, j).masses.copy()
+            off[adversary_cells] = 0.0
+            if off.any():
+                return (i, j)
     return None
 
 
@@ -347,7 +341,6 @@ def gap_search(
     p: float,
     q: float,
     *,
-    grid: int = 17,
     carrier_resolution: int = 16,
     schedule: Sequence[float] | None = None,
     significance: float = GAP_SIGNIFICANCE,
@@ -365,22 +358,24 @@ def gap_search(
     report for inspection.  The exact transport cost is attached at the
     accepted epsilon when the support-pair count fits under ``pair_cap``.
 
-    Raises :class:`NoViolatingPair` when the copula is extremal in the
-    direction the exponents require, and :class:`ScheduleExhausted` when no
-    epsilon yields a significant gap.
+    The pair, the limit scores and the plans all come from one carrier,
+    ``discretize(copula, carrier_resolution)``.  Raises
+    :class:`NoViolatingPair` when no pair of it is violating (see
+    :func:`find_violating_pair`), and :class:`ScheduleExhausted` when no
+    epsilon yields a significant gap although the limit gap is positive.
     """
     _check_exponents(p, q)
     if p == q:
         raise ValueError("gap_search: requires p != q; for p = q the quantile coupling is optimal")
-    found = find_violating_pair(copula, p, q, grid)
+    carrier = discretize(copula, carrier_resolution)
+    found = find_violating_pair(carrier, p, q)
     if found is None:
         side = "lower" if q < p else "upper"
         raise NoViolatingPair(
             f"every coordinate pair of {copula.describe()} meets the bivariate {side} "
-            f"bound on the scanned lattice; the construction has no room to improve"
+            f"bound on the carrier; the construction has no room to improve"
         )
-    i, j, _, _ = found
-    carrier = discretize(copula, carrier_resolution)
+    i, j = found
     limit_diamond, limit_alt = limit_scores(carrier, (i, j), p, q)
     eps_values = tuple(schedule) if schedule is not None else default_schedule()
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):

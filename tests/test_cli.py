@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from copula_ot.cli import _fmt, main
-from copula_ot.copulas import copula_to_dict, independence
+from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
 from copula_ot.measures import make_measure, measure_to_dict
 from copula_ot.transport import plan_from_dict, validate_plan
 
@@ -66,6 +66,17 @@ class TestDiamond:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "cost (integral of ||x-y||_q^p): 8" in captured.out
+
+    def test_checkerboard_rejects_a_different_k(self, tmp_path, capsys):
+        mu = write_measure(tmp_path / "mu.json", [[0, 0], [1, 1]], [0.5, 0.5])
+        rho = write_measure(tmp_path / "rho.json", [[2, 2], [3, 3]], [0.5, 0.5])
+        cop_path = tmp_path / "cop.json"
+        cop_path.write_text(json.dumps(copula_to_dict(independence(2, 4))))
+        args = ["diamond", "--mu", mu, "--rho", rho, "--copula", f"checkerboard:{cop_path}"]
+        assert main(args + ["--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--k 2" in err and "k = 4" in err
+        assert main(args + ["--k", "4"]) == 0
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         mu = write_measure(tmp_path / "mu.json", [[0.0]], [1.0])
@@ -222,6 +233,20 @@ class TestCounterexample:
         err = capsys.readouterr().err
         assert "--k 8" in err and "k = 4" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_antidiagonal_file_has_no_violating_pair(self, tmp_path, capsys, k):
+        cop_path = tmp_path / "anti.json"
+        cop_path.write_text(json.dumps(copula_to_dict(discretize(countermonotone(), k))))
+        rc = main(
+            [
+                "counterexample", "--p", "2", "--q", "1",
+                "--copula", f"checkerboard:{cop_path}",
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 4
+        assert "no violating pair" in capsys.readouterr().out
 
     def test_no_violating_pair_exit(self, tmp_path, capsys):
         rc = main(

@@ -10,7 +10,6 @@ from copula_ot.copulas import (
     bivariate_margin,
     checkerboard,
     comonotone,
-    conditional,
     copula_cdf,
     copula_from_dict,
     copula_to_dict,
@@ -22,7 +21,6 @@ from copula_ot.copulas import (
     frechet_upper,
     independence,
     sklar_compose,
-    uniform_grid_measure,
 )
 from copula_ot.instances import random_copula, random_marginal
 from copula_ot.measures import make_measure, make_measure_1d, measures_close
@@ -195,55 +193,6 @@ class TestBivariateMargin:
             )
 
 
-class TestConditional:
-    def test_checkerboard_slice(self):
-        cond = conditional(independence(2, 2), 1, 0.25)
-        assert cond.atoms == (0.25, 0.75)
-        assert cond.weights == (0.5, 0.5)
-
-    def test_conditional_is_normalized_slice(self):
-        c = random_copula(np.random.default_rng(3), 2, 4)
-        cond = conditional(c, 2, 0.6)
-        cell = int(0.6 * 4)
-        column = c.masses[:, cell]
-        expected = {
-            (r + 0.5) / 4: column[r] / column.sum()
-            for r in range(4)
-            if column[r] > 0
-        }
-        got = {a: w for a, w in zip(cond.atoms, cond.weights)}
-        assert dicts_close(got, expected, 1e-12)
-
-    def test_monotone_point_masses(self):
-        assert conditional(comonotone(2), 1, 0.3) == make_measure_1d([0.3], [1.0])
-        assert conditional(countermonotone(), 2, 0.9) == make_measure_1d([1.0 - 0.9], [1.0])
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            conditional(comonotone(3), 1, 0.5)
-        with pytest.raises(ValueError):
-            conditional(independence(2, 2), 3, 0.5)
-        for at in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError):
-                conditional(independence(2, 2), 1, at)
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=25)
-    def test_mixing_recovers_uniform(self, seed):
-        # integrating the conditionals against the uniform margin gives the
-        # uniform midpoint law back
-        k = 4
-        c = random_copula(np.random.default_rng(seed), 2, k)
-        mixed: dict = {}
-        for r in range(k):
-            cond = conditional(c, 1, (r + 0.5) / k)
-            row_mass = c.masses[r, :].sum()
-            for a, w in zip(cond.atoms, cond.weights):
-                mixed[a] = mixed.get(a, 0.0) + row_mass * w
-        expected = {a: w for (a,), w in measure_as_dict(uniform_grid_measure(k)).items()}
-        assert dicts_close(mixed, expected, 1e-10)
-
-
 class TestEmpirical:
     def test_two_point_diagonal(self):
         sample = make_measure([[0, 0], [1, 1]], [0.5, 0.5])
@@ -365,13 +314,6 @@ class TestSklar:
 
 
 class TestGridAndDiscretize:
-    def test_uniform_grid_measure(self):
-        m = uniform_grid_measure(2)
-        assert m.atoms == (0.25, 0.75)
-        assert m.weights == (0.5, 0.5)
-        with pytest.raises(ValueError):
-            uniform_grid_measure(0)
-
     def test_discretize_monotone(self):
         diag = discretize(comonotone(2), 4)
         assert diag.variant == CHECKERBOARD

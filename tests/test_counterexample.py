@@ -121,28 +121,49 @@ class TestAdversary:
 
 class TestFindViolatingPair:
     def test_independence_frozen(self):
-        found = find_violating_pair(independence(2, 4), 1.0, 2.0, grid=5)
-        assert found == (1, 2, 0.2, 0.2)
+        assert find_violating_pair(independence(2, 4), 1.0, 2.0) == (1, 2)
 
     def test_comonotone_blocks_one_direction_only(self):
-        assert find_violating_pair(comonotone(3), 1.0, 2.0) is None
-        found = find_violating_pair(comonotone(3), 2.0, 1.0)
-        assert found is not None and found[:2] == (1, 2)
+        carrier = discretize(comonotone(3), 16)
+        assert find_violating_pair(carrier, 1.0, 2.0) is None
+        assert find_violating_pair(carrier, 2.0, 1.0) == (1, 2)
 
     def test_countermonotone_blocks_the_other(self):
-        assert find_violating_pair(countermonotone(), 2.0, 1.0) is None
-        assert find_violating_pair(countermonotone(), 1.0, 2.0) is not None
+        carrier = discretize(countermonotone(), 16)
+        assert find_violating_pair(carrier, 2.0, 1.0) is None
+        assert find_violating_pair(carrier, 1.0, 2.0) is not None
 
     def test_exact_variant_not_its_discretization(self):
-        # the discretized diagonal dips below min(u) off-lattice, so the
-        # search must treat the exact comonotone copula as unviolated
-        assert find_violating_pair(comonotone(2), 1.0, 2.0, grid=16) is None
+        # the discretized diagonal sits on the identity cells at every k,
+        # whether or not its cell boundaries line up with any lattice
+        for k in (16, 17):
+            assert find_violating_pair(discretize(comonotone(2), k), 1.0, 2.0) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             find_violating_pair(independence(2, 2), 2.0, 2.0)
-        with pytest.raises(ValueError):
-            find_violating_pair(independence(2, 2), 1.0, 2.0, grid=1)
+        with pytest.raises(ValueError, match="discretize"):
+            find_violating_pair(comonotone(2), 1.0, 2.0)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 3),
+        st.integers(1, 5),
+        st.sampled_from([(2.0, 1.0), (1.0, 2.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decision_matches_the_limit_gap(self, seed, n, k, exponents):
+        p, q = exponents
+        carrier = random_copula(np.random.default_rng(seed), n, k)
+        found = find_violating_pair(carrier, p, q)
+        if found is not None:
+            limit_diamond, limit_alt = limit_scores(carrier, found, p, q)
+            assert limit_diamond - limit_alt > 0
+        else:
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    limit_diamond, limit_alt = limit_scores(carrier, (i, j), p, q)
+                    assert abs(limit_diamond - limit_alt) <= 1e-15
 
 
 class TestBuildPair:
@@ -293,6 +314,20 @@ class TestGapSearch:
             gap_search(comonotone(2), 1.0, 2.0)
         with pytest.raises(NoViolatingPair):
             gap_search(countermonotone(), 2.0, 1.0)
+
+    def test_antidiagonal_decided_on_its_carrier(self):
+        # its carrier margin is the reversal at every k, whether or not the
+        # cell boundaries line up with a 1/17 lattice
+        for k in (16, 17):
+            with pytest.raises(NoViolatingPair, match="on the carrier"):
+                gap_search(discretize(countermonotone(), k), 2.0, 1.0)
+
+    def test_picks_the_pair_with_a_positive_limit_gap(self):
+        # pair (1, 2) of this carrier is the reversal; (1, 3) is not
+        cop = random_copula(np.random.default_rng(10), 3, 2)
+        report = gap_search(cop, 2.0, 1.0, carrier_resolution=2)
+        assert report.pair == (1, 3)
+        assert report.gap > 0
 
     def test_schedule_exhausted_when_cut_short(self):
         # the gap at epsilon = 0.5 is still negative for this configuration

@@ -182,9 +182,9 @@ def empirical_copula(measure: MultivariateMeasure, k: int) -> Copula:
         raise ValueError("empirical_copula: resolution must be >= 1")
     if count % k != 0:
         raise ValueError(f"empirical_copula: bin count {k} must divide the sample size {count}")
-    if max(abs(w - 1.0 / count) for w in measure.weights) > 1e-12:
+    if np.max(np.abs(measure.weights - 1.0 / count)) > 1e-12:
         raise ValueError("empirical_copula: sample weights must all equal 1/N")
-    pts = measure.atom_array
+    pts = measure.atoms
     n = measure.dimension
     bins = np.empty((count, n), dtype=int)
     for d in range(n):
@@ -215,13 +215,11 @@ def discretize(copula: Copula, k: int) -> Copula:
     return checkerboard(copula.n, k, tensor)
 
 
-def _axis_breaks(cell_count: int | None, jump_families: Iterable[Iterable[float]]) -> np.ndarray:
-    pts = [0.0, 1.0]
+def _axis_breaks(cell_count: int | None, jump_families: Iterable[np.ndarray]) -> np.ndarray:
+    pts = [np.array([0.0, 1.0]), *jump_families]
     if cell_count is not None:
-        pts.extend(r / cell_count for r in range(1, cell_count))
-    for family in jump_families:
-        pts.extend(float(v) for v in family)
-    return np.unique(np.clip(np.asarray(pts, dtype=float), 0.0, 1.0))
+        pts.append(np.arange(1, cell_count) / cell_count)
+    return np.unique(np.clip(np.concatenate(pts), 0.0, 1.0))
 
 
 def push_through_quantiles(
@@ -280,7 +278,7 @@ def _push_monotone(copula, groups):
     families = []
     for g in groups:
         for d in range(n):
-            cw = np.asarray(g[d].cum_weights)
+            cw = g[d].cum_weights
             families.append(1.0 - cw if (reflected and d == 1) else cw)
     breaks = _axis_breaks(None, families)
     lens = np.diff(breaks)

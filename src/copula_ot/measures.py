@@ -9,7 +9,6 @@ floats whenever the inputs are exactly representable.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,7 +77,10 @@ def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarr
 
 
 def _canonical(atoms, weights, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, merged atom rows and their weights normalized to unit mass."""
+    """Sorted, merged atom rows and their weights normalized to unit mass.
+
+    Both arrays are fresh and read-only, so measures can hold them as is.
+    """
     a, w = _checked_rows(atoms, weights, ndims=ndims)
     # Normalize by the total of the raw weights, not of the merged ones: the
     # two can differ by an ulp, and stored measures carry this rounding.
@@ -86,38 +88,31 @@ def _canonical(atoms, weights, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if total <= 0.0:
         raise ValueError("weights must have positive total mass")
     rows, merged = merge_weighted_rows(a, w)
-    return rows, merged / total
+    merged = merged / total
+    rows.flags.writeable = False
+    merged.flags.writeable = False
+    return rows, merged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure1D:
     """Probability measure with finitely many atoms on R.
 
-    ``atoms`` is strictly increasing, every weight is positive, and the
-    weights sum to one (the last cumulative weight is pinned to exactly 1.0).
-    Build instances through :func:`make_measure_1d`.
+    ``atoms`` and ``weights`` are read-only arrays of shape (m,).  ``atoms``
+    is strictly increasing, every weight is positive, and the weights sum to
+    one (the last cumulative weight is pinned to exactly 1.0).  Build
+    instances through :func:`make_measure_1d`.
     """
 
-    atoms: tuple[float, ...]
-    weights: tuple[float, ...]
+    atoms: np.ndarray
+    weights: np.ndarray
 
     @cached_property
-    def cum_weights(self) -> tuple[float, ...]:
+    def cum_weights(self) -> np.ndarray:
         acc = np.cumsum(self.weights)
         acc[-1] = 1.0
-        return tuple(float(v) for v in acc)
-
-    @cached_property
-    def _atoms_arr(self) -> np.ndarray:
-        arr = np.array(self.atoms)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def _cum_arr(self) -> np.ndarray:
-        arr = np.array(self.cum_weights)
-        arr.flags.writeable = False
-        return arr
+        acc.flags.writeable = False
+        return acc
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -126,8 +121,8 @@ class DiscreteMeasure1D:
         """Total weight of atoms <= x (right continuous)."""
         if not math.isfinite(x):
             raise ValueError("cdf: point must be finite")
-        idx = bisect.bisect_right(self.atoms, x)
-        return 0.0 if idx == 0 else self.cum_weights[idx - 1]
+        idx = int(np.searchsorted(self.atoms, x, side="right"))
+        return 0.0 if idx == 0 else float(self.cum_weights[idx - 1])
 
     def quantile(self, u: float) -> float:
         """Generalized inverse: the smallest atom whose CDF reaches u.
@@ -136,52 +131,40 @@ class DiscreteMeasure1D:
         """
         if not 0.0 < u <= 1.0:
             raise ValueError(f"quantile: u must lie in (0, 1], got {u!r}")
-        return self.atoms[bisect.bisect_left(self.cum_weights, u)]
+        return float(self.atoms[np.searchsorted(self.cum_weights, u, side="left")])
 
     def quantile_array(self, us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantile` for u values already known to be in (0, 1]."""
-        idx = np.searchsorted(self._cum_arr, us, side="left")
+        idx = np.searchsorted(self.cum_weights, us, side="left")
         # cum_weights ends at exactly 1.0, but guard against float dust above it
         idx = np.minimum(idx, len(self.atoms) - 1)
-        return self._atoms_arr[idx]
+        return self.atoms[idx]
 
     def to_multivariate(self) -> "MultivariateMeasure":
-        return MultivariateMeasure(
-            dimension=1,
-            atoms=tuple((a,) for a in self.atoms),
-            weights=self.weights,
-        )
+        return MultivariateMeasure(atoms=self.atoms[:, None], weights=self.weights)
 
 
 def make_measure_1d(atoms: Iterable[float], weights: Iterable[float]) -> DiscreteMeasure1D:
     """Canonicalize (sort, merge exact duplicates, drop zeros) and normalize."""
     rows, w = _canonical(atoms, weights, ndims=(1,))
-    return DiscreteMeasure1D(atoms=tuple(rows[:, 0].tolist()), weights=tuple(w.tolist()))
+    return DiscreteMeasure1D(atoms=rows[:, 0], weights=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultivariateMeasure:
     """Probability measure with finitely many atoms on R^n.
 
-    Atom tuples are lexicographically sorted and pairwise distinct; weights are
-    positive with unit total.  Coordinates are indexed 1..n in the public API.
+    ``atoms`` is a read-only (m, n) array of lexicographically sorted,
+    pairwise distinct rows; ``weights`` is a read-only (m,) array of positive
+    weights with unit total.  Coordinates are indexed 1..n in the public API.
     """
 
-    dimension: int
-    atoms: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
+    atoms: np.ndarray
+    weights: np.ndarray
 
-    @cached_property
-    def atom_array(self) -> np.ndarray:
-        arr = np.array(self.atoms, dtype=float).reshape(len(self.atoms), self.dimension)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        arr = np.array(self.weights)
-        arr.flags.writeable = False
-        return arr
+    @property
+    def dimension(self) -> int:
+        return self.atoms.shape[1]
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -190,7 +173,7 @@ class MultivariateMeasure:
         """One-dimensional marginal of coordinate ``coord`` (1-based)."""
         if not 1 <= coord <= self.dimension:
             raise ValueError(f"marginal: coordinate {coord} out of range 1..{self.dimension}")
-        return make_measure_1d(self.atom_array[:, coord - 1], self.weights)
+        return make_measure_1d(self.atoms[:, coord - 1], self.weights)
 
     def map_coordinates(self, maps: Sequence[tuple[float, float]]) -> "MultivariateMeasure":
         """Apply x_i -> a_i * x_i + b_i per coordinate; a_i must be positive."""
@@ -202,25 +185,18 @@ class MultivariateMeasure:
             raise ValueError("map_coordinates: coefficients must be finite")
         if np.any(scale <= 0):
             raise ValueError("map_coordinates: scale factors must be positive")
-        return make_measure(self.atom_array * scale + shift, self.weight_array)
+        return make_measure(self.atoms * scale + shift, self.weights)
 
     def as_1d(self) -> DiscreteMeasure1D:
         if self.dimension != 1:
             raise ValueError(f"as_1d: measure has dimension {self.dimension}")
-        return DiscreteMeasure1D(
-            atoms=tuple(a[0] for a in self.atoms),
-            weights=self.weights,
-        )
+        return DiscreteMeasure1D(atoms=self.atoms[:, 0], weights=self.weights)
 
 
 def make_measure(atoms, weights) -> MultivariateMeasure:
     """Canonicalize atom rows (exact-equality merge) and normalize weights."""
     rows, w = _canonical(atoms, weights, ndims=(1, 2))
-    return MultivariateMeasure(
-        dimension=rows.shape[1],
-        atoms=tuple(map(tuple, rows.tolist())),
-        weights=tuple(w.tolist()),
-    )
+    return MultivariateMeasure(atoms=rows, weights=w)
 
 
 def measures_close(
@@ -233,19 +209,16 @@ def measures_close(
         left = left.to_multivariate()
     if isinstance(right, DiscreteMeasure1D):
         right = right.to_multivariate()
-    if left.dimension != right.dimension or left.atoms != right.atoms:
+    if not np.array_equal(left.atoms, right.atoms):
         return False
-    return max(abs(a - b) for a, b in zip(left.weights, right.weights)) <= weight_tol
+    return bool(np.max(np.abs(left.weights - right.weights)) <= weight_tol)
 
 
 def measure_to_dict(measure: MultivariateMeasure | DiscreteMeasure1D) -> dict:
     """JSON-ready form: {"atoms": [[...], ...], "weights": [...]}."""
     if isinstance(measure, DiscreteMeasure1D):
         measure = measure.to_multivariate()
-    return {
-        "atoms": [list(a) for a in measure.atoms],
-        "weights": list(measure.weights),
-    }
+    return {"atoms": measure.atoms.tolist(), "weights": measure.weights.tolist()}
 
 
 def measure_from_dict(obj: dict) -> MultivariateMeasure:

@@ -175,7 +175,7 @@ def wasserstein_1d(mu: DiscreteMeasure1D, rho: DiscreteMeasure1D, p: float) -> f
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"wasserstein_1d: p must be >= 1, got {p}")
     breaks = np.unique(
-        np.concatenate([[0.0, 1.0], np.asarray(mu.cum_weights), np.asarray(rho.cum_weights)])
+        np.concatenate([[0.0, 1.0], mu.cum_weights, rho.cum_weights])
     )
     breaks = np.clip(breaks, 0.0, 1.0)
     lens = np.diff(breaks)
@@ -242,9 +242,9 @@ def _lp_plan(
         raise PairCountCapExceeded(
             f"{name}: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
         )
-    X = mu.atom_array
-    Y = rho.atom_array
-    P = solve_transport(mu.weight_array, rho.weight_array, cost_of(X, Y))
+    X = mu.atoms
+    Y = rho.atoms
+    P = solve_transport(mu.weights, rho.weights, cost_of(X, Y))
     keep = P > 1e-15
     ri, ci = np.nonzero(keep)
     return make_plan(X[ri], Y[ci], P[keep])

@@ -67,7 +67,12 @@ def merge_rows_oracle(rows, weights) -> list[tuple[tuple[float, ...], float]]:
 def measure_as_dict(measure) -> dict:
     if hasattr(measure, "to_multivariate"):
         measure = measure.to_multivariate()
-    return {a: w for a, w in zip(measure.atoms, measure.weights)}
+    return {tuple(a): w for a, w in zip(measure.atoms.tolist(), measure.weights.tolist())}
+
+
+def same_measure(left, right) -> bool:
+    """Exact equality of both arrays, the atoms and the weights."""
+    return np.array_equal(left.atoms, right.atoms) and np.array_equal(left.weights, right.weights)
 
 
 def plan_as_dict(plan) -> dict:
@@ -92,14 +97,14 @@ def rank_bin_copula(measure, k: int) -> np.ndarray:
     library's sample-based empirical fit deliberately rejects.
     """
     n = measure.dimension
-    arr = measure.atom_array
-    w = measure.weight_array
+    arr = measure.atoms
+    w = measure.weights
     edges = np.arange(k + 1) / k
     intervals = []
     for d in range(n):
         marginal = measure.marginal(d + 1)
         cum = np.concatenate([[0.0], marginal.cum_weights])
-        index_of = {a: t for t, a in enumerate(marginal.atoms)}
+        index_of = {a: t for t, a in enumerate(marginal.atoms.tolist())}
         idx = np.array([index_of[x] for x in arr[:, d]])
         intervals.append((cum[idx], cum[idx + 1]))
     tensor = np.zeros((k,) * n)
@@ -118,7 +123,7 @@ def rank_bin_copula(measure, k: int) -> np.ndarray:
 
 def cdf_area_w1(mu, rho) -> float:
     """Independent p=1 oracle: integral of |F_mu - F_rho| between the CDFs."""
-    points = np.unique(np.concatenate([mu._atoms_arr, rho._atoms_arr]))
+    points = np.unique(np.concatenate([mu.atoms, rho.atoms]))
     total = 0.0
     for left, right in zip(points[:-1], points[1:]):
         total += abs(mu.cdf(float(left)) - rho.cdf(float(left))) * (right - left)

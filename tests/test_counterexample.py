@@ -28,7 +28,7 @@ from copula_ot.instances import random_copula
 from copula_ot.measures import make_measure
 from copula_ot.transport import CostSpec, exact_ot, plan_cost, validate_plan
 
-from helpers import fd_cross_partial, rank_bin_copula
+from helpers import fd_cross_partial, rank_bin_copula, same_measure
 
 
 def direct_alt_cost(carrier, p, q, epsilon, adversary_variant):
@@ -195,8 +195,7 @@ class TestBuildPair:
         for carrier in (independence(2, 8), discretize(comonotone(2), 8)):
             built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.25)
             rewired = built.alt_plan.second_marginal()
-            assert rewired.atoms == built.rho.atoms
-            assert rewired.weights == built.rho.weights
+            assert same_measure(rewired, built.rho)
 
     def test_plans_validate_and_preserve_source_law(self):
         carrier = random_copula(np.random.default_rng(17), 3, 4)
@@ -208,16 +207,16 @@ class TestBuildPair:
         carrier = discretize(comonotone(2), 2)
         built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
         # source keeps coordinate 1, target keeps coordinate 2
-        assert set(built.mu.atoms) == {(0.25, 0.125), (0.75, 0.375)}
-        assert set(built.rho.atoms) == {(0.125, 0.25), (0.375, 0.75)}
+        assert built.mu.atoms.tolist() == [[0.25, 0.125], [0.75, 0.375]]
+        assert built.rho.atoms.tolist() == [[0.125, 0.25], [0.375, 0.75]]
 
     def test_off_pair_coordinates_shrink_on_both_sides(self):
         carrier = independence(3, 2)
         built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
         third_mu = built.mu.marginal(3)
         third_rho = built.rho.marginal(3)
-        assert third_mu.atoms == (0.125, 0.375)
-        assert third_mu == third_rho
+        assert third_mu.atoms.tolist() == [0.125, 0.375]
+        assert same_measure(third_mu, third_rho)
 
     def test_source_copula_is_preserved(self):
         # the construction only rescales coordinates, so the rank structure

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from copula_ot.measures import (
-    DiscreteMeasure1D,
+    MultivariateMeasure,
     make_measure,
     make_measure_1d,
     measure_from_dict,
@@ -13,8 +14,9 @@ from copula_ot.measures import (
     measures_close,
     merge_weighted_rows,
 )
+from copula_ot.transport import make_plan
 
-from helpers import measure_as_dict, merge_rows_oracle
+from helpers import measure_as_dict, merge_rows_oracle, same_measure
 
 
 def measures_1d():
@@ -36,18 +38,18 @@ def measures_1d():
 class TestConstruction:
     def test_merges_duplicates_and_normalizes(self):
         m = make_measure_1d([2, 1, 1], [1, 1, 2])
-        assert m.atoms == (1.0, 2.0)
-        assert m.weights == (0.75, 0.25)
+        assert m.atoms.tolist() == [1.0, 2.0]
+        assert m.weights.tolist() == [0.75, 0.25]
 
     def test_zero_weight_atoms_dropped(self):
         m = make_measure_1d([0, 1], [0, 1])
-        assert m.atoms == (1.0,)
-        assert m.weights == (1.0,)
+        assert m.atoms.tolist() == [1.0]
+        assert m.weights.tolist() == [1.0]
 
     def test_merge_is_exact_fsum(self):
         # dyadic weights accumulate without rounding at all
         m = make_measure_1d([1, 1, 1, 2], [0.5, 0.125, 0.125, 0.25])
-        assert m.weights == (0.75, 0.25)
+        assert m.weights.tolist() == [0.75, 0.25]
         # otherwise the merged weight is the correctly rounded true sum
         m = make_measure_1d([1, 1, 1, 2], [0.1, 0.2, 0.4, 0.3])
         total = math.fsum([0.1, 0.2, 0.4, 0.3])
@@ -70,12 +72,12 @@ class TestConstruction:
 
     def test_multivariate_merge(self):
         m = make_measure([[0, 1], [0, 1], [1, 0]], [1, 1, 2])
-        assert m.atoms == ((0.0, 1.0), (1.0, 0.0))
-        assert m.weights == (0.5, 0.5)
+        assert m.atoms.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert m.weights.tolist() == [0.5, 0.5]
 
     def test_atoms_sorted_lexicographically(self):
         m = make_measure([[1, 0], [0, 2], [0, 1]], [1, 1, 1])
-        assert m.atoms == ((0.0, 1.0), (0.0, 2.0), (1.0, 0.0))
+        assert m.atoms.tolist() == [[0.0, 1.0], [0.0, 2.0], [1.0, 0.0]]
 
 
 @st.composite
@@ -161,7 +163,7 @@ class TestCdfQuantile:
         # renormalizing by fsum(weights) ~ 1 +- 1 ulp can move each weight
         # by an ulp, so atoms match exactly and weights to 1e-15
         again = make_measure_1d(m.atoms, m.weights)
-        assert again.atoms == m.atoms
+        assert np.array_equal(again.atoms, m.atoms)
         assert measures_close(again, m, 1e-15)
 
 
@@ -169,11 +171,11 @@ class TestMultivariate:
     def test_marginal(self):
         m = make_measure([[0, 10], [1, 10], [1, 20]], [1, 1, 2])
         first = m.marginal(1)
-        assert first.atoms == (0.0, 1.0)
-        assert first.weights == (0.25, 0.75)
+        assert first.atoms.tolist() == [0.0, 1.0]
+        assert first.weights.tolist() == [0.25, 0.75]
         second = m.marginal(2)
-        assert second.atoms == (10.0, 20.0)
-        assert second.weights == (0.5, 0.5)
+        assert second.atoms.tolist() == [10.0, 20.0]
+        assert second.weights.tolist() == [0.5, 0.5]
 
     def test_marginal_out_of_range(self):
         m = make_measure([[0, 0]], [1])
@@ -184,7 +186,7 @@ class TestMultivariate:
     def test_map_coordinates(self):
         m = make_measure([[0, 1], [1, 2]], [1, 1])
         scaled = m.map_coordinates([(1.0, 0.0), (0.5, 0.0)])
-        assert scaled.atoms == ((0.0, 0.5), (1.0, 1.0))
+        assert scaled.atoms.tolist() == [[0.0, 0.5], [1.0, 1.0]]
 
     def test_map_coordinates_rejects_nonpositive_scale(self):
         m = make_measure([[0, 1]], [1])
@@ -194,14 +196,14 @@ class TestMultivariate:
     def test_map_can_merge_atoms(self):
         m = make_measure([[0.0], [1.0]], [1, 1])
         squashed = m.map_coordinates([(1.0, 0.0)])
-        assert squashed.atoms == ((0.0,), (1.0,))
+        assert squashed.atoms.tolist() == [[0.0], [1.0]]
         tiny = make_measure([[0.0], [1e-300]], [1, 1]).map_coordinates([(1e-10, 0.0)])
         assert len(tiny) in (1, 2)  # underflow may merge, must stay a measure
         assert abs(math.fsum(tiny.weights) - 1.0) <= 1e-12
 
     def test_as_1d_roundtrip(self):
         m = make_measure_1d([3, 5], [1, 3])
-        assert m.to_multivariate().as_1d() == m
+        assert same_measure(m.to_multivariate().as_1d(), m)
 
     def test_as_1d_requires_dimension_one(self):
         with pytest.raises(ValueError):
@@ -212,8 +214,56 @@ class TestMultivariate:
         # the lift renormalizes by an fsum total, which can move weights by
         # an ulp when the originals do not sum to exactly 1.0
         back = m.to_multivariate().marginal(1)
-        assert back.atoms == m.atoms
+        assert np.array_equal(back.atoms, m.atoms)
         assert measures_close(back.to_multivariate(), m.to_multivariate(), 1e-15)
+
+
+class TestArrayContract:
+    BUILDERS = {
+        "1d": lambda: make_measure_1d([2, 0, 1], [1, 2, 1]),
+        "lifted": lambda: make_measure_1d([2, 0, 1], [1, 2, 1]).to_multivariate(),
+        "multivariate": lambda: make_measure([[1, 0], [0, 2], [0, 1]], [1, 1, 2]),
+        "marginal": lambda: make_measure([[1, 0], [0, 2]], [1, 3]).marginal(2),
+        "mapped": lambda: make_measure([[1, 0], [0, 2]], [1, 3]).map_coordinates(
+            [(2.0, 1.0), (1.0, 0.0)]
+        ),
+        "as_1d": lambda: make_measure([[1.0], [0.0]], [1, 3]).as_1d(),
+        "plan_marginal": lambda: make_plan([[0, 0], [1, 1]], [[2, 0], [3, 1]], [0.5, 0.5])
+        .first_marginal(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_fields_are_read_only_arrays_of_the_documented_shape(self, name):
+        m = self.BUILDERS[name]()
+        fields = ["atoms", "weights"]
+        if isinstance(m, MultivariateMeasure):
+            assert m.atoms.shape == (len(m), m.dimension)
+        else:
+            assert m.atoms.shape == (len(m),)
+            assert m.cum_weights.shape == (len(m),)
+            fields.append("cum_weights")
+        assert m.weights.shape == (len(m),)
+        for field in fields:
+            with pytest.raises(ValueError):
+                getattr(m, field)[0] = 7.0
+
+    def test_plan_arrays_are_read_only(self):
+        plan = make_plan([[0, 0], [1, 1]], [[2, 0], [3, 1]], [0.25, 0.75])
+        for arr in (plan.x, plan.y, plan.w):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    def test_dimension_is_derived_from_the_atoms(self):
+        assert [f.name for f in dataclasses.fields(MultivariateMeasure)] == ["atoms", "weights"]
+        assert make_measure([[0, 1, 2]], [1]).dimension == 3
+
+
+def assert_plain_json(obj: dict) -> None:
+    # numpy scalars must never reach the JSON writers
+    assert type(obj["atoms"]) is list and type(obj["weights"]) is list
+    for row in obj["atoms"]:
+        assert type(row) is list and all(type(v) is float for v in row)
+    assert all(type(v) is float for v in obj["weights"])
 
 
 class TestSerialization:
@@ -221,12 +271,14 @@ class TestSerialization:
         m = make_measure([[0, 1.5], [2, -3]], [1, 3])
         obj = measure_to_dict(m)
         assert obj == {"atoms": [[0.0, 1.5], [2.0, -3.0]], "weights": [0.25, 0.75]}
-        assert measure_from_dict(obj).atoms == m.atoms
+        assert_plain_json(obj)
+        assert np.array_equal(measure_from_dict(obj).atoms, m.atoms)
 
     def test_roundtrip_1d(self):
         m = make_measure_1d([0, 1], [1, 1])
-        again = measure_from_dict(measure_to_dict(m))
-        assert again.as_1d() == m
+        obj = measure_to_dict(m)
+        assert_plain_json(obj)
+        assert same_measure(measure_from_dict(obj).as_1d(), m)
 
     @pytest.mark.parametrize(
         "obj",

@@ -11,7 +11,7 @@ from copula_ot.copulas import (
     independence,
     sklar_compose,
 )
-from copula_ot.instances import random_copula, random_marginal, random_shared_pair
+from copula_ot.instances import random_marginal, random_shared_pair
 from copula_ot.measures import make_measure, make_measure_1d
 from copula_ot.transport import (
     CostSpec,
@@ -79,11 +79,11 @@ class TestPlans:
     def test_marginals(self):
         plan = make_plan([[0], [0], [1]], [[5], [6], [5]], [0.25, 0.25, 0.5])
         first = plan.first_marginal()
-        assert first.atoms == ((0.0,), (1.0,))
-        assert first.weights == (0.5, 0.5)
+        assert first.atoms.tolist() == [[0.0], [1.0]]
+        assert first.weights.tolist() == [0.5, 0.5]
         second = plan.second_marginal()
-        assert second.atoms == ((5.0,), (6.0,))
-        assert second.weights == (0.75, 0.25)
+        assert second.atoms.tolist() == [[5.0], [6.0]]
+        assert second.weights.tolist() == [0.75, 0.25]
 
     def test_marginals_are_built_once(self):
         plan = make_plan([[0], [0], [1]], [[5], [6], [5]], [0.25, 0.25, 0.5])
@@ -320,7 +320,7 @@ class TestInnerProduct:
         mu = plan.first_marginal()
         rho = plan.second_marginal()
         sq = lambda m: math.fsum(
-            w * float(np.dot(a, a)) for a, w in zip(m.atom_array, m.weights)
+            w * float(np.dot(a, a)) for a, w in zip(m.atoms, m.weights)
         )
         lhs = plan_cost(plan, CostSpec(2, 2))
         rhs = sq(mu) + sq(rho) - 2 * inner_product_score(plan)

@@ -26,7 +26,7 @@ def parse_args(argv=None):
     parser.add_argument(
         "--skip-exact",
         action="store_true",
-        help="skip the LP certificate at the accepted epsilon (fast sweeps)",
+        help="skip the exact certificate at the accepted epsilon (fast sweeps)",
     )
     parser.add_argument("--out", type=Path, default=Path("gap_curve.csv"))
     return parser.parse_args(argv)

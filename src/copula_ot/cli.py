@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Four subcommands: ``diamond`` (quantile coupling through a shared copula),
-``exact`` (LP-certified optimal cost), ``verify`` (randomized certification
-campaign), and ``counterexample`` (epsilon-schedule gap search for p != q).
+``exact`` (optimal cost at an optimal vertex: an assignment when both
+supports have the same size and one common weight, else the HiGHS LP),
+``verify`` (randomized certification campaign), and ``counterexample``
+(epsilon-schedule gap search for p != q).
 
 Costs are printed both as the raw integral of ||x - y||_q^p and as its 1/p
 root.  All file output is deterministic for a fixed seed and config: floats
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--emit-plan", default=None, help="write the plan JSON here")
     d.set_defaults(handler=cmd_diamond)
 
-    e = sub.add_parser("exact", help="exact optimal transport cost (LP vertex solve)")
+    e = sub.add_parser("exact", help="exact optimal transport cost (assignment or LP vertex solve)")
     e.add_argument("--mu", required=True)
     e.add_argument("--rho", required=True)
     e.add_argument("--p", **common_cost)

@@ -1,14 +1,18 @@
-"""Transport plans, costs, the diamond coupling, and an exact LP solver.
+"""Transport plans, costs, the diamond coupling, and an exact solver.
 
 Costs are always reported as the raw integral of ||x - y||_q^p against the
 plan, i.e. the p-th power of the usual transport distance; callers that want
 the distance itself take the 1/p root.
 
-``exact_ot`` solves the discrete problem as a linear program with the HiGHS
-dual simplex (tight feasibility tolerances), which returns an optimal vertex
-of the transport polytope.  ``diamond`` builds the quantile coupling induced
-by a shared copula; for p = q it attains the same optimal value, which is how
-the verification campaign certifies it.
+``exact_ot`` solves the discrete problem exactly and returns an optimal
+vertex of the transport polytope.  When both measures have the same number of
+atoms and every weight of both is the same float, the polytope is a scaled
+Birkhoff polytope whose vertices are permutations, and the problem is solved
+as a linear assignment (Jonker-Volgenant, ``linear_sum_assignment``).  Any
+other input is solved as a linear program with the HiGHS dual simplex (tight
+feasibility tolerances).  ``diamond`` builds the quantile coupling induced by
+a shared copula; for p = q it attains the same optimal value, which is how the
+verification campaign certifies it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .copulas import Copula, push_through_quantiles
 from .measures import (
@@ -197,11 +201,20 @@ def solve_transport(
 ) -> np.ndarray:
     """Minimize <P, cost> over couplings of the two weight vectors.
 
-    Returns an optimal vertex (a x b matrix) from the HiGHS simplex.
+    Returns an optimal vertex (a x b matrix).  If a == b and every entry of
+    both weight vectors equals the same float exactly, the vertices are that
+    weight times permutation matrices (Birkhoff-von Neumann), so an optimal
+    assignment is the optimal vertex.  Otherwise it comes from the HiGHS
+    simplex.
     """
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
         raise ValueError("solve_transport: weight vectors do not match the cost matrix")
+    if a == b > 0 and np.all(row_weights == row_weights[0]) and np.all(col_weights == row_weights[0]):
+        rows, cols = linear_sum_assignment(cost_matrix)
+        plan = np.zeros((a, b))
+        plan[rows, cols] = row_weights[0]
+        return plan
     # Variable v is entry (v // b, v % b) of the plan: it enters the mass
     # constraint of row v // b and that of column v % b.
     v = np.arange(a * b)
@@ -233,7 +246,8 @@ def _lp_plan(
     """Optimal vertex plan for the cost matrix ``cost_of(X, Y)`` over atom arrays.
 
     Checks dimensions and the pair cap before the cost matrix is built, and
-    drops LP entries at or below 1e-15 before canonicalizing the plan.
+    drops LP entries at or below 1e-15 before canonicalizing the plan.  An
+    atom left with no entry would silently lose its mass, so that raises.
     """
     if mu.dimension != rho.dimension:
         raise ValueError(f"{name}: dimension mismatch, {mu.dimension} vs {rho.dimension}")
@@ -246,6 +260,13 @@ def _lp_plan(
     Y = rho.atoms
     P = solve_transport(mu.weights, rho.weights, cost_of(X, Y))
     keep = P > 1e-15
+    for side, measure, covered in (("mu", mu, keep.any(axis=1)), ("rho", rho, keep.any(axis=0))):
+        if not covered.all():
+            t = int(np.flatnonzero(~covered)[0])
+            raise ValueError(
+                f"{name}: atom {measure.atoms[t].tolist()} of {side} has weight "
+                f"{float(measure.weights[t])!r}, below the 1e-15 that the LP resolves"
+            )
     ri, ci = np.nonzero(keep)
     return make_plan(X[ri], Y[ci], P[keep])
 

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from scipy import optimize
+
 from copula_ot.copulas import CHECKERBOARD, COUNTERMONOTONE, Copula
 
 
@@ -86,6 +88,31 @@ def dicts_close(left: dict, right: dict, tol: float) -> bool:
     if set(left) != set(right):
         return False
     return all(abs(left[k] - right[k]) <= tol for k in left)
+
+
+def lp_reference(row_weights, col_weights, cost) -> tuple[float, float]:
+    """HiGHS optimum of the transport LP and a weak-duality lower bound on it.
+
+    Calls ``scipy.optimize.linprog`` directly, with a dense constraint matrix,
+    so the reference never passes through the library's solver dispatch.  The
+    bound holds for any potentials u, v: for a coupling P with row sums a,
+    <c, P> = a.u + b.v + sum_ij P_ij (c_ij - u_i - v_j)
+          >= a.u + b.v + sum_i a_i min(0, min_j (c_ij - u_i - v_j)),
+    so rounding in HiGHS's duals (``eqlin.marginals``) only loosens it.
+    """
+    a = np.asarray(row_weights, dtype=float)
+    b = np.asarray(col_weights, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    m, k = cost.shape
+    constraints = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
+    res = optimize.linprog(
+        cost.ravel(), A_eq=constraints, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs"
+    )
+    assert res.status == 0, res.message
+    u = res.eqlin.marginals[:m]
+    v = res.eqlin.marginals[m:]
+    slack = np.minimum(0.0, (cost - u[:, None] - v[None, :]).min(axis=1))
+    return float(res.fun), float(a @ u + b @ v + a @ slack)
 
 
 def rank_bin_copula(measure, k: int) -> np.ndarray:

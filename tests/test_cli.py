@@ -107,6 +107,12 @@ class TestExact:
         assert main(["exact", "--mu", mu, "--rho", rho, "--max-pairs", "10"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_unresolvable_tiny_atom_is_a_usage_error(self, tmp_path, capsys):
+        mu = write_measure(tmp_path / "mu.json", [[0.0], [1.0], [2.0]], [0.5, 1e-17, 0.5])
+        rho = write_measure(tmp_path / "rho.json", [[0.0], [5.0]], [0.5, 0.5])
+        assert main(["exact", "--mu", mu, "--rho", rho]) == 2
+        assert "below the 1e-15 that the LP resolves" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

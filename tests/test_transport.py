@@ -30,7 +30,8 @@ from copula_ot.transport import (
     wasserstein_1d,
 )
 
-from helpers import cdf_area_w1, dicts_close, grid_pushforward, plan_as_dict
+import copula_ot.transport as transport
+from helpers import cdf_area_w1, dicts_close, grid_pushforward, lp_reference, plan_as_dict
 
 
 class TestCostSpec:
@@ -177,6 +178,28 @@ class TestSolveTransport:
         with pytest.raises(ValueError):
             solve_transport(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
 
+    def test_only_uniform_equal_size_weights_skip_the_lp(self, monkeypatch):
+        calls = []
+        linprog = transport.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", counting_linprog)
+        cost = np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 1.0]])
+        third = np.full(3, 1 / 3)
+        P = solve_transport(third, third, cost)
+        assert calls == []
+        assert P.tolist() == [[0, 1 / 3, 0], [1 / 3, 0, 0], [0, 0, 1 / 3]]
+        # one ulp off, or uniform at two sizes: not a scaled permutation polytope
+        near = third.copy()
+        near[0] = np.nextafter(near[0], 1.0)
+        near[1] = 1.0 - near[0] - near[2]
+        solve_transport(near, third, cost)
+        solve_transport(np.full(2, 0.5), np.full(3, 1 / 3), cost[:2])
+        assert calls == [1, 1]
+
 
 class TestExactOT:
     def test_identical_measures_cost_zero(self):
@@ -228,6 +251,16 @@ class TestExactOT:
         with pytest.raises(PairCountCapExceeded):
             exact_ot(mu, mu, CostSpec(2, 2), pair_cap=399)
 
+    def test_unresolvable_tiny_atom_raises_instead_of_losing_mass(self):
+        rho = make_measure([[0.0], [5.0]], [0.5, 0.5])
+        mu = make_measure([[0.0], [1.0], [2.0]], [0.5, 1e-17, 0.5])
+        with pytest.raises(ValueError, match="weight 1e-17, below"):
+            exact_ot(mu, rho, CostSpec(2, 2))
+        mu = make_measure([[0.0], [1.0], [2.0]], [0.5, 1e-13, 0.5])
+        result = exact_ot(mu, rho, CostSpec(2, 2))
+        assert len(result.plan) == 3
+        assert validate_plan(result.plan, mu, rho)
+
     def test_feasible_plans_sandwich_the_optimum(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -238,6 +271,61 @@ class TestExactOT:
             best = exact_ot(mu, rho, spec).value
             feasible = plan_cost(diamond(c, mu_m, rho_m), spec)
             assert best <= feasible + 1e-10 * max(1.0, feasible)
+
+
+@st.composite
+def uniform_equal_size_pair(draw):
+    """Two measures with m distinct small-integer atoms each, all of weight 1/m."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 30))
+    span = 15 if n == 1 else 3  # enough distinct points for 30 atoms, and many cost ties
+    point = st.tuples(*[st.integers(-span, span)] * n)
+    supports = [draw(st.lists(point, min_size=m, max_size=m, unique=True)) for _ in range(2)]
+    return tuple(make_measure(atoms, np.ones(m)) for atoms in supports)
+
+
+def assert_optimal_assignment(value, plan, mu, rho, cost):
+    """``value`` minimizes ``cost``: it is the HiGHS optimum up to rounding and
+    clears the weak-duality bound of HiGHS's own duals.  ``plan`` is a
+    permutation: one row per atom, each of weight exactly 1/m."""
+    objective, bound = lp_reference(mu.weights, rho.weights, cost)
+    assert value <= objective + 1e-12 * max(1.0, abs(value))
+    assert value >= bound - 1e-9
+    assert len(plan) == len(mu)
+    assert np.all(plan.w == 1 / len(mu))
+    assert validate_plan(plan, mu, rho)
+
+
+class TestAssignmentPath:
+    """Uniform equal-size supports are solved as assignments; cross-check with HiGHS."""
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (3, 3), (2, 1), (1, 2), (3, 1.5)])
+    @settings(max_examples=25, deadline=None)
+    @given(pair=uniform_equal_size_pair())
+    def test_exact_ot_matches_lp_reference(self, pair, p, q):
+        mu, rho = pair
+        spec = CostSpec(p, q)
+        result = exact_ot(mu, rho, spec)
+        cost = np.array([[norm_cost(x, y, spec) for y in rho.atoms] for x in mu.atoms])
+        assert_optimal_assignment(result.value, result.plan, mu, rho, cost)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=uniform_equal_size_pair())
+    def test_max_inner_product_matches_lp_reference(self, pair):
+        mu, rho = pair
+        best = max_inner_product(mu, rho)
+        cost = -np.array([[float(np.dot(x, y)) for y in rho.atoms] for x in mu.atoms])
+        assert_optimal_assignment(-best.value, best.plan, mu, rho, cost)
+
+    def test_non_uniform_input_matches_lp_reference(self):
+        mu = make_measure([[0, 1], [1, 0.5], [2, 2], [3, -1]], [0.1, 0.3, 0.2, 0.4])
+        rho = make_measure([[1, 1], [-1, 2], [0.5, 0]], [0.2, 0.45, 0.35])
+        spec = CostSpec(2, 1)
+        result = exact_ot(mu, rho, spec)
+        cost = np.array([[norm_cost(x, y, spec) for y in rho.atoms] for x in mu.atoms])
+        objective, _ = lp_reference(mu.weights, rho.weights, cost)
+        assert abs(result.value - objective) <= 1e-12 * max(1.0, abs(objective))
+        assert validate_plan(result.plan, mu, rho)
 
 
 class TestDiamond:

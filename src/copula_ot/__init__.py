@@ -5,15 +5,10 @@ from .copulas import (
     bivariate_margin,
     checkerboard,
     comonotone,
-    copula_cdf,
     copula_from_dict,
     copula_to_dict,
     countermonotone,
     discretize,
-    empirical_copula,
-    frechet_check,
-    frechet_lower,
-    frechet_upper,
     independence,
     push_through_quantiles,
     sklar_compose,
@@ -57,10 +52,7 @@ from .transport import (
     TransportPlan,
     diamond,
     exact_ot,
-    inner_product_score,
     make_plan,
-    max_inner_product,
-    norm_cost,
     plan_cost,
     plan_from_dict,
     plan_to_dict,

@@ -18,7 +18,6 @@ discretization error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +26,7 @@ import numpy as np
 from .measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
+    _number_array,
     make_measure,
 )
 
@@ -109,52 +109,6 @@ def countermonotone() -> Copula:
     return Copula(variant=COUNTERMONOTONE, n=2)
 
 
-def frechet_lower(u: Sequence[float]) -> float:
-    return max(0.0, math.fsum(u) - (len(u) - 1))
-
-
-def frechet_upper(u: Sequence[float]) -> float:
-    return min(u)
-
-
-def _check_unit_point(u: Sequence[float], n: int) -> np.ndarray:
-    pt = np.asarray(u, dtype=float)
-    if pt.shape != (n,):
-        raise ValueError(f"expected a point in [0,1]^{n}, got shape {pt.shape}")
-    if not np.all(np.isfinite(pt)) or np.any(pt < 0) or np.any(pt > 1):
-        raise ValueError(f"point {u!r} is outside the unit cube")
-    return pt
-
-
-def copula_cdf(copula: Copula, u: Sequence[float]) -> float:
-    """C(u) = mass of the box [0, u_1] x ... x [0, u_n]."""
-    pt = _check_unit_point(u, copula.n)
-    if copula.variant == COMONOTONE:
-        return float(np.min(pt))
-    if copula.variant == COUNTERMONOTONE:
-        return max(0.0, float(pt[0] + pt[1] - 1.0))
-    k = copula.k
-    # overlap of [0, u] with cell r is clip(u*k - r, 0, 1) of the cell width
-    t = np.asarray(copula.masses, dtype=float)
-    for coord in pt:
-        overlap = np.clip(coord * k - np.arange(k), 0.0, 1.0)
-        t = np.tensordot(overlap, t, axes=(0, 0))
-    return float(t)
-
-
-def frechet_check(copula: Copula, grid: int) -> bool:
-    """Lower bound <= C <= upper bound on the (grid+1)^n lattice."""
-    if grid < 1:
-        raise ValueError("frechet_check: grid must be >= 1")
-    levels = np.linspace(0.0, 1.0, grid + 1)
-    for idx in np.ndindex(*(len(levels),) * copula.n):
-        u = [float(levels[i]) for i in idx]
-        c = copula_cdf(copula, u)
-        if c < frechet_lower(u) - 1e-12 or c > frechet_upper(u) + 1e-12:
-            return False
-    return True
-
-
 def bivariate_margin(copula: Copula, i: int, j: int) -> Copula:
     """Copula of the coordinate pair (i, j), 1-based with i < j."""
     n = copula.n
@@ -168,36 +122,6 @@ def bivariate_margin(copula: Copula, i: int, j: int) -> Copula:
     other = tuple(d for d in range(n) if d not in keep)
     margin = copula.masses.sum(axis=other) if other else copula.masses
     return checkerboard(2, copula.k, margin)
-
-
-def empirical_copula(measure: MultivariateMeasure, k: int) -> Copula:
-    """Checkerboard fit of the rank structure of a uniform-weight sample.
-
-    Requires equal weights 1/N, no ties within any coordinate, and k | N, so
-    every bin receives exactly N/k points per axis and the result passes the
-    uniform-margin validation exactly.
-    """
-    count = len(measure)
-    if k < 1:
-        raise ValueError("empirical_copula: resolution must be >= 1")
-    if count % k != 0:
-        raise ValueError(f"empirical_copula: bin count {k} must divide the sample size {count}")
-    if np.max(np.abs(measure.weights - 1.0 / count)) > 1e-12:
-        raise ValueError("empirical_copula: sample weights must all equal 1/N")
-    pts = measure.atoms
-    n = measure.dimension
-    bins = np.empty((count, n), dtype=int)
-    for d in range(n):
-        col = pts[:, d]
-        if len(np.unique(col)) != count:
-            raise ValueError(f"empirical_copula: ties in coordinate {d + 1}")
-        ranks = np.empty(count, dtype=int)
-        ranks[np.argsort(col)] = np.arange(count)
-        # midrank pseudo-observation (r + 0.5)/N lands in bin (2r+1)k // 2N
-        bins[:, d] = (2 * ranks + 1) * k // (2 * count)
-    tensor = np.zeros((k,) * n)
-    np.add.at(tensor, tuple(bins[:, d] for d in range(n)), 1.0 / count)
-    return checkerboard(n, k, tensor)
 
 
 def discretize(copula: Copula, k: int) -> Copula:
@@ -314,6 +238,16 @@ def copula_to_dict(copula: Copula) -> dict:
     return {"variant": COUNTERMONOTONE}
 
 
+def _integer_field(obj: dict, name: str) -> int:
+    """An integral JSON number: 2 and 2.0 pass; 2.5, true, null and "2" raise."""
+    value = obj[name]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"copula: field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def copula_from_dict(obj: dict) -> Copula:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError("copula: expected a JSON object with a 'variant' field")
@@ -322,13 +256,14 @@ def copula_from_dict(obj: dict) -> Copula:
         missing = {"n", "k", "masses"} - obj.keys()
         if missing:
             raise ValueError(f"copula: checkerboard is missing fields {sorted(missing)}")
-        return checkerboard(int(obj["n"]), int(obj["k"]), obj["masses"])
+        masses = _number_array(obj["masses"], "copula: masses")
+        return checkerboard(_integer_field(obj, "n"), _integer_field(obj, "k"), masses)
     if variant == COMONOTONE:
         if "n" not in obj:
             raise ValueError("copula: comonotone requires a dimension field 'n'")
-        return comonotone(int(obj["n"]))
+        return comonotone(_integer_field(obj, "n"))
     if variant == COUNTERMONOTONE:
-        if int(obj.get("n", 2)) != 2:
+        if "n" in obj and _integer_field(obj, "n") != 2:
             raise ValueError("copula: the countermonotone variant exists only for n=2")
         return countermonotone()
     raise ValueError(f"copula: unknown variant {variant!r}")

@@ -296,22 +296,23 @@ def build_pair(
 
 
 def limit_scores(
-    copula: Copula,
+    carrier: Copula,
     pair: tuple[int, int],
     p: float,
     q: float,
     adversary: Copula | None = None,
-    carrier_resolution: int = 16,
 ) -> tuple[float, float]:
     """Epsilon -> 0 limits of the two plan costs, as exact midpoint sums.
 
-    In the limit only the unscaled coordinates survive: the quantile
-    coupling's cost tends to E[(U_i^q + U_j^q)^{p/q}] under the carrier's
-    (i, j) margin, the competitor's to the same functional under the
-    adversary rearrangement of that margin.
+    The carrier must be a checkerboard (see :func:`discretize`).  In the
+    limit only the unscaled coordinates survive: the quantile coupling's cost
+    tends to E[(U_i^q + U_j^q)^{p/q}] under the carrier's (i, j) margin, the
+    competitor's to the same functional under the adversary rearrangement of
+    that margin.
     """
     _check_exponents(p, q)
-    carrier = discretize(copula, carrier_resolution)
+    if carrier.variant != CHECKERBOARD:
+        raise ValueError("limit_scores: carrier must be a checkerboard; discretize monotone copulas first")
     i, j = pair
     if not (1 <= i < j <= carrier.n):
         raise ValueError(f"limit_scores: need 1 <= i < j <= {carrier.n}, got ({i}, {j})")
@@ -343,7 +344,6 @@ def gap_search(
     *,
     carrier_resolution: int = 16,
     schedule: Sequence[float] | None = None,
-    significance: float = GAP_SIGNIFICANCE,
     attach_exact: bool = True,
     pair_cap: int = DEFAULT_PAIR_CAP,
     copula_label: str | None = None,
@@ -388,7 +388,7 @@ def gap_search(
         ac = plan_cost(built.alt_plan, spec)
         curve.append(CurvePoint(epsilon=float(eps), diamond_cost=dc, alt_cost=ac, gap=dc - ac))
     significant = [
-        pt for pt in curve if pt.gap > significance * max(1.0, pt.diamond_cost)
+        pt for pt in curve if pt.gap > GAP_SIGNIFICANCE * max(1.0, pt.diamond_cost)
     ]
     if not significant:
         best = max(curve, key=lambda pt: pt.gap)

@@ -187,11 +187,6 @@ class MultivariateMeasure:
             raise ValueError("map_coordinates: scale factors must be positive")
         return make_measure(self.atoms * scale + shift, self.weights)
 
-    def as_1d(self) -> DiscreteMeasure1D:
-        if self.dimension != 1:
-            raise ValueError(f"as_1d: measure has dimension {self.dimension}")
-        return DiscreteMeasure1D(atoms=self.atoms[:, 0], weights=self.weights)
-
 
 def make_measure(atoms, weights) -> MultivariateMeasure:
     """Canonicalize atom rows (exact-equality merge) and normalize weights."""
@@ -221,6 +216,20 @@ def measure_to_dict(measure: MultivariateMeasure | DiscreteMeasure1D) -> dict:
     return {"atoms": measure.atoms.tolist(), "weights": measure.weights.tolist()}
 
 
+def _number_array(value, field: str) -> np.ndarray:
+    """A JSON list of numbers, possibly nested, as a float array.
+
+    Anything else raises a ValueError that names ``field``, so malformed
+    input files read as bad input and never as a TypeError from numpy.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {type(value).__name__}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field} must hold only numbers ({exc})") from None
+
+
 def measure_from_dict(obj: dict) -> MultivariateMeasure:
     if not isinstance(obj, dict):
         raise ValueError("measure: expected a JSON object")
@@ -233,4 +242,6 @@ def measure_from_dict(obj: dict) -> MultivariateMeasure:
     widths = {len(row) for row in atoms}
     if len(widths) != 1:
         raise ValueError("measure: atom rows have inconsistent dimensions")
-    return make_measure(atoms, obj["weights"])
+    return make_measure(
+        _number_array(atoms, "measure: atoms"), _number_array(obj["weights"], "measure: weights")
+    )

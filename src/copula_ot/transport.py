@@ -67,15 +67,6 @@ class CostSpec:
                 raise ValueError(f"CostSpec: {name} must be >= 1, got {value}")
 
 
-def norm_cost(x: Sequence[float], y: Sequence[float], spec: CostSpec) -> float:
-    """||x - y||_q^p for a single pair of points."""
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"norm_cost: mismatched point shapes {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b) ** spec.q) ** (spec.p / spec.q))
-
-
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Finitely supported coupling: rows (x_r, y_r, w_r) with positive w_r.
@@ -144,11 +135,6 @@ def validate_plan(
     return measures_close(plan.first_marginal(), mu, PLAN_MARGINAL_TOL) and measures_close(
         plan.second_marginal(), rho, PLAN_MARGINAL_TOL
     )
-
-
-def inner_product_score(plan: TransportPlan) -> float:
-    """Integral of <x, y> against the plan."""
-    return math.fsum(plan.w * np.sum(plan.x * plan.y, axis=1))
 
 
 def diamond(
@@ -236,41 +222,6 @@ def solve_transport(
     return res.x.reshape(a, b)
 
 
-def _lp_plan(
-    name: str,
-    mu: MultivariateMeasure,
-    rho: MultivariateMeasure,
-    cost_of,
-    pair_cap: int,
-) -> TransportPlan:
-    """Optimal vertex plan for the cost matrix ``cost_of(X, Y)`` over atom arrays.
-
-    Checks dimensions and the pair cap before the cost matrix is built, and
-    drops LP entries at or below 1e-15 before canonicalizing the plan.  An
-    atom left with no entry would silently lose its mass, so that raises.
-    """
-    if mu.dimension != rho.dimension:
-        raise ValueError(f"{name}: dimension mismatch, {mu.dimension} vs {rho.dimension}")
-    pairs = len(mu) * len(rho)
-    if pairs > pair_cap:
-        raise PairCountCapExceeded(
-            f"{name}: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
-        )
-    X = mu.atoms
-    Y = rho.atoms
-    P = solve_transport(mu.weights, rho.weights, cost_of(X, Y))
-    keep = P > 1e-15
-    for side, measure, covered in (("mu", mu, keep.any(axis=1)), ("rho", rho, keep.any(axis=0))):
-        if not covered.all():
-            t = int(np.flatnonzero(~covered)[0])
-            raise ValueError(
-                f"{name}: atom {measure.atoms[t].tolist()} of {side} has weight "
-                f"{float(measure.weights[t])!r}, below the 1e-15 that the LP resolves"
-            )
-    ri, ci = np.nonzero(keep)
-    return make_plan(X[ri], Y[ci], P[keep])
-
-
 def exact_ot(
     mu: MultivariateMeasure,
     rho: MultivariateMeasure,
@@ -280,25 +231,33 @@ def exact_ot(
     """Exact optimal transport cost and an optimal vertex plan.
 
     Raises PairCountCapExceeded when |supp mu| * |supp rho| > pair_cap; the
-    cap keeps accidental huge LPs from running away.
+    cap keeps accidental huge LPs from running away.  Both checks run before
+    the cost matrix is built.  Solver entries at or below 1e-15 are dropped
+    before the plan is canonicalized; an atom left with no entry would
+    silently lose its mass, so that raises.
     """
-
-    def cost_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        diff = np.abs(X[:, None, :] - Y[None, :, :]) ** spec.q
-        return diff.sum(axis=2) ** (spec.p / spec.q)
-
-    plan = _lp_plan("exact_ot", mu, rho, cost_of, pair_cap)
+    if mu.dimension != rho.dimension:
+        raise ValueError(f"exact_ot: dimension mismatch, {mu.dimension} vs {rho.dimension}")
+    pairs = len(mu) * len(rho)
+    if pairs > pair_cap:
+        raise PairCountCapExceeded(
+            f"exact_ot: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
+        )
+    X = mu.atoms
+    Y = rho.atoms
+    diff = np.abs(X[:, None, :] - Y[None, :, :]) ** spec.q
+    P = solve_transport(mu.weights, rho.weights, diff.sum(axis=2) ** (spec.p / spec.q))
+    keep = P > 1e-15
+    for side, measure, covered in (("mu", mu, keep.any(axis=1)), ("rho", rho, keep.any(axis=0))):
+        if not covered.all():
+            t = int(np.flatnonzero(~covered)[0])
+            raise ValueError(
+                f"exact_ot: atom {measure.atoms[t].tolist()} of {side} has weight "
+                f"{float(measure.weights[t])!r}, below the 1e-15 that the LP resolves"
+            )
+    ri, ci = np.nonzero(keep)
+    plan = make_plan(X[ri], Y[ci], P[keep])
     return OTResult(value=plan_cost(plan, spec), plan=plan)
-
-
-def max_inner_product(
-    mu: MultivariateMeasure,
-    rho: MultivariateMeasure,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> OTResult:
-    """Maximize the integral of <x, y> over the transport polytope."""
-    plan = _lp_plan("max_inner_product", mu, rho, lambda X, Y: -(X @ Y.T), pair_cap)
-    return OTResult(value=inner_product_score(plan), plan=plan)
 
 
 def plan_to_dict(plan: TransportPlan) -> dict:

@@ -1,20 +1,42 @@
-"""Shared test oracles, deliberately implemented unlike the library code.
+"""Shared test oracles, plus the copula and transport functions only tests use.
 
-The pushforward oracle integrates on a brute-force midpoint grid instead of
+The oracles are deliberately implemented unlike the library code.  The
+pushforward oracle integrates on a brute-force midpoint grid instead of
 interval refinement; the rank-binning oracle spreads CDF intervals instead of
 ranking samples.  Where a grid oracle is used with aligned resolutions the
 comparison is exact, not approximate.
+
+The rest of the module is API that no CLI path, campaign or gap search
+needs: the copula CDF and the Frechet bounds, the rank-based empirical
+copula, the pointwise cost, the inner-product score and its maximizer, and
+the 1-D view of a one-dimensional measure.  Their own tests and acceptance
+criteria 8 and 9 use them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from scipy import optimize
 
-from copula_ot.copulas import CHECKERBOARD, COUNTERMONOTONE, Copula
+from copula_ot.copulas import (
+    CHECKERBOARD,
+    COMONOTONE,
+    COUNTERMONOTONE,
+    Copula,
+    checkerboard,
+)
+from copula_ot.measures import DiscreteMeasure1D, MultivariateMeasure
+from copula_ot.transport import (
+    CostSpec,
+    OTResult,
+    TransportPlan,
+    make_plan,
+    solve_transport,
+)
 
 
 def grid_pushforward(copula: Copula, groups, g: int) -> dict:
@@ -121,7 +143,7 @@ def rank_bin_copula(measure, k: int) -> np.ndarray:
     Each atom occupies the box of CDF intervals (F_d(x_d-), F_d(x_d)] and its
     mass is spread uniformly over that box, then binned into the k-grid by
     interval overlap.  Handles repeated coordinate values, which the
-    library's sample-based empirical fit deliberately rejects.
+    sample-based :func:`empirical_copula` below deliberately rejects.
     """
     n = measure.dimension
     arr = measure.atoms
@@ -173,3 +195,116 @@ def fd_cross_partial(p: float, q: float, u1: float, u2: float, h: float = 1e-5) 
         - surrogate(u1 - h, u2 + h)
         + surrogate(u1 - h, u2 - h)
     ) / (4 * h * h)
+
+
+def frechet_lower(u: Sequence[float]) -> float:
+    return max(0.0, math.fsum(u) - (len(u) - 1))
+
+
+def frechet_upper(u: Sequence[float]) -> float:
+    return min(u)
+
+
+def _check_unit_point(u: Sequence[float], n: int) -> np.ndarray:
+    pt = np.asarray(u, dtype=float)
+    if pt.shape != (n,):
+        raise ValueError(f"expected a point in [0,1]^{n}, got shape {pt.shape}")
+    if not np.all(np.isfinite(pt)) or np.any(pt < 0) or np.any(pt > 1):
+        raise ValueError(f"point {u!r} is outside the unit cube")
+    return pt
+
+
+def copula_cdf(copula: Copula, u: Sequence[float]) -> float:
+    """C(u) = mass of the box [0, u_1] x ... x [0, u_n]."""
+    pt = _check_unit_point(u, copula.n)
+    if copula.variant == COMONOTONE:
+        return float(np.min(pt))
+    if copula.variant == COUNTERMONOTONE:
+        return max(0.0, float(pt[0] + pt[1] - 1.0))
+    k = copula.k
+    # overlap of [0, u] with cell r is clip(u*k - r, 0, 1) of the cell width
+    t = np.asarray(copula.masses, dtype=float)
+    for coord in pt:
+        overlap = np.clip(coord * k - np.arange(k), 0.0, 1.0)
+        t = np.tensordot(overlap, t, axes=(0, 0))
+    return float(t)
+
+
+def frechet_check(copula: Copula, grid: int) -> bool:
+    """Lower bound <= C <= upper bound on the (grid+1)^n lattice."""
+    if grid < 1:
+        raise ValueError("frechet_check: grid must be >= 1")
+    levels = np.linspace(0.0, 1.0, grid + 1)
+    for idx in np.ndindex(*(len(levels),) * copula.n):
+        u = [float(levels[i]) for i in idx]
+        c = copula_cdf(copula, u)
+        if c < frechet_lower(u) - 1e-12 or c > frechet_upper(u) + 1e-12:
+            return False
+    return True
+
+
+def empirical_copula(measure: MultivariateMeasure, k: int) -> Copula:
+    """Checkerboard fit of the rank structure of a uniform-weight sample.
+
+    Requires equal weights 1/N, no ties within any coordinate, and k | N, so
+    every bin receives exactly N/k points per axis and the result passes the
+    uniform-margin validation exactly.
+    """
+    count = len(measure)
+    if k < 1:
+        raise ValueError("empirical_copula: resolution must be >= 1")
+    if count % k != 0:
+        raise ValueError(f"empirical_copula: bin count {k} must divide the sample size {count}")
+    if np.max(np.abs(measure.weights - 1.0 / count)) > 1e-12:
+        raise ValueError("empirical_copula: sample weights must all equal 1/N")
+    pts = measure.atoms
+    n = measure.dimension
+    bins = np.empty((count, n), dtype=int)
+    for d in range(n):
+        col = pts[:, d]
+        if len(np.unique(col)) != count:
+            raise ValueError(f"empirical_copula: ties in coordinate {d + 1}")
+        ranks = np.empty(count, dtype=int)
+        ranks[np.argsort(col)] = np.arange(count)
+        # midrank pseudo-observation (r + 0.5)/N lands in bin (2r+1)k // 2N
+        bins[:, d] = (2 * ranks + 1) * k // (2 * count)
+    tensor = np.zeros((k,) * n)
+    np.add.at(tensor, tuple(bins[:, d] for d in range(n)), 1.0 / count)
+    return checkerboard(n, k, tensor)
+
+
+def norm_cost(x: Sequence[float], y: Sequence[float], spec: CostSpec) -> float:
+    """||x - y||_q^p for a single pair of points."""
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(y, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"norm_cost: mismatched point shapes {a.shape} vs {b.shape}")
+    return float(np.sum(np.abs(a - b) ** spec.q) ** (spec.p / spec.q))
+
+
+def inner_product_score(plan: TransportPlan) -> float:
+    """Integral of <x, y> against the plan."""
+    return math.fsum(plan.w * np.sum(plan.x * plan.y, axis=1))
+
+
+def max_inner_product(mu: MultivariateMeasure, rho: MultivariateMeasure) -> OTResult:
+    """Maximize the integral of <x, y> over the transport polytope.
+
+    Minimizes -<x, y> with the library's ``solve_transport``, so uniform
+    equal-size supports take its assignment path and the rest its LP.
+    Entries at or below 1e-15 are dropped, as ``exact_ot`` does.
+    """
+    X = mu.atoms
+    Y = rho.atoms
+    P = solve_transport(mu.weights, rho.weights, -(X @ Y.T))
+    keep = P > 1e-15
+    ri, ci = np.nonzero(keep)
+    plan = make_plan(X[ri], Y[ci], P[keep])
+    return OTResult(value=inner_product_score(plan), plan=plan)
+
+
+def as_1d(measure: MultivariateMeasure) -> DiscreteMeasure1D:
+    """The same one-dimensional measure as a DiscreteMeasure1D."""
+    if measure.dimension != 1:
+        raise ValueError(f"as_1d: measure has dimension {measure.dimension}")
+    return DiscreteMeasure1D(atoms=measure.atoms[:, 0], weights=measure.weights)

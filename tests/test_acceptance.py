@@ -20,8 +20,6 @@ from copula_ot.copulas import (
     comonotone,
     countermonotone,
     discretize,
-    empirical_copula,
-    frechet_check,
     independence,
     sklar_compose,
 )
@@ -39,14 +37,18 @@ from copula_ot.transport import (
     TransportPlan,
     diamond,
     exact_ot,
-    inner_product_score,
-    max_inner_product,
     plan_cost,
     validate_plan,
     wasserstein_1d,
 )
 
-from helpers import fd_cross_partial
+from helpers import (
+    empirical_copula,
+    fd_cross_partial,
+    frechet_check,
+    inner_product_score,
+    max_inner_product,
+)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def test_criterion_4_gap_at_p2_q1_on_uniform_grid():
 def test_criterion_5_gap_at_p1_q2_on_uniform_grid():
     description = (
         "shrink schedule at p=1, q=2: limit costs match closed forms within "
-        "2e-3, acceptance stays on the schedule, LP certifies the competitor"
+        "2e-3, acceptance stays on the schedule, the exact optimum certifies the competitor"
     )
     report = gap_search(independence(2, 16), 1.0, 2.0)
     diamond_limit = (math.sqrt(2.0) + math.asinh(1.0)) / 3.0

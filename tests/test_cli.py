@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,16 @@ from copula_ot.cli import _fmt, main
 from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
 from copula_ot.measures import make_measure, measure_to_dict
 from copula_ot.transport import plan_from_dict, validate_plan
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_listed_fields(lead: str) -> list[str]:
+    """The comma-separated names in the code span after ``lead`` in "File formats"."""
+    section = README.read_text().split("### File formats", 1)[1].split("\n## ", 1)[0]
+    span = re.search(re.escape(lead) + r"\s+`([^`]*)`", section).group(1)
+    return [name.strip() for name in span.split(",")]
 
 
 def write_measure(path, atoms, weights):
@@ -113,6 +125,25 @@ class TestExact:
         assert main(["exact", "--mu", mu, "--rho", rho]) == 2
         assert "below the 1e-15 that the LP resolves" in capsys.readouterr().err
 
+    def test_loads_measure_files_in_the_readme_shape(self, tmp_path, capsys):
+        # written by hand as the README's "File formats" shows, weights unnormalized
+        (tmp_path / "mu.json").write_text('{"atoms": [[0, 0], [1, 1]], "weights": [1, 3]}')
+        (tmp_path / "rho.json").write_text('{"atoms": [[0, 1], [1, 2]], "weights": [1, 3]}')
+        plan_path = tmp_path / "plan.json"
+        rc = main(
+            [
+                "exact", "--mu", str(tmp_path / "mu.json"), "--rho", str(tmp_path / "rho.json"),
+                "--emit-plan", str(plan_path),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "support sizes: 2 x 2" in out
+        assert "cost (integral of ||x-y||_q^p): 1\n" in out
+        plan = json.loads(plan_path.read_text())
+        assert list(plan) == ["entries"]
+        assert all(sorted(entry) == ["w", "x", "y"] for entry in plan["entries"])
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):
@@ -146,6 +177,35 @@ class TestUsageErrors:
 
     def test_counterexample_rejects_equal_exponents(self, capsys):
         assert main(["counterexample", "--p", "2", "--q", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,obj,field",
+        [
+            ("exact", {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": {"a": 1}}, "weights"),
+            ("diamond", {"variant": "checkerboard", "n": [2], "k": 1, "masses": [1.0]}, "'n'"),
+            ("counterexample", {"variant": "comonotone", "n": None}, "'n'"),
+            ("counterexample", {"variant": "comonotone", "n": 2.7}, "'n'"),
+            ("counterexample", {"variant": "checkerboard", "n": 2, "k": 2.5, "masses": [0.25] * 4}, "'k'"),
+            ("diamond", {"variant": "checkerboard", "n": True, "k": 1, "masses": [1.0]}, "'n'"),
+        ],
+        ids=["weights-object", "n-list", "n-null", "n-fractional", "k-fractional", "n-bool"],
+    )
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command, obj, field):
+        # exit 1 would read as "verification found violations"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        good = write_measure(tmp_path / "good.json", [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        argv = {
+            "exact": ["exact", "--mu", str(bad), "--rho", good],
+            "diamond": ["diamond", "--mu", good, "--rho", good, "--copula", f"checkerboard:{bad}"],
+            "counterexample": [
+                "counterexample", "--p", "2", "--q", "1", "--copula", f"checkerboard:{bad}",
+                "--out", str(tmp_path / "report.json"),
+            ],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
 
 class TestVerify:
@@ -202,11 +262,13 @@ class TestCounterexample:
         )
         assert rc == 0
         report = json.loads(out.read_text())
+        assert set(report) == set(readme_listed_fields("Gap reports carry")) | {"caveat"}
         assert report["pair"] == [1, 2]
         assert report["gap"] > 0
         assert report["exact_cost"] <= report["alt_cost"] < report["diamond_cost"]
         curve_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert curve_lines[0] == "epsilon,diamond_cost,alt_cost,gap,exact_cost"
+        assert curve_lines[0].split(",") == readme_listed_fields("curve CSVs have columns")
         assert len(curve_lines) == 17
         out_text = capsys.readouterr().out
         assert "violating pair: (1, 2)" in out_text

@@ -8,22 +8,26 @@ from copula_ot.copulas import (
     bivariate_margin,
     checkerboard,
     comonotone,
-    copula_cdf,
     copula_from_dict,
     copula_to_dict,
     countermonotone,
     discretize,
-    empirical_copula,
-    frechet_check,
-    frechet_lower,
-    frechet_upper,
     independence,
     sklar_compose,
 )
 from copula_ot.instances import random_copula, random_marginal
 from copula_ot.measures import make_measure, make_measure_1d, measures_close
 
-from helpers import dicts_close, grid_pushforward, measure_as_dict
+from helpers import (
+    copula_cdf,
+    dicts_close,
+    empirical_copula,
+    frechet_check,
+    frechet_lower,
+    frechet_upper,
+    grid_pushforward,
+    measure_as_dict,
+)
 
 
 def small_checkerboards():
@@ -359,8 +363,24 @@ class TestSerialization:
             {"variant": "comonotone"},
             {"variant": "countermonotone", "n": 3},
             {"variant": "checkerboard", "n": 2, "k": 2, "masses": [1, 0, 0]},
+            # n and k must be integral JSON numbers, masses a list of numbers
+            {"variant": "checkerboard", "n": [2], "k": 1, "masses": [1.0]},
+            {"variant": "checkerboard", "n": 2, "k": 2.5, "masses": [0.25] * 4},
+            {"variant": "checkerboard", "n": True, "k": 1, "masses": [1.0]},
+            {"variant": "checkerboard", "n": 1, "k": 1, "masses": {"a": 1}},
+            {"variant": "checkerboard", "n": 1, "k": 1, "masses": [{"a": 1}]},
+            {"variant": "comonotone", "n": None},
+            {"variant": "comonotone", "n": 2.7},
+            {"variant": "comonotone", "n": float("inf")},
+            {"variant": "countermonotone", "n": "2"},
         ],
     )
     def test_rejects_malformed(self, obj):
         with pytest.raises(ValueError):
             copula_from_dict(obj)
+
+    def test_integral_floats_are_read_as_integers(self):
+        assert copula_from_dict({"variant": "comonotone", "n": 3.0}).n == 3
+        c = copula_from_dict({"variant": "checkerboard", "n": 2.0, "k": 1.0, "masses": [1.0]})
+        assert (c.n, c.k) == (2, 1)
+        assert copula_from_dict({"variant": "countermonotone", "n": 2.0}).n == 2

@@ -8,7 +8,6 @@ from copula_ot.copulas import (
     comonotone,
     countermonotone,
     discretize,
-    empirical_copula,
     independence,
 )
 from copula_ot.counterexample import (
@@ -28,7 +27,7 @@ from copula_ot.instances import random_copula
 from copula_ot.measures import make_measure
 from copula_ot.transport import CostSpec, exact_ot, plan_cost, validate_plan
 
-from helpers import fd_cross_partial, rank_bin_copula, same_measure
+from helpers import empirical_copula, fd_cross_partial, rank_bin_copula, same_measure
 
 
 def direct_alt_cost(carrier, p, q, epsilon, adversary_variant):
@@ -256,11 +255,16 @@ class TestLimitScores:
         assert la == pytest.approx(float(np.mean(u * math.sqrt(2.0))), abs=1e-3)
         assert la == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
 
-    def test_monotone_copulas_discretized_internally(self):
-        ld, la = limit_scores(comonotone(2), (1, 2), 2.0, 1.0, carrier_resolution=16)
+    def test_monotone_copulas_on_their_carrier(self):
+        ld, la = limit_scores(discretize(comonotone(2), 16), (1, 2), 2.0, 1.0)
         # diamond keeps U1 = U2: E[(2U)^2]; adversary flips: always 1
         assert ld == pytest.approx(4.0 * (1.0 / 3.0 - 1.0 / 3072.0), abs=1e-12)
         assert la == 1.0
+
+    @pytest.mark.parametrize("copula", [comonotone(2), countermonotone()])
+    def test_rejects_a_monotone_copula(self, copula):
+        with pytest.raises(ValueError, match="discretize monotone copulas first"):
+            limit_scores(copula, (1, 2), 2.0, 1.0)
 
     def test_adversary_override(self):
         ld_default, la_flip = limit_scores(independence(2, 8), (1, 2), 2.0, 1.0)

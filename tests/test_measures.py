@@ -16,7 +16,7 @@ from copula_ot.measures import (
 )
 from copula_ot.transport import make_plan
 
-from helpers import measure_as_dict, merge_rows_oracle, same_measure
+from helpers import as_1d, measure_as_dict, merge_rows_oracle, same_measure
 
 
 def measures_1d():
@@ -203,11 +203,11 @@ class TestMultivariate:
 
     def test_as_1d_roundtrip(self):
         m = make_measure_1d([3, 5], [1, 3])
-        assert same_measure(m.to_multivariate().as_1d(), m)
+        assert same_measure(as_1d(m.to_multivariate()), m)
 
     def test_as_1d_requires_dimension_one(self):
         with pytest.raises(ValueError):
-            make_measure([[0, 0]], [1]).as_1d()
+            as_1d(make_measure([[0, 0]], [1]))
 
     @given(measures_1d())
     def test_marginal_of_lift_is_identity(self, m):
@@ -227,7 +227,7 @@ class TestArrayContract:
         "mapped": lambda: make_measure([[1, 0], [0, 2]], [1, 3]).map_coordinates(
             [(2.0, 1.0), (1.0, 0.0)]
         ),
-        "as_1d": lambda: make_measure([[1.0], [0.0]], [1, 3]).as_1d(),
+        "as_1d": lambda: as_1d(make_measure([[1.0], [0.0]], [1, 3])),
         "plan_marginal": lambda: make_plan([[0, 0], [1, 1]], [[2, 0], [3, 1]], [0.5, 0.5])
         .first_marginal(),
     }
@@ -278,7 +278,7 @@ class TestSerialization:
         m = make_measure_1d([0, 1], [1, 1])
         obj = measure_to_dict(m)
         assert_plain_json(obj)
-        assert same_measure(measure_from_dict(obj).as_1d(), m)
+        assert same_measure(as_1d(measure_from_dict(obj)), m)
 
     @pytest.mark.parametrize(
         "obj",
@@ -290,6 +290,10 @@ class TestSerialization:
             {"atoms": [[0.0], [0.0, 1.0]], "weights": [1, 1]},
             {"atoms": "nope", "weights": [1.0]},
             "not a dict",
+            # weights must be a list of numbers, and atom rows lists of numbers
+            {"atoms": [[0.0]], "weights": {"a": 1}},
+            {"atoms": [[0.0]], "weights": [{"a": 1}]},
+            {"atoms": [[{"x": 0.0}]], "weights": [1.0]},
         ],
     )
     def test_rejects_malformed(self, obj):

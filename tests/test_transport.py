@@ -18,10 +18,7 @@ from copula_ot.transport import (
     PairCountCapExceeded,
     diamond,
     exact_ot,
-    inner_product_score,
     make_plan,
-    max_inner_product,
-    norm_cost,
     plan_cost,
     plan_from_dict,
     plan_to_dict,
@@ -31,7 +28,17 @@ from copula_ot.transport import (
 )
 
 import copula_ot.transport as transport
-from helpers import cdf_area_w1, dicts_close, grid_pushforward, lp_reference, plan_as_dict
+from helpers import (
+    as_1d,
+    cdf_area_w1,
+    dicts_close,
+    grid_pushforward,
+    inner_product_score,
+    lp_reference,
+    max_inner_product,
+    norm_cost,
+    plan_as_dict,
+)
 
 
 class TestCostSpec:
@@ -153,8 +160,8 @@ class TestWasserstein1D:
         rng = np.random.default_rng(seed)
         mu = random_marginal(rng)
         rho = random_marginal(rng)
-        mu_shift = mu.to_multivariate().map_coordinates([(1.0, 2.5)]).as_1d()
-        rho_shift = rho.to_multivariate().map_coordinates([(1.0, 2.5)]).as_1d()
+        mu_shift = as_1d(mu.to_multivariate().map_coordinates([(1.0, 2.5)]))
+        rho_shift = as_1d(rho.to_multivariate().map_coordinates([(1.0, 2.5)]))
         assert wasserstein_1d(mu_shift, rho_shift, p) == pytest.approx(
             wasserstein_1d(mu, rho, p), rel=1e-12, abs=1e-12
         )

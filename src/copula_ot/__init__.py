@@ -56,6 +56,7 @@ from .transport import (
     plan_cost,
     plan_from_dict,
     plan_to_dict,
+    separable_dual_bound,
     solve_transport,
     validate_plan,
     wasserstein_1d,

@@ -294,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run a p != q smoke campaign instead of the p = q certification",
     )
-    v.add_argument("--max-pairs", type=int, default=DEFAULT_PAIR_CAP)
+    v.add_argument(
+        "--max-pairs",
+        type=int,
+        default=DEFAULT_PAIR_CAP,
+        help="atom-pair cap of the --allow-pq exact solves; the p = q certificate forms none",
+    )
     v.add_argument("--out", default="verify.csv")
     v.set_defaults(handler=cmd_verify)
 

@@ -219,14 +219,23 @@ def measure_to_dict(measure: MultivariateMeasure | DiscreteMeasure1D) -> dict:
 def _number_array(value, field: str) -> np.ndarray:
     """A JSON list of numbers, possibly nested, as a float array.
 
+    Every leaf must be a JSON number: numeric strings and booleans are
+    rejected, not coerced, so two spellings of one value never merge.
     Anything else raises a ValueError that names ``field``, so malformed
     input files read as bad input and never as a TypeError from numpy.
     """
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a list, got {type(value).__name__}")
+    pending = [value]
+    while pending:
+        for item in pending.pop():
+            if isinstance(item, list):
+                pending.append(item)
+            elif isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise ValueError(f"{field} must hold only numbers, got {item!r}")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{field} must hold only numbers ({exc})") from None
 
 

@@ -38,6 +38,7 @@ from copula_ot.transport import (
     diamond,
     exact_ot,
     plan_cost,
+    separable_dual_bound,
     validate_plan,
     wasserstein_1d,
 )
@@ -108,6 +109,17 @@ def test_criterion_1_quantile_coupling_is_optimal_at_equal_exponents(campaign):
     )
     record_criterion(1, description, worst <= 1e-8, f"max rel err {worst:.3e}")
     assert worst <= 1e-8
+
+
+def test_separable_certificate_agrees_with_the_lp_on_the_campaign(campaign):
+    # verify certifies with these staircase duals; criterion 1 stays the
+    # independent LP check, and this ties the two together instance by instance
+    for r in campaign:
+        bound, violation = separable_dual_bound(r.plan, r.p)
+        assert violation == 0.0, r
+        assert abs(bound - r.exact_cost) <= 1e-8 * max(1.0, abs(r.exact_cost)), r
+        assert bound <= r.diamond_cost + 1e-12 * max(1.0, abs(r.diamond_cost)), r
+        assert validate_plan(r.plan, r.mu, r.rho), r
 
 
 def test_criterion_2_univariate_closed_form_matches_lp():

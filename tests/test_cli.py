@@ -187,8 +187,12 @@ class TestUsageErrors:
             ("counterexample", {"variant": "comonotone", "n": 2.7}, "'n'"),
             ("counterexample", {"variant": "checkerboard", "n": 2, "k": 2.5, "masses": [0.25] * 4}, "'k'"),
             ("diamond", {"variant": "checkerboard", "n": True, "k": 1, "masses": [1.0]}, "'n'"),
+            ("exact", {"atoms": [["1", 0.0], [True, 1.0]], "weights": [0.5, 0.5]}, "atoms"),
         ],
-        ids=["weights-object", "n-list", "n-null", "n-fractional", "k-fractional", "n-bool"],
+        ids=[
+            "weights-object", "n-list", "n-null", "n-fractional", "k-fractional", "n-bool",
+            "atoms-string-bool",
+        ],
     )
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, command, obj, field):
         # exit 1 would read as "verification found violations"
@@ -252,6 +256,14 @@ class TestVerify:
         # quantile couplings routinely miss the optimum once p != q
         assert rc == 1
         assert "optimality violations" in capsys.readouterr().out
+
+    def test_pair_cap_applies_only_off_the_diagonal(self, tmp_path, capsys):
+        # the p = q certificate forms no atom pairs; the p != q exact solve does
+        cap = ["--instances", "2", "--max-pairs", "1"]
+        assert main(["verify", *cap, "--out", str(tmp_path / "pp.csv")]) == 0
+        pq = ["verify", "--allow-pq", "--p", "1", "--q", "2", *cap, "--out", str(tmp_path / "pq.csv")]
+        assert main(pq) == 3
+        assert "exceed the cap 1" in capsys.readouterr().err
 
 
 class TestCounterexample:

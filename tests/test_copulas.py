@@ -369,6 +369,9 @@ class TestSerialization:
             {"variant": "checkerboard", "n": True, "k": 1, "masses": [1.0]},
             {"variant": "checkerboard", "n": 1, "k": 1, "masses": {"a": 1}},
             {"variant": "checkerboard", "n": 1, "k": 1, "masses": [{"a": 1}]},
+            {"variant": "checkerboard", "n": 1, "k": 1, "masses": ["1"]},
+            {"variant": "checkerboard", "n": 1, "k": 1, "masses": [True]},
+            {"variant": "checkerboard", "n": 2, "k": 2, "masses": [[0.5, 0], [False, 0.5]]},
             {"variant": "comonotone", "n": None},
             {"variant": "comonotone", "n": 2.7},
             {"variant": "comonotone", "n": float("inf")},

@@ -294,6 +294,13 @@ class TestSerialization:
             {"atoms": [[0.0]], "weights": {"a": 1}},
             {"atoms": [[0.0]], "weights": [{"a": 1}]},
             {"atoms": [[{"x": 0.0}]], "weights": [1.0]},
+            # JSON numbers only: numeric strings and booleans are not coerced
+            {"atoms": [["1"], [True]], "weights": ["1", True]},
+            {"atoms": [[0.0], ["1"]], "weights": [1.0, 1.0]},
+            {"atoms": [[0.0], [True]], "weights": [1.0, 1.0]},
+            {"atoms": [[0.0], [1.0]], "weights": [1.0, "1"]},
+            {"atoms": [[0.0], [1.0]], "weights": [1.0, False]},
+            {"atoms": [[0.0]], "weights": [None]},
         ],
     )
     def test_rejects_malformed(self, obj):

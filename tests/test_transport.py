@@ -22,6 +22,7 @@ from copula_ot.transport import (
     plan_cost,
     plan_from_dict,
     plan_to_dict,
+    separable_dual_bound,
     solve_transport,
     validate_plan,
     wasserstein_1d,
@@ -122,6 +123,19 @@ class TestPlans:
     def test_rejects_malformed(self, obj):
         with pytest.raises(ValueError):
             plan_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "entry,field",
+        [
+            ({"x": {}, "y": [0], "w": 1}, "x"),
+            ({"x": [0], "y": ["1"], "w": 1}, "y"),
+            ({"x": [0], "y": [1], "w": True}, "w"),
+            ({"x": [0], "y": [1], "w": None}, "w"),
+        ],
+    )
+    def test_non_numeric_field_is_a_value_error_naming_it(self, entry, field):
+        with pytest.raises(ValueError, match=f"plan: {field} "):
+            plan_from_dict({"entries": [entry]})
 
 
 class TestWasserstein1D:
@@ -333,6 +347,72 @@ class TestAssignmentPath:
         objective, _ = lp_reference(mu.weights, rho.weights, cost)
         assert abs(result.value - objective) <= 1e-12 * max(1.0, abs(objective))
         assert validate_plan(result.plan, mu, rho)
+
+
+@st.composite
+def staircase_pair(draw):
+    """Two 1-D measures whose cumulative weights share breakpoints.
+
+    Both group the same run of integer parts into consecutive atoms, so every
+    cut they have in common is a tie of the north-west-corner walk.
+    """
+    parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    measures = []
+    for _ in range(2):
+        cuts = draw(st.lists(st.booleans(), min_size=len(parts) - 1, max_size=len(parts) - 1))
+        weights = [float(parts[0])]
+        for part, cut in zip(parts[1:], cuts):
+            if cut:
+                weights.append(0.0)
+            weights[-1] += part
+        # Quarter-integer atoms: HiGHS at its default tolerances misses the
+        # optimum by more than the 1e-9 window once atoms sit ~1e-8 apart.
+        size = len(weights)
+        quarters = draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size, unique=True))
+        measures.append(make_measure_1d(np.sort(quarters) / 4.0, weights))
+    return tuple(measures)
+
+
+class TestSeparableDualBound:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @settings(max_examples=40, deadline=None)
+    @given(pair=staircase_pair())
+    def test_matches_lp_on_degenerate_staircases(self, pair, p):
+        mu, rho = pair
+        bound, violation = separable_dual_bound(diamond(independence(1, 1), [mu], [rho]), p)
+        cost = np.abs(mu.atoms[:, None] - rho.atoms[None, :]) ** p
+        objective, lp_bound = lp_reference(mu.weights, rho.weights, cost)
+        assert objective - 1e-9 <= bound <= objective + 1e-12 * max(1.0, abs(objective))
+        assert bound >= lp_bound - 1e-12 * max(1.0, abs(objective))
+        assert violation <= 1e-12 * max(1.0, float(cost.max()))
+
+    def test_one_dimensional_frozen(self):
+        # cumulative weights 1/2, 1 against 1/4, 1/2, 1: the tie at 1/2 steps
+        # onto a zero-mass cell, and the bound is the exact 1-D cost
+        mu = make_measure_1d([0, 1], [1, 1])
+        rho = make_measure_1d([0, 2, 3], [1, 1, 2])
+        plan = diamond(independence(1, 1), [mu], [rho])
+        assert separable_dual_bound(plan, 2.0) == (3.0, 0.0)
+
+    def test_lower_bound_for_plans_that_are_not_comonotone(self):
+        # any plan's coordinate marginals are coupled at least this cheaply
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = rng.integers(-3, 4, size=(6, 2)).astype(float)
+            y = rng.integers(-3, 4, size=(6, 2)).astype(float)
+            w = rng.integers(1, 5, size=6)
+            plan = make_plan(x, y, w / w.sum())
+            mu, rho = plan.first_marginal(), plan.second_marginal()
+            for p in (1.0, 2.0):
+                bound, violation = separable_dual_bound(plan, p)
+                assert violation == 0.0
+                assert bound <= exact_ot(mu, rho, CostSpec(p, p)).value + 1e-12
+
+    @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+    def test_rejects_bad_exponent(self, p):
+        plan = make_plan([[0.0]], [[1.0]], [1.0])
+        with pytest.raises(ValueError):
+            separable_dual_bound(plan, p)
 
 
 class TestDiamond:

@@ -55,6 +55,7 @@ from .transport import (
     make_plan,
     plan_cost,
     plan_from_dict,
+    plan_from_indices,
     plan_to_dict,
     separable_dual_bound,
     solve_transport,

@@ -38,15 +38,15 @@ from .copulas import (
     countermonotone,
     discretize,
 )
-from .measures import MultivariateMeasure, make_measure, measures_close
+from .measures import MultivariateMeasure, group_rows, make_measure, measures_close
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     PairCountCapExceeded,
     TransportPlan,
     exact_ot,
-    make_plan,
     plan_cost,
+    plan_from_indices,
     validate_plan,
 )
 
@@ -214,6 +214,13 @@ def build_pair(
     exactly (same atoms, weights within 1e-12) and both plans are validated
     against the constructed measures.
 
+    Each carrier cell is one atom on either side, so both plans are built
+    from atom indices (:func:`plan_from_indices`): the quantile plan pairs
+    each cell's source atom with its own target atom, the competitor each
+    source cell of row a with every target cell of column adv[a].  Neither
+    plan's rows are sorted or merged as points, and their marginals are
+    ``np.bincount`` sums over the indices.
+
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
     """
@@ -254,34 +261,33 @@ def build_pair(
     Z = unrelabel(U * z_scale)
     mu_eps = make_measure(Y, w)
     rho_eps = make_measure(Z, w)
-    diamond_plan = make_plan(Y, Z, w)
+    # Every cell weight is positive, so the grouped rows are the measures'
+    # atoms; validation below checks that they are exactly equal.
+    source, src = group_rows(Y)
+    target, tgt = group_rows(Z)
+    diamond_plan = plan_from_indices(source, target, src, tgt, w)
 
     # Competitor: independently draw the target's pair-i coordinate and tail
     # from the conditional given its pair-j coordinate, which the adversary
-    # ties to the source's pair-i coordinate.
-    xs, ys, ws = [], [], []
+    # ties to the source's pair-i coordinate.  Row a of the carrier holds the
+    # source cells with pair-i index a, column adv[a] the target cells they
+    # are coupled with; both lists are in the carrier's cell order.
+    row_cells = np.split(np.arange(len(w)), np.cumsum(np.bincount(cells[0], minlength=k))[:-1])
+    col_cells = np.split(
+        np.argsort(cells[1], kind="stable"), np.cumsum(np.bincount(cells[1], minlength=k))[:-1]
+    )
+    rows_i, rows_j, rows_w = [], [], []
     for a in range(k):
         b2 = int(adv[a])
-        src = T[a]
-        src_nz = np.nonzero(src)
-        if len(src_nz[0]) == 0:
+        src_cells, tgt_cells = row_cells[a], col_cells[b2]
+        if len(src_cells) == 0:
             continue
-        src_mass = src[src_nz]
-        y_atoms = np.column_stack(
-            [np.full(len(src_mass), mids[a])] + [epsilon * mids[idx] for idx in src_nz]
-        )
-        tgt = T[:, b2]
-        tgt_nz = np.nonzero(tgt)
-        tgt_mass = tgt[tgt_nz] / colsum[b2]
-        z_cols = [epsilon * mids[idx] for idx in tgt_nz]
-        z_atoms = np.column_stack(z_cols[:1] + [np.full(len(tgt_mass), mids[b2])] + z_cols[1:])
-        xs.append(np.repeat(y_atoms, len(tgt_mass), axis=0))
-        ys.append(np.tile(z_atoms, (len(src_mass), 1)))
-        ws.append((src_mass[:, None] * tgt_mass[None, :]).ravel())
-    alt_plan = make_plan(
-        unrelabel(np.concatenate(xs)),
-        unrelabel(np.concatenate(ys)),
-        np.concatenate(ws),
+        tgt_mass = w[tgt_cells] / colsum[b2]
+        rows_i.append(np.repeat(src[src_cells], len(tgt_cells)))
+        rows_j.append(np.tile(tgt[tgt_cells], len(src_cells)))
+        rows_w.append((w[src_cells][:, None] * tgt_mass[None, :]).ravel())
+    alt_plan = plan_from_indices(
+        source, target, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
     )
 
     if not measures_close(alt_plan.second_marginal(), rho_eps, 1e-12):

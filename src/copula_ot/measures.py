@@ -39,13 +39,61 @@ def _checked_rows(
             )
         if arr.size == 0:
             raise ValueError(f"{name}: empty input")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name}: values must be finite")
     if a.shape[0] != w.shape[0]:
         raise ValueError(f"{what} and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     return a.reshape(a.shape[0], -1), w
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before; on sorted rows, each group's first."""
+    new_run = np.empty(len(rows), dtype=bool)
+    new_run[:1] = True
+    (rows[1:] != rows[:-1]).any(axis=1, out=new_run[1:])
+    return new_run
+
+
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lexicographic order of the rows, the sorted rows, and the mask of each group's first row."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows.take(order, axis=0)
+    return order, rows, _run_starts(rows)
+
+
+def _fsum_runs(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run weights[starts[g]:starts[g + 1]], by ``math.fsum``.
+
+    Singleton runs keep their weight; only the others need an fsum.  Shared by
+    the measure and the transport-plan merges.  With no run longer than one,
+    ``weights`` itself comes back.
+    """
+    if len(starts) == len(weights):
+        return weights
+    ends = np.append(starts[1:], len(weights))
+    multi = np.flatnonzero(ends - starts > 1)
+    merged = weights[starts]
+    for g, s, e in zip(multi.tolist(), starts[multi].tolist(), ends[multi].tolist()):
+        merged[g] = math.fsum(weights[s:e])
+    return merged
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and the index of each input row among them.
+
+    Rows are equal when every coordinate is exactly equal, as in
+    :func:`merge_weighted_rows`, so the distinct rows are the atoms that a
+    measure built on these rows with positive weights would have.  The
+    distinct rows are a fresh read-only array.
+    """
+    order, rows, first = _sorted_runs(rows)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    atoms = rows[first]
+    atoms.flags.writeable = False
+    return atoms, inverse
 
 
 def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,20 +102,10 @@ def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarr
     Rows come back sorted lexicographically by coordinate.  Shared by measure
     and transport-plan canonicalization.
     """
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    weights = weights[order]
-    new_group = np.ones(len(rows), dtype=bool)
-    new_group[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = new_group.nonzero()[0]
-    if len(starts) < len(rows):
-        # Singleton groups keep their weight; only the others need an fsum.
-        ends = np.append(starts[1:], len(rows))
-        multi = np.flatnonzero(ends - starts > 1)
-        merged = weights[starts]
-        for g, s, e in zip(multi.tolist(), starts[multi].tolist(), ends[multi].tolist()):
-            merged[g] = math.fsum(weights[s:e])
-        rows, weights = rows[starts], merged
+    order, rows, first = _sorted_runs(rows)
+    starts = first.nonzero()[0]
+    weights = _fsum_runs(weights[order], starts)
+    rows = rows.take(starts, axis=0)
     keep = weights != 0.0
     if not keep.all():
         if not keep.any():

@@ -1,8 +1,11 @@
 """Transport plans, costs, the diamond coupling, and an exact solver.
 
-Costs are always reported as the raw integral of ||x - y||_q^p against the
-plan, i.e. the p-th power of the usual transport distance; callers that want
-the distance itself take the 1/p root.
+A plan stores its rows as indices into the sorted atom arrays of its two
+marginals, so its marginals are ``np.bincount`` sums and validating it
+against two measures compares atom arrays and weight vectors, with no sort
+and no merge.  Costs are always reported as the raw integral of
+||x - y||_q^p against the plan, i.e. the p-th power of the usual transport
+distance; callers that want the distance itself take the 1/p root.
 
 ``exact_ot`` solves the discrete problem exactly and returns an optimal
 vertex of the transport polytope.  When both measures have the same number of
@@ -33,8 +36,10 @@ from .measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
     _checked_rows,
+    _fsum_runs,
     _number_array,
-    make_measure,
+    _run_starts,
+    group_rows,
     measures_close,
     merge_weighted_rows,
 )
@@ -71,15 +76,21 @@ class CostSpec:
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Finitely supported coupling: rows (x_r, y_r, w_r) with positive w_r.
+    """Finitely supported coupling, stored as rows (i_r, j_r, w_r) of atom indices.
 
-    The (x, y) pairs are pairwise distinct and the weights sum to one.  Build
-    through :func:`make_plan`, which canonicalizes like the measure
-    constructors do.  The plan is immutable, so each marginal is built once.
+    ``source`` (a, n) and ``target`` (b, n) are read-only arrays of
+    lexicographically sorted, pairwise distinct atoms: the supports of the
+    two marginals.  Row r moves mass ``w[r] > 0`` from ``source[i[r]]`` to
+    ``target[j[r]]``.  The rows are sorted by (i, j) and pairwise distinct,
+    every source and every target atom appears in some row, and the weights
+    sum to one.  On sorted atoms (i, j) order is lexicographic (x, y) order.
+    Build through :func:`plan_from_indices` or :func:`make_plan`.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
     w: np.ndarray
 
     def __len__(self) -> int:
@@ -87,15 +98,25 @@ class TransportPlan:
 
     @property
     def dimension(self) -> int:
-        return self.x.shape[1]
+        return self.source.shape[1]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Source point of each row, ``source[i]``."""
+        return _read_only(self.source.take(self.i, axis=0))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Target point of each row, ``target[j]``."""
+        return _read_only(self.target.take(self.j, axis=0))
 
     @cached_property
     def _first_marginal(self) -> MultivariateMeasure:
-        return make_measure(self.x, self.w)
+        return _row_marginal(self.source, self.i, self.w)
 
     @cached_property
     def _second_marginal(self) -> MultivariateMeasure:
-        return make_measure(self.y, self.w)
+        return _row_marginal(self.target, self.j, self.w)
 
     def first_marginal(self) -> MultivariateMeasure:
         return self._first_marginal
@@ -104,22 +125,113 @@ class TransportPlan:
         return self._second_marginal
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _row_marginal(atoms: np.ndarray, index: np.ndarray, w: np.ndarray) -> MultivariateMeasure:
+    """Atoms with the plan weight of their rows, summed by ``np.bincount``."""
+    return MultivariateMeasure(
+        atoms=atoms, weights=_read_only(np.bincount(index, weights=w, minlength=len(atoms)))
+    )
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only, else a read-only copy, so no caller can change a plan."""
+    return arr if not arr.flags.writeable else _read_only(arr.copy())
+
+
+def _check_atoms(atoms: np.ndarray, side: str) -> None:
+    if atoms.ndim != 2 or len(atoms) == 0 or not np.isfinite(atoms).all():
+        raise ValueError(f"plan_from_indices: {side} must be a nonempty (m, n) array of finite atoms")
+    # Consecutive rows must increase at their first differing coordinate.
+    differ = atoms[1:] != atoms[:-1]
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    if not (differ[rows, first].all() and (atoms[1:][rows, first] > atoms[:-1][rows, first]).all()):
+        raise ValueError(f"plan_from_indices: {side} atoms must be sorted lexicographically and distinct")
+
+
+def plan_from_indices(source, target, i, j, w) -> TransportPlan:
+    """The plan moving ``w[r]`` from ``source[i[r]]`` to ``target[j[r]]``.
+
+    ``source`` and ``target`` are the marginals' canonical atom arrays
+    (sorted, distinct), as a measure stores them; read-only arrays are kept
+    as is, so a plan built on ``mu.atoms`` shares them.  Rows are sorted by
+    (i, j) unless they already are, and repeated pairs are merged by
+    ``math.fsum``.  Every weight must be positive, every atom must be covered,
+    and the weights must sum to one within ``MASS_TOL`` per row.
+    """
+    source = _frozen_copy(np.asarray(source, dtype=float))
+    target = _frozen_copy(np.asarray(target, dtype=float))
+    _check_atoms(source, "source")
+    _check_atoms(target, "target")
+    if source.shape[1] != target.shape[1]:
+        raise ValueError(
+            f"plan_from_indices: source and target differ in dimension, "
+            f"{source.shape[1]} vs {target.shape[1]}"
+        )
+    i = np.asarray(i)
+    j = np.asarray(j)
+    w = np.asarray(w, dtype=float)
+    if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w) > 0):
+        raise ValueError("plan_from_indices: i, j and w must be nonempty 1-D arrays of one length")
+    for index, atoms, side in ((i, source, "source"), (j, target, "target")):
+        if not np.issubdtype(index.dtype, np.integer) or index.min() < 0 or index.max() >= len(atoms):
+            raise ValueError(f"plan_from_indices: {side} indices must be integers in [0, {len(atoms)})")
+    i = i.astype(np.intp, copy=False)
+    j = j.astype(np.intp, copy=False)
+    if not ((w > 0) & np.isfinite(w)).all():
+        raise ValueError("plan_from_indices: weights must be finite and positive")
+    key = i * len(target) + j
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        starts = _run_starts(key[order, None]).nonzero()[0]
+        i, j, w = i[order][starts], j[order][starts], _fsum_runs(w[order], starts)
+    plan = _indexed_plan(source, target, _frozen_copy(i), _frozen_copy(j), _frozen_copy(w))
+    for marginal, side in ((plan.first_marginal(), "source"), (plan.second_marginal(), "target")):
+        if not (marginal.weights > 0).all():
+            t = int(np.flatnonzero(marginal.weights == 0)[0])
+            raise ValueError(f"plan_from_indices: {side} atom {t} appears in no row")
+    return plan
+
+
+def _indexed_plan(source, target, i, j, w) -> TransportPlan:
+    """The plan of read-only arrays that already hold every invariant but the unit mass."""
+    # Pairwise summation errs by O(log len) ulps, far inside the tolerance.
+    total = float(w.sum())
+    if abs(total - 1.0) > MASS_TOL * max(1, len(w)):
+        raise ValueError(f"plan weights sum to {total!r}, expected 1")
+    return TransportPlan(source=source, target=target, i=i, j=j, w=w)
+
+
 def make_plan(x, y, w) -> TransportPlan:
+    """Canonical plan of the rows (x_r, y_r, w_r), w_r >= 0.
+
+    Repeated (x, y) pairs are merged and zero weights dropped as the measure
+    constructors do (:func:`merge_weighted_rows`), so an atom carried only by
+    zero weights vanishes.  The merged rows are in (x, y) order, so each
+    source atom is a run of them; the target atoms come from
+    :func:`group_rows`.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim not in (1, 2):
         raise ValueError(f"make_plan: inconsistent shapes x={x.shape}, y={y.shape}")
     xy, w = _checked_rows(np.column_stack([x, y]), w, "make_plan: x, y", ndims=(2,))
-    rows, merged = merge_weighted_rows(xy, w)
-    total = math.fsum(merged)
-    if abs(total - 1.0) > MASS_TOL * max(1, len(merged)):
-        raise ValueError(f"make_plan: weights sum to {total!r}, expected 1")
-    n = xy.shape[1] // 2
-    px = rows[:, :n].copy()
-    py = rows[:, n:].copy()
-    for arr in (px, py, merged):
-        arr.flags.writeable = False
-    return TransportPlan(x=px, y=py, w=merged)
+    rows, w = merge_weighted_rows(xy, w)
+    n = rows.shape[1] // 2
+    first = _run_starts(rows[:, :n])
+    target, j = group_rows(rows[:, n:])
+    # Sorted, distinct and covering by construction: no further checks.
+    return _indexed_plan(
+        _read_only(rows[first, :n]),
+        target,
+        _read_only(first.cumsum() - 1),
+        _read_only(j),
+        _read_only(w),
+    )
 
 
 def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
@@ -318,7 +430,7 @@ def exact_ot(
                 f"{float(measure.weights[t])!r}, below the 1e-15 that the LP resolves"
             )
     ri, ci = np.nonzero(keep)
-    plan = make_plan(X[ri], Y[ci], P[keep])
+    plan = plan_from_indices(X, Y, ri, ci, P[keep])
     return OTResult(value=plan_cost(plan, spec), plan=plan)
 
 

@@ -88,6 +88,18 @@ def merge_rows_oracle(rows, weights) -> list[tuple[tuple[float, ...], float]]:
     return sorted((row, w) for row, w in merged if w != 0.0)
 
 
+def plan_rows_oracle(x, y, weights) -> list[tuple[tuple[float, ...], tuple[float, ...], float]]:
+    """Dict-of-pairs merge of plan rows: fsum each distinct (x, y), drop zero totals.
+
+    Returns (x, y, weight) triples in lexicographic (x, y) order.
+    """
+    groups: dict = {}
+    for xr, yr, w in zip(np.asarray(x).tolist(), np.asarray(y).tolist(), np.asarray(weights).tolist()):
+        groups.setdefault((tuple(xr), tuple(yr)), []).append(w)
+    merged = ((xr, yr, math.fsum(ws)) for (xr, yr), ws in groups.items())
+    return sorted(row for row in merged if row[2] != 0.0)
+
+
 def measure_as_dict(measure) -> dict:
     if hasattr(measure, "to_multivariate"):
         measure = measure.to_multivariate()
@@ -112,12 +124,18 @@ def dicts_close(left: dict, right: dict, tol: float) -> bool:
     return all(abs(left[k] - right[k]) <= tol for k in left)
 
 
+# The feasibility tolerances ``exact_ot`` uses.  At HiGHS's defaults the
+# optimum can come back 5e-9 high when atoms sit 1e-8 apart.
+LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def lp_reference(row_weights, col_weights, cost) -> tuple[float, float]:
     """HiGHS optimum of the transport LP and a weak-duality lower bound on it.
 
-    Calls ``scipy.optimize.linprog`` directly, with a dense constraint matrix,
-    so the reference never passes through the library's solver dispatch.  The
-    bound holds for any potentials u, v: for a coupling P with row sums a,
+    Calls ``scipy.optimize.linprog`` directly, with a dense constraint matrix
+    and ``LP_TOLERANCES``, so the reference never passes through the
+    library's solver dispatch.  The bound holds for any potentials u, v: for
+    a coupling P with row sums a,
     <c, P> = a.u + b.v + sum_ij P_ij (c_ij - u_i - v_j)
           >= a.u + b.v + sum_i a_i min(0, min_j (c_ij - u_i - v_j)),
     so rounding in HiGHS's duals (``eqlin.marginals``) only loosens it.
@@ -128,7 +146,12 @@ def lp_reference(row_weights, col_weights, cost) -> tuple[float, float]:
     m, k = cost.shape
     constraints = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
     res = optimize.linprog(
-        cost.ravel(), A_eq=constraints, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs"
+        cost.ravel(),
+        A_eq=constraints,
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+        options=LP_TOLERANCES,
     )
     assert res.status == 0, res.message
     u = res.eqlin.marginals[:m]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copula_ot.copulas import (
+    checkerboard,
     comonotone,
     countermonotone,
     discretize,
@@ -195,6 +196,18 @@ class TestBuildPair:
             built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.25)
             rewired = built.alt_plan.second_marginal()
             assert same_measure(rewired, built.rho)
+
+    def test_rewired_law_check_fires(self):
+        # Moving 5e-11 between two diagonal cells keeps the margins within the
+        # carrier's 1e-10 slack, but the rewired target law then drifts by
+        # about 1.25e-11 on column 0, past the check's 1e-12 and still inside
+        # validate_plan's 1e-10: only the rewired-law check can catch it.
+        masses = np.full((4, 4), 1.0 / 16.0)
+        masses[0, 0] += 5e-11
+        masses[1, 1] -= 5e-11
+        carrier = checkerboard(2, 4, masses)
+        with pytest.raises(RuntimeError, match="rewired target law"):
+            build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
 
     def test_plans_validate_and_preserve_source_law(self):
         carrier = random_copula(np.random.default_rng(17), 3, 4)

@@ -21,6 +21,7 @@ from copula_ot.transport import (
     make_plan,
     plan_cost,
     plan_from_dict,
+    plan_from_indices,
     plan_to_dict,
     separable_dual_bound,
     solve_transport,
@@ -39,6 +40,7 @@ from helpers import (
     max_inner_product,
     norm_cost,
     plan_as_dict,
+    plan_rows_oracle,
 )
 
 
@@ -108,6 +110,87 @@ class TestPlans:
         assert not validate_plan(bad, mu, rho)
         shifted = make_plan([[0], [1]], [[5 + 1e-9], [6]], [0.75, 0.25])
         assert not validate_plan(shifted, mu, rho)
+
+    def test_validate_plan_on_index_built_plans(self):
+        mu = make_measure([[0], [1]], [0.5, 0.5])
+        rho = make_measure([[5], [6]], [0.75, 0.25])
+        i, j = [0, 0, 1], [0, 1, 0]
+        assert validate_plan(plan_from_indices(mu.atoms, rho.atoms, i, j, [0.25, 0.25, 0.5]), mu, rho)
+        # 2e-10 moves from target atom 6 to 5: the source marginal is intact
+        off = plan_from_indices(mu.atoms, rho.atoms, i, j, [0.25 + 2e-10, 0.25 - 2e-10, 0.5])
+        assert not validate_plan(off, mu, rho)
+        nudged = mu.atoms.copy()
+        nudged[1, 0] = np.nextafter(1.0, 2.0)
+        ulp = plan_from_indices(nudged, rho.atoms, i, j, [0.25, 0.25, 0.5])
+        assert not validate_plan(ulp, mu, rho)
+
+    def test_index_form_and_derived_rows(self):
+        plan = make_plan([[1, 0], [0, 1], [1, 0]], [[3, 3], [2, 2], [2, 2]], [0.25, 0.5, 0.25])
+        assert plan.source.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert plan.target.tolist() == [[2.0, 2.0], [3.0, 3.0]]
+        assert plan.i.tolist() == [0, 1, 1]
+        assert plan.j.tolist() == [0, 0, 1]
+        assert plan.x.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert plan.y.tolist() == [[2.0, 2.0], [2.0, 2.0], [3.0, 3.0]]
+        for arr in (plan.source, plan.target, plan.i, plan.j, plan.w, plan.x, plan.y):
+            assert not arr.flags.writeable
+
+    def test_plan_from_indices_sorts_and_merges_rows(self):
+        source = np.array([[0.0], [1.0]])
+        target = np.array([[5.0], [6.0]])
+        plan = plan_from_indices(source, target, [1, 0, 1, 0], [0, 1, 0, 0], [0.1, 0.2, 0.3, 0.4])
+        assert (plan.i.tolist(), plan.j.tolist()) == ([0, 0, 1], [0, 1, 0])
+        assert plan.w.tolist() == [0.4, 0.2, math.fsum([0.1, 0.3])]
+        # writable inputs are copied, so the caller cannot change the plan
+        assert plan.source is not source and not plan.source.flags.writeable
+
+    @pytest.mark.parametrize(
+        "source,target,i,j,w,match",
+        [
+            ([[1.0], [0.0]], [[5.0]], [0, 1], [0, 0], [0.5, 0.5], "sorted"),
+            ([[0.0], [0.0]], [[5.0]], [0, 1], [0, 0], [0.5, 0.5], "distinct"),
+            ([[0.0, 1.0], [0.0, 0.0]], [[5.0, 5.0]], [0, 1], [0, 0], [0.5, 0.5], "sorted"),
+            ([[0.0]], [[5.0, 1.0]], [0], [0], [1.0], "dimension"),
+            ([[0.0], [1.0]], [[5.0]], [0, 2], [0, 0], [0.5, 0.5], "indices"),
+            ([[0.0], [1.0]], [[5.0]], [0.0, 1.0], [0, 0], [0.5, 0.5], "indices"),
+            ([[0.0], [1.0]], [[5.0]], [0, 1], [0, 0], [1.0, 0.0], "positive"),
+            ([[0.0], [1.0]], [[5.0]], [0, 1], [0, 0], [0.5, 0.25], "sum"),
+            ([[0.0], [1.0]], [[5.0]], [0, 0], [0, 0], [0.5, 0.5], "source atom 1 appears in no row"),
+            ([[0.0]], [[5.0], [6.0]], [0], [1], [1.0], "target atom 0 appears in no row"),
+            ([[0.0]], [[5.0]], [], [], [], "nonempty"),
+        ],
+    )
+    def test_plan_from_indices_rejects_broken_invariants(self, source, target, i, j, w, match):
+        with pytest.raises(ValueError, match=match):
+            plan_from_indices(np.array(source), np.array(target), np.array(i), np.array(j), w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_make_plan_canonical_form_matches_the_dict_oracle(self, data):
+        n = data.draw(st.integers(1, 2))
+        coord = st.integers(-2, 2).map(float)
+        point = st.lists(coord, min_size=n, max_size=n)
+        pairs = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=6))
+        # picking pairs with repetition repeats (x, y) pairs; the small grid repeats x alone
+        picks = data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=14))
+        counts = data.draw(
+            st.lists(st.integers(0, 3), min_size=len(picks), max_size=len(picks)).filter(any)
+        )
+        x = np.array([pairs[r][0] for r in picks])
+        y = np.array([pairs[r][1] for r in picks])
+        w = np.array(counts, dtype=float) / sum(counts)
+        expected = plan_rows_oracle(x, y, w)
+        plan = make_plan(x, y, w)
+        got = [(tuple(a), tuple(b), c) for a, b, c in zip(plan.x.tolist(), plan.y.tolist(), plan.w.tolist())]
+        assert got == expected  # lexicographic (x, y) order, fsum weights bit for bit
+        # an x or y carried only by zero weights is no atom
+        assert plan.source.tolist() == [list(r) for r in sorted({row[0] for row in expected})]
+        assert plan.target.tolist() == [list(r) for r in sorted({row[1] for row in expected})]
+        assert np.array_equal(plan.x, plan.source[plan.i])
+        assert np.array_equal(plan.y, plan.target[plan.j])
+        assert plan_to_dict(plan)["entries"] == [
+            {"x": list(a), "y": list(b), "w": c} for a, b, c in expected
+        ]
 
     def test_json_roundtrip(self):
         plan = make_plan([[0, 1], [2, 3]], [[4, 5], [6, 7]], [0.25, 0.75])
@@ -365,12 +448,25 @@ def staircase_pair(draw):
             if cut:
                 weights.append(0.0)
             weights[-1] += part
-        # Quarter-integer atoms: HiGHS at its default tolerances misses the
-        # optimum by more than the 1e-9 window once atoms sit ~1e-8 apart.
+        # Quarter-integer atoms; TestLpReference covers atoms 1e-8 apart.
         size = len(weights)
         quarters = draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size, unique=True))
         measures.append(make_measure_1d(np.sort(quarters) / 4.0, weights))
     return tuple(measures)
+
+
+class TestLpReference:
+    def test_resolves_atoms_1e8_apart(self):
+        # At HiGHS's default tolerances the reference returned 0.5 here.
+        a = np.array([0.0, 1e-8, 1.0])
+        b = np.array([0.0, 1.0])
+        cost = np.abs(a[:, None] - b[None, :])
+        objective, bound = lp_reference([0.25, 0.5, 0.25], [0.25, 0.75], cost)
+        assert objective == 0.499999995
+        assert abs(bound - objective) <= 1e-15
+        mu = make_measure_1d(a, [0.25, 0.5, 0.25])
+        rho = make_measure_1d(b, [0.25, 0.75])
+        assert exact_ot(mu.to_multivariate(), rho.to_multivariate(), CostSpec(1, 1)).value == objective
 
 
 class TestSeparableDualBound:

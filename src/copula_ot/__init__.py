@@ -18,6 +18,7 @@ from .counterexample import (
     CurvePoint,
     EpsilonConstruction,
     NoViolatingPair,
+    PairSkeleton,
     ScheduleExhausted,
     adversary_copula,
     build_pair,
@@ -26,6 +27,7 @@ from .counterexample import (
     gap_search,
     limit_scores,
     monge_cross_partial,
+    pair_skeleton,
     report_to_dict,
 )
 from .instances import (

@@ -191,48 +191,60 @@ def _adversary_index_map(adversary: Copula, k: int) -> np.ndarray:
         return np.arange(k)
     if adversary.variant == COUNTERMONOTONE:
         return k - 1 - np.arange(k)
-    raise ValueError("build_pair: adversary must be the bivariate comonotone or countermonotone copula")
+    raise ValueError("adversary must be the bivariate comonotone or countermonotone copula")
 
 
-def build_pair(
+class PairSkeleton(NamedTuple):
+    """The epsilon-free part of the construction on one carrier and pair.
+
+    ``cells`` holds the carrier's cell midpoints (one row per cell of positive
+    mass, in the carrier's coordinate order) and ``weights`` their masses.
+    Both plans are built on the unscaled midpoints: their source and target
+    atoms are the cells in lexicographic order, and :func:`build_pair` only
+    rescales those atoms.
+    """
+
+    pair: tuple[int, int]
+    cells: np.ndarray
+    weights: np.ndarray
+    diamond_plan: TransportPlan
+    alt_plan: TransportPlan
+
+
+def pair_skeleton(
     carrier: Copula,
     p: float,
     q: float,
     pair: tuple[int, int],
-    epsilon: float,
     adversary: Copula | None = None,
-) -> EpsilonConstruction:
-    """Source/target pair at one epsilon plus the two competitor plans.
+) -> PairSkeleton:
+    """Everything of the construction that does not depend on epsilon.
 
     The carrier must be a checkerboard (see :func:`discretize`).  Writing
     (U_1, ..., U_n) for the carrier's midpoint law with the pair relabeled to
-    the first two coordinates, the source is the law of
+    the first two coordinates, the source at epsilon is the law of
     (U_i, eps U_j, eps U_rest) and the target the law of
-    (eps U_i, U_j, eps U_rest).  The competitor target copy rewires the
-    dependence between its first two coordinates through the adversary while
-    keeping all conditionals, which leaves its law unchanged; this is checked
-    exactly (same atoms, weights within 1e-12) and both plans are validated
-    against the constructed measures.
-
-    Each carrier cell is one atom on either side, so both plans are built
-    from atom indices (:func:`plan_from_indices`): the quantile plan pairs
-    each cell's source atom with its own target atom, the competitor each
-    source cell of row a with every target cell of column adv[a].  Neither
-    plan's rows are sorted or merged as points, and their marginals are
-    ``np.bincount`` sums over the indices.
+    (eps U_i, U_j, eps U_rest).  Each carrier cell is one atom on either
+    side, and scaling columns by positive factors keeps the lexicographic
+    order of the atoms, so the plans' rows (atom indices and weights) are the
+    same at every epsilon.  They are built here once, with
+    :func:`plan_from_indices` on the unscaled midpoints: the quantile plan
+    pairs each cell's source atom with its own target atom, the competitor
+    each source cell of row a with every target cell of column adv[a].  The
+    competitor target copy rewires the dependence between its first two
+    coordinates through the adversary while keeping all conditionals, which
+    leaves its law unchanged.
 
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
     """
     _check_exponents(p, q)
     if carrier.variant != CHECKERBOARD:
-        raise ValueError("build_pair: carrier must be a checkerboard; discretize monotone copulas first")
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
-        raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
+        raise ValueError("pair_skeleton: carrier must be a checkerboard; discretize monotone copulas first")
     n, k = carrier.n, carrier.k
     i, j = pair
     if not (1 <= i < j <= n):
-        raise ValueError(f"build_pair: need 1 <= i < j <= {n}, got ({i}, {j})")
+        raise ValueError(f"pair_skeleton: need 1 <= i < j <= {n}, got ({i}, {j})")
     if adversary is None:
         adversary = adversary_copula(p, q)
     adv = _adversary_index_map(adversary, k)
@@ -243,29 +255,17 @@ def build_pair(
     C2 = T.sum(axis=tuple(range(2, n))) if n > 2 else T
     colsum = C2.sum(axis=0)
 
-    def unrelabel(mat: np.ndarray) -> np.ndarray:
-        out = np.empty_like(mat)
-        for new_axis, orig_axis in enumerate(order):
-            out[:, orig_axis] = mat[:, new_axis]
-        return out
-
-    y_scale = np.full(n, float(epsilon))
-    y_scale[0] = 1.0
-    z_scale = np.full(n, float(epsilon))
-    z_scale[1] = 1.0
-
     cells = np.nonzero(T)
-    U = np.column_stack([mids[cells[d]] for d in range(n)])
+    U = np.empty((len(cells[0]), n))
+    for new_axis, orig_axis in enumerate(order):
+        U[:, orig_axis] = mids[cells[new_axis]]
+    U.flags.writeable = False
     w = T[cells]
-    Y = unrelabel(U * y_scale)
-    Z = unrelabel(U * z_scale)
-    mu_eps = make_measure(Y, w)
-    rho_eps = make_measure(Z, w)
+    w.flags.writeable = False
     # Every cell weight is positive, so the grouped rows are the measures'
-    # atoms; validation below checks that they are exactly equal.
-    source, src = group_rows(Y)
-    target, tgt = group_rows(Z)
-    diamond_plan = plan_from_indices(source, target, src, tgt, w)
+    # atoms at every epsilon; build_pair checks that they are exactly equal.
+    atoms, cell_atom = group_rows(U)
+    diamond_plan = plan_from_indices(atoms, atoms, cell_atom, cell_atom, w)
 
     # Competitor: independently draw the target's pair-i coordinate and tail
     # from the conditional given its pair-j coordinate, which the adversary
@@ -283,12 +283,46 @@ def build_pair(
         if len(src_cells) == 0:
             continue
         tgt_mass = w[tgt_cells] / colsum[b2]
-        rows_i.append(np.repeat(src[src_cells], len(tgt_cells)))
-        rows_j.append(np.tile(tgt[tgt_cells], len(src_cells)))
+        rows_i.append(np.repeat(cell_atom[src_cells], len(tgt_cells)))
+        rows_j.append(np.tile(cell_atom[tgt_cells], len(src_cells)))
         rows_w.append((w[src_cells][:, None] * tgt_mass[None, :]).ravel())
     alt_plan = plan_from_indices(
-        source, target, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
+        atoms, atoms, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
     )
+    return PairSkeleton(pair=(i, j), cells=U, weights=w, diamond_plan=diamond_plan, alt_plan=alt_plan)
+
+
+def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
+    """Source/target pair at one epsilon plus the two competitor plans.
+
+    Only the atoms depend on epsilon: the source scales every coordinate but
+    pair[0] of the skeleton's cells by epsilon, the target every coordinate
+    but pair[1].  Each call builds both measures with :func:`make_measure`,
+    checks that the scaled atoms are exactly the measures' atoms (sorted and
+    distinct), moves both skeleton plans onto them
+    (:meth:`TransportPlan.with_atoms`), checks the rewired target law against
+    the target exactly (same atoms, weights within 1e-12), and validates both
+    plans against the constructed measures.  An epsilon so small that
+    scaling merges or reorders atoms raises a ``ValueError`` naming it.
+    """
+    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
+        raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
+    i, j = skeleton.pair
+    y_scale = np.full(skeleton.cells.shape[1], float(epsilon))
+    y_scale[i - 1] = 1.0
+    z_scale = np.full(skeleton.cells.shape[1], float(epsilon))
+    z_scale[j - 1] = 1.0
+    mu_eps = make_measure(skeleton.cells * y_scale, skeleton.weights)
+    rho_eps = make_measure(skeleton.cells * z_scale, skeleton.weights)
+    source = skeleton.diamond_plan.source * y_scale
+    target = skeleton.diamond_plan.target * z_scale
+    if not (np.array_equal(mu_eps.atoms, source) and np.array_equal(rho_eps.atoms, target)):
+        raise ValueError(
+            f"build_pair: epsilon={epsilon!r} is too small: scaling by it merges "
+            f"or reorders atoms of the carrier"
+        )
+    diamond_plan = skeleton.diamond_plan.with_atoms(mu_eps.atoms, rho_eps.atoms)
+    alt_plan = skeleton.alt_plan.with_atoms(mu_eps.atoms, rho_eps.atoms)
 
     if not measures_close(alt_plan.second_marginal(), rho_eps, 1e-12):
         raise RuntimeError(
@@ -365,7 +399,11 @@ def gap_search(
     accepted epsilon when the support-pair count fits under ``pair_cap``.
 
     The pair, the limit scores and the plans all come from one carrier,
-    ``discretize(copula, carrier_resolution)``.  Raises
+    ``discretize(copula, carrier_resolution)``.  The epsilon-free part of the
+    construction, the carrier cells and both plans' rows, is built once
+    (:func:`pair_skeleton`); each epsilon, and the exact certificate at the
+    accepted one, only scales the atoms and checks the plans against the
+    scaled measures (:func:`build_pair`).  Raises
     :class:`NoViolatingPair` when no pair of it is violating (see
     :func:`find_violating_pair`), and :class:`ScheduleExhausted` when no
     epsilon yields a significant gap although the limit gap is positive.
@@ -387,9 +425,10 @@ def gap_search(
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):
         raise ValueError("gap_search: schedule must be nonempty with entries in (0, 1)")
     spec = CostSpec(p, q)
+    skeleton = pair_skeleton(carrier, p, q, (i, j))
     curve = []
     for eps in eps_values:
-        built = build_pair(carrier, p, q, (i, j), eps)
+        built = build_pair(skeleton, eps)
         dc = plan_cost(built.diamond_plan, spec)
         ac = plan_cost(built.alt_plan, spec)
         curve.append(CurvePoint(epsilon=float(eps), diamond_cost=dc, alt_cost=ac, gap=dc - ac))
@@ -407,7 +446,7 @@ def gap_search(
     accepted = min(significant, key=lambda pt: pt.epsilon)
     exact_cost = None
     if attach_exact:
-        built = build_pair(carrier, p, q, (i, j), accepted.epsilon)
+        built = build_pair(skeleton, accepted.epsilon)
         try:
             exact_cost = exact_ot(built.mu, built.rho, spec, pair_cap).value
         except PairCountCapExceeded:

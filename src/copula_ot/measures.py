@@ -2,9 +2,10 @@
 
 Measures are immutable: atoms are canonicalized (sorted, duplicates merged by
 exact float equality, zero weights dropped) and weights are normalized to unit
-mass at construction time.  Weight accumulation goes through ``math.fsum`` so
-that two constructions whose real-arithmetic weights agree produce identical
-floats whenever the inputs are exactly representable.
+mass at construction time.  Weight accumulation is exact and rounded once
+(``math.fsum``, or :func:`exact_sum` on long arrays) so that two constructions
+whose real-arithmetic weights agree produce identical floats whenever the
+inputs are exactly representable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,54 @@ import numpy as np
 # Unit-mass slack per stored atom; constructors normalize so anything larger
 # than accumulated rounding indicates a bug in the caller.
 MASS_TOL = 1e-12
+
+# exact_sum hands shorter inputs to math.fsum, which is faster on them: on
+# uniform random values (x86-64, one thread) the two take equal time at about
+# 640 to 768 values, fsum is 1.6x faster at 512 and exact_sum 2.6x at 2304.
+EXACT_SUM_CUTOVER = 768
+# Bucket sums of 27-bit mantissa halves stay below 2**53 up to this length.
+_EXACT_SUM_MAX_LEN = 2**26
+# Inputs below 2**_EXACT_SUM_MAX_EXP cannot overflow any partial sum.
+_EXACT_SUM_MAX_EXP = 960
+# Adding and subtracting this rounds |x| < 2**53 to a multiple of 2**26.
+_SPLIT = 1.5 * 2.0**78
+
+
+def exact_sum(v: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D float array: the correctly rounded exact sum.
+
+    Returns the same float as ``math.fsum(v)`` on every input and raises the
+    same exception.  Each value is an integer mantissa times a power of two
+    (``np.frexp``); each mantissa splits exactly into a multiple of 2**26 and
+    a remainder, and two ``np.bincount`` calls sum those halves per exponent
+    without rounding.  The buckets are combined as Python ints and the total
+    is rounded once, by int true division.  Inputs shorter than
+    ``EXACT_SUM_CUTOVER``, longer than 2**26, non-finite or above 2**960 go
+    to ``math.fsum`` itself.
+    """
+    v = np.asarray(v, dtype=float)
+    if not (EXACT_SUM_CUTOVER <= len(v) <= _EXACT_SUM_MAX_LEN and np.isfinite(v).all()):
+        return math.fsum(v.tolist())
+    mant, expo = np.frexp(v)
+    emin, emax = int(expo.min()), int(expo.max())
+    if emax > _EXACT_SUM_MAX_EXP:
+        return math.fsum(v.tolist())
+    mant *= 2.0**53  # integers, |mant| < 2**53
+    high = mant + _SPLIT
+    high -= _SPLIT
+    mant -= high  # the low half, |mant| <= 2**25
+    expo -= emin
+    bins = expo.astype(np.intp)
+    high_sums = np.bincount(bins, weights=high).tolist()
+    low_sums = np.bincount(bins, weights=mant).tolist()
+    total = 0
+    for shift, (h, lo) in enumerate(zip(high_sums, low_sums)):
+        if h or lo:
+            total += (int(h) + int(lo)) << shift
+    if not total:
+        return math.fsum(v.tolist())  # fsum decides the sign of a zero
+    scale = emin - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 def _checked_rows(
@@ -90,8 +139,9 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     order, rows, first = _sorted_runs(rows)
     inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = first.cumsum() - 1
-    atoms = rows[first]
+    # numpy's cumsum of a bool array is slow on short arrays; of intp it is not.
+    inverse[order] = first.astype(np.intp).cumsum() - 1
+    atoms = rows.take(first.nonzero()[0], axis=0)
     atoms.flags.writeable = False
     return atoms, inverse
 
@@ -122,7 +172,7 @@ def _canonical(atoms, weights, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     a, w = _checked_rows(atoms, weights, ndims=ndims)
     # Normalize by the total of the raw weights, not of the merged ones: the
     # two can differ by an ulp, and stored measures carry this rounding.
-    total = math.fsum(w)
+    total = exact_sum(w)
     if total <= 0.0:
         raise ValueError("weights must have positive total mass")
     rows, merged = merge_weighted_rows(a, w)

@@ -305,6 +305,12 @@ def norm_cost(x: Sequence[float], y: Sequence[float], spec: CostSpec) -> float:
     return float(np.sum(np.abs(a - b) ** spec.q) ** (spec.p / spec.q))
 
 
+def fsum_plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
+    """Plan cost as row sums by ``np.sum(axis=1)`` and one ``math.fsum`` over the rows."""
+    per_row = np.sum(np.abs(plan.x - plan.y) ** spec.q, axis=1) ** (spec.p / spec.q)
+    return math.fsum(plan.w * per_row)
+
+
 def inner_product_score(plan: TransportPlan) -> float:
     """Integral of <x, y> against the plan."""
     return math.fsum(plan.w * np.sum(plan.x * plan.y, axis=1))

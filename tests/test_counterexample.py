@@ -22,13 +22,20 @@ from copula_ot.counterexample import (
     gap_search,
     limit_scores,
     monge_cross_partial,
+    pair_skeleton,
     report_to_dict,
 )
 from copula_ot.instances import random_copula
 from copula_ot.measures import make_measure
-from copula_ot.transport import CostSpec, exact_ot, plan_cost, validate_plan
+from copula_ot.transport import CostSpec, exact_ot, make_plan, plan_cost, validate_plan
 
-from helpers import empirical_copula, fd_cross_partial, rank_bin_copula, same_measure
+from helpers import (
+    empirical_copula,
+    fd_cross_partial,
+    fsum_plan_cost,
+    rank_bin_copula,
+    same_measure,
+)
 
 
 def direct_alt_cost(carrier, p, q, epsilon, adversary_variant):
@@ -169,19 +176,19 @@ class TestFindViolatingPair:
 class TestBuildPair:
     def test_requires_checkerboard_and_valid_arguments(self):
         with pytest.raises(ValueError, match="discretize"):
-            build_pair(comonotone(2), 2.0, 1.0, (1, 2), 0.5)
+            build_pair(pair_skeleton(comonotone(2), 2.0, 1.0, (1, 2)), 0.5)
         carrier = independence(2, 4)
         with pytest.raises(ValueError, match="epsilon"):
-            build_pair(carrier, 2.0, 1.0, (1, 2), 0.0)
+            build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.0)
         with pytest.raises(ValueError, match="pair|1 <="):
-            build_pair(carrier, 2.0, 1.0, (2, 1), 0.5)
+            build_pair(pair_skeleton(carrier, 2.0, 1.0, (2, 1)), 0.5)
         with pytest.raises(ValueError, match="optimal"):
-            build_pair(carrier, 2.0, 2.0, (1, 2), 0.5)
+            build_pair(pair_skeleton(carrier, 2.0, 2.0, (1, 2)), 0.5)
 
     def test_costs_match_direct_summation_oracle(self):
         carrier = independence(2, 4)
         for p, q, adv in ((1.0, 2.0, "comonotone"), (2.0, 1.0, "countermonotone")):
-            built = build_pair(carrier, p, q, (1, 2), 0.25)
+            built = build_pair(pair_skeleton(carrier, p, q, (1, 2)), 0.25)
             spec = CostSpec(p, q)
             assert plan_cost(built.alt_plan, spec) == pytest.approx(
                 direct_alt_cost(carrier, p, q, 0.25, adv), abs=1e-12
@@ -193,7 +200,7 @@ class TestBuildPair:
     def test_rewired_target_law_is_exactly_the_original(self):
         # dyadic carriers make the check exact, not just within tolerance
         for carrier in (independence(2, 8), discretize(comonotone(2), 8)):
-            built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.25)
+            built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.25)
             rewired = built.alt_plan.second_marginal()
             assert same_measure(rewired, built.rho)
 
@@ -207,24 +214,24 @@ class TestBuildPair:
         masses[1, 1] -= 5e-11
         carrier = checkerboard(2, 4, masses)
         with pytest.raises(RuntimeError, match="rewired target law"):
-            build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
+            build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
 
     def test_plans_validate_and_preserve_source_law(self):
         carrier = random_copula(np.random.default_rng(17), 3, 4)
-        built = build_pair(carrier, 1.0, 2.0, (1, 3), 0.5)
+        built = build_pair(pair_skeleton(carrier, 1.0, 2.0, (1, 3)), 0.5)
         assert validate_plan(built.diamond_plan, built.mu, built.rho)
         assert validate_plan(built.alt_plan, built.mu, built.rho)
 
     def test_scaling_pattern(self):
         carrier = discretize(comonotone(2), 2)
-        built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
+        built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
         # source keeps coordinate 1, target keeps coordinate 2
         assert built.mu.atoms.tolist() == [[0.25, 0.125], [0.75, 0.375]]
         assert built.rho.atoms.tolist() == [[0.125, 0.25], [0.375, 0.75]]
 
     def test_off_pair_coordinates_shrink_on_both_sides(self):
         carrier = independence(3, 2)
-        built = build_pair(carrier, 2.0, 1.0, (1, 2), 0.5)
+        built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
         third_mu = built.mu.marginal(3)
         third_rho = built.rho.marginal(3)
         assert third_mu.atoms.tolist() == [0.125, 0.375]
@@ -234,7 +241,7 @@ class TestBuildPair:
         # the construction only rescales coordinates, so the rank structure
         # of the source equals the carrier; same for the target
         carrier = random_copula(np.random.default_rng(23), 2, 4)
-        built = build_pair(carrier, 1.0, 2.0, (1, 2), 0.25)
+        built = build_pair(pair_skeleton(carrier, 1.0, 2.0, (1, 2)), 0.25)
         assert np.allclose(rank_bin_copula(built.mu, 4), carrier.masses, atol=1e-12)
         assert np.allclose(rank_bin_copula(built.rho, 4), carrier.masses, atol=1e-12)
 
@@ -242,12 +249,50 @@ class TestBuildPair:
         carrier = independence(2, 8)
         spec = CostSpec(2.0, 2.0)
         for eps in (0.5, 0.25, 0.125):
-            built = build_pair(carrier, 2.0, 2.0, (1, 2), eps, adversary=comonotone(2))
+            built = build_pair(pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=comonotone(2)), eps)
             dc = plan_cost(built.diamond_plan, spec)
             ac = plan_cost(built.alt_plan, spec)
             exact = exact_ot(built.mu, built.rho, spec).value
             assert dc <= ac + 1e-12
             assert abs(dc - exact) <= 1e-8 * max(1.0, exact)
+
+
+class TestPairSkeleton:
+    @pytest.mark.parametrize(
+        "carrier, pair",
+        [
+            (independence(2, 8), (1, 2)),
+            (random_copula(np.random.default_rng(31), 3, 4), (1, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
+    def test_plans_equal_the_point_built_plans(self, carrier, pair, adversary):
+        # The rows built once on the unscaled midpoints are, at every epsilon,
+        # the canonical plan of the scaled points, array for array.
+        skeleton = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
+        for eps in (0.5, 2.0**-8, 0.3):
+            built = build_pair(skeleton, eps)
+            for plan in (built.diamond_plan, built.alt_plan):
+                canonical = make_plan(plan.x, plan.y, plan.w)
+                for name in ("source", "target", "i", "j", "w"):
+                    assert np.array_equal(getattr(plan, name), getattr(canonical, name)), name
+                assert plan.first_marginal().weights.tolist() == canonical.first_marginal().weights.tolist()
+                assert plan.second_marginal().weights.tolist() == canonical.second_marginal().weights.tolist()
+                spec = CostSpec(2.0, 1.0)
+                assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
+
+    def test_build_pair_only_moves_the_atoms(self):
+        skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
+        built = build_pair(skeleton, 0.25)
+        for plan, rows in ((built.diamond_plan, skeleton.diamond_plan), (built.alt_plan, skeleton.alt_plan)):
+            assert plan.i is rows.i and plan.j is rows.j and plan.w is rows.w
+            assert plan.source is built.mu.atoms and plan.target is built.rho.atoms
+
+    def test_epsilon_that_merges_atoms_is_named(self):
+        # At 5e-324 the scaled midpoints round to 0 or 5e-324 and atoms merge.
+        skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
+        with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
+            build_pair(skeleton, 5e-324)
 
 
 class TestLimitScores:

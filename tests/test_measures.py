@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copula_ot.measures import (
+    EXACT_SUM_CUTOVER,
     MultivariateMeasure,
+    exact_sum,
     make_measure,
     make_measure_1d,
     measure_from_dict,
@@ -327,3 +329,58 @@ class TestMeasuresClose:
     def test_helper_dict_view(self):
         m = make_measure([[0, 1], [1, 0]], [1, 3])
         assert measure_as_dict(m) == {(0.0, 1.0): 0.25, (1.0, 0.0): 0.75}
+
+
+def sum_outcome(total, values):
+    """The float ``total`` returns as hex (the sign of a zero and nan included), or its exception."""
+    try:
+        return total(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# Finite floats of every size (subnormals and values near 1e308 included),
+# plus inf and nan, and values that straddle the tie of 1 + 2**-53.
+summands = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=1e300, max_value=1.7e308),
+    st.sampled_from([1.0, -1.0, 2.0**-53, 1.0 + 2.0**-52, 5e-324, -5e-324, 2.0**-1022]),
+)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.lists(summands, min_size=1, max_size=40),
+        length=st.one_of(
+            st.integers(0, 40),
+            st.integers(EXACT_SUM_CUTOVER - 40, EXACT_SUM_CUTOVER + 40),
+            st.integers(0, 3 * EXACT_SUM_CUTOVER),
+        ),
+        cancel=st.sampled_from([None, 1.0, 1.0 + 2.0**-52]),
+    )
+    @example(base=[1e308, 1e308], length=EXACT_SUM_CUTOVER, cancel=None)
+    @example(base=[1e308, -1e308, 1.0], length=EXACT_SUM_CUTOVER + 1, cancel=None)
+    @example(base=[math.inf, -math.inf], length=EXACT_SUM_CUTOVER, cancel=None)
+    @example(base=[math.nan, 1.0], length=EXACT_SUM_CUTOVER, cancel=None)
+    @example(base=[5e-324, 2.0**-1060], length=EXACT_SUM_CUTOVER, cancel=1.0)
+    def test_bit_for_bit_equal_to_fsum(self, base, length, cancel):
+        # ``length`` repeats ``base`` on both sides of the cut-over; ``cancel``
+        # appends the values negated (and scaled), so the sum cancels exactly
+        # or leaves only rounding-sized remainders.
+        values = np.resize(np.array(base), length)
+        if cancel is not None:
+            with np.errstate(over="ignore"):  # near 1.7e308 the scaled copy may be inf
+                values = np.concatenate([values, -values[::-1] * cancel])
+        assert sum_outcome(exact_sum, values) == sum_outcome(math.fsum, values.tolist())
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [([1.0, 2.0**-53], 1.0), ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51)],
+    )
+    def test_ties_round_to_even(self, values, expected):
+        # The exact sums lie halfway between two floats; zero padding sends
+        # them through the vectorized path as well.
+        for padded in (values, values + [0.0] * EXACT_SUM_CUTOVER):
+            assert exact_sum(np.array(padded)) == expected == math.fsum(padded)

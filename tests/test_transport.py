@@ -12,7 +12,7 @@ from copula_ot.copulas import (
     sklar_compose,
 )
 from copula_ot.instances import random_marginal, random_shared_pair
-from copula_ot.measures import make_measure, make_measure_1d
+from copula_ot.measures import EXACT_SUM_CUTOVER, group_rows, make_measure, make_measure_1d
 from copula_ot.transport import (
     CostSpec,
     PairCountCapExceeded,
@@ -34,6 +34,7 @@ from helpers import (
     as_1d,
     cdf_area_w1,
     dicts_close,
+    fsum_plan_cost,
     grid_pushforward,
     inner_product_score,
     lp_reference,
@@ -78,6 +79,50 @@ class TestPlans:
             [1, 2], [1, 0], spec
         )
         assert plan_cost(plan, spec) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+    def test_plan_cost_is_the_fsum_of_numpy_row_sums(self, n):
+        # Bit for bit: fewer than 8 columns are added left to right, more
+        # pairwise as np.sum does; long plans take the vectorized exact sum.
+        rng = np.random.default_rng(n)
+        for rows in (5, 3 * EXACT_SUM_CUTOVER):
+            x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+            y = rng.standard_normal((rows, n))
+            w = rng.random(rows)
+            plan = make_plan(x, y, w / w.sum())
+            for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1.5), (1.5, 3)):
+                spec = CostSpec(p, q)
+                assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
+
+    def test_with_atoms_keeps_rows_and_marginal_weights(self):
+        plan = make_plan([[0, 1], [0, 1], [1, 0]], [[5, 5], [6, 0], [5, 5]], [0.25, 0.25, 0.5])
+        moved = plan.with_atoms(plan.source * [1.0, 0.5], plan.target * [0.5, 1.0])
+        for name in ("i", "j", "w"):
+            assert getattr(moved, name) is getattr(plan, name)
+        assert moved.source.tolist() == [[0.0, 0.5], [1.0, 0.0]]
+        assert moved.target.tolist() == [[2.5, 5.0], [3.0, 0.0]]
+        assert not moved.source.flags.writeable and not moved.target.flags.writeable
+        expected = make_plan(moved.x, moved.y, moved.w)
+        for marginal, want in (
+            (moved.first_marginal(), expected.first_marginal()),
+            (moved.second_marginal(), expected.second_marginal()),
+        ):
+            assert marginal.atoms.tolist() == want.atoms.tolist()
+            assert marginal.weights.tolist() == want.weights.tolist()
+
+    @pytest.mark.parametrize(
+        "source, target, match",
+        [
+            ([[1.0, 0.0], [0.0, 1.0]], [[5.0, 5.0], [6.0, 0.0]], "with_atoms: source atoms must be sorted"),
+            ([[0.0, 1.0], [1.0, 0.0]], [[5.0, 5.0], [5.0, 5.0]], "with_atoms: target atoms must be sorted"),
+            ([[0.0, 1.0]], [[5.0, 5.0], [6.0, 0.0]], "do not replace"),
+            ([[0.0, 1.0], [1.0, np.inf]], [[5.0, 5.0], [6.0, 0.0]], "finite"),
+        ],
+    )
+    def test_with_atoms_rejects_atoms_that_break_the_invariants(self, source, target, match):
+        plan = make_plan([[0, 1], [0, 1], [1, 0]], [[5, 5], [6, 0], [5, 5]], [0.25, 0.25, 0.5])
+        with pytest.raises(ValueError, match=match):
+            plan.with_atoms(np.array(source), np.array(target))
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):
@@ -503,6 +548,15 @@ class TestSeparableDualBound:
                 bound, violation = separable_dual_bound(plan, p)
                 assert violation == 0.0
                 assert bound <= exact_ot(mu, rho, CostSpec(p, p)).value + 1e-12
+
+    @settings(max_examples=80)
+    @given(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=30))
+    def test_column_grouping_matches_np_unique(self, values):
+        values = np.array(values)
+        got, got_inverse = group_rows(values[:, None])
+        want, want_inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(got.ravel(), want)
+        assert got_inverse.tolist() == want_inverse.tolist()
 
     @pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
     def test_rejects_bad_exponent(self, p):

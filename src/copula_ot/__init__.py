@@ -56,7 +56,6 @@ from .transport import (
     exact_ot,
     make_plan,
     plan_cost,
-    plan_from_dict,
     plan_from_indices,
     plan_to_dict,
     separable_dual_bound,

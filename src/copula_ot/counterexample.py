@@ -197,16 +197,14 @@ def _adversary_index_map(adversary: Copula, k: int) -> np.ndarray:
 class PairSkeleton(NamedTuple):
     """The epsilon-free part of the construction on one carrier and pair.
 
-    ``cells`` holds the carrier's cell midpoints (one row per cell of positive
-    mass, in the carrier's coordinate order) and ``weights`` their masses.
-    Both plans are built on the unscaled midpoints: their source and target
-    atoms are the cells in lexicographic order, and :func:`build_pair` only
-    rescales those atoms.
+    ``law`` is the carrier's midpoint law: one atom per cell of positive
+    mass, in the carrier's coordinate order, weighted by the cell's mass.
+    Both plans couple ``law`` with itself, and :func:`build_pair` only
+    rescales their atoms.
     """
 
     pair: tuple[int, int]
-    cells: np.ndarray
-    weights: np.ndarray
+    law: MultivariateMeasure
     diamond_plan: TransportPlan
     alt_plan: TransportPlan
 
@@ -218,7 +216,7 @@ def pair_skeleton(
     pair: tuple[int, int],
     adversary: Copula | None = None,
 ) -> PairSkeleton:
-    """Everything of the construction that does not depend on epsilon.
+    """Everything of the construction that does not depend on epsilon, checked once.
 
     The carrier must be a checkerboard (see :func:`discretize`).  Writing
     (U_1, ..., U_n) for the carrier's midpoint law with the pair relabeled to
@@ -226,14 +224,17 @@ def pair_skeleton(
     (U_i, eps U_j, eps U_rest) and the target the law of
     (eps U_i, U_j, eps U_rest).  Each carrier cell is one atom on either
     side, and scaling columns by positive factors keeps the lexicographic
-    order of the atoms, so the plans' rows (atom indices and weights) are the
-    same at every epsilon.  They are built here once, with
+    order of the atoms, so the weights and the plans' rows (atom indices and
+    weights) are the same at every epsilon.  They are built here once, with
     :func:`plan_from_indices` on the unscaled midpoints: the quantile plan
     pairs each cell's source atom with its own target atom, the competitor
     each source cell of row a with every target cell of column adv[a].  The
     competitor target copy rewires the dependence between its first two
     coordinates through the adversary while keeping all conditionals, which
-    leaves its law unchanged.
+    leaves its law unchanged.  Both plans are validated against
+    (``law``, ``law``), and the rewired target law is checked against
+    ``law`` exactly (same atoms, weights within 1e-12); either failure
+    raises a ``RuntimeError``.
 
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
@@ -259,11 +260,10 @@ def pair_skeleton(
     U = np.empty((len(cells[0]), n))
     for new_axis, orig_axis in enumerate(order):
         U[:, orig_axis] = mids[cells[new_axis]]
-    U.flags.writeable = False
     w = T[cells]
-    w.flags.writeable = False
-    # Every cell weight is positive, so the grouped rows are the measures'
-    # atoms at every epsilon; build_pair checks that they are exactly equal.
+    law = make_measure(U, w)
+    # Every cell weight is positive, so the grouped rows are the law's atoms;
+    # validating the plans below checks that they are exactly equal.
     atoms, cell_atom = group_rows(U)
     diamond_plan = plan_from_indices(atoms, atoms, cell_atom, cell_atom, w)
 
@@ -289,50 +289,53 @@ def pair_skeleton(
     alt_plan = plan_from_indices(
         atoms, atoms, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
     )
-    return PairSkeleton(pair=(i, j), cells=U, weights=w, diamond_plan=diamond_plan, alt_plan=alt_plan)
+
+    if not measures_close(alt_plan.second_marginal(), law, 1e-12):
+        raise RuntimeError(
+            "pair_skeleton: the rewired target law does not match the original one; "
+            "the carrier's margins are too far from uniform"
+        )
+    for label, plan in (("quantile", diamond_plan), ("competitor", alt_plan)):
+        if not validate_plan(plan, law, law):
+            raise RuntimeError(f"pair_skeleton: the {label} plan fails marginal validation")
+    return PairSkeleton(pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan)
 
 
 def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
     """Source/target pair at one epsilon plus the two competitor plans.
 
     Only the atoms depend on epsilon: the source scales every coordinate but
-    pair[0] of the skeleton's cells by epsilon, the target every coordinate
-    but pair[1].  Each call builds both measures with :func:`make_measure`,
-    checks that the scaled atoms are exactly the measures' atoms (sorted and
-    distinct), moves both skeleton plans onto them
-    (:meth:`TransportPlan.with_atoms`), checks the rewired target law against
-    the target exactly (same atoms, weights within 1e-12), and validates both
-    plans against the constructed measures.  An epsilon so small that
-    scaling merges or reorders atoms raises a ``ValueError`` naming it.
+    pair[0] of the skeleton's law by epsilon, the target every coordinate
+    but pair[1].  Both skeleton plans move onto the scaled atoms
+    (:meth:`TransportPlan.with_atoms`), and both measures are the scaled
+    atoms with the law's weights; everything else was checked once by
+    :func:`pair_skeleton`.  An epsilon so small that scaling merges or
+    reorders atoms raises a ``ValueError`` naming it.
     """
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
         raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
-    i, j = skeleton.pair
-    y_scale = np.full(skeleton.cells.shape[1], float(epsilon))
-    y_scale[i - 1] = 1.0
-    z_scale = np.full(skeleton.cells.shape[1], float(epsilon))
-    z_scale[j - 1] = 1.0
-    mu_eps = make_measure(skeleton.cells * y_scale, skeleton.weights)
-    rho_eps = make_measure(skeleton.cells * z_scale, skeleton.weights)
-    source = skeleton.diamond_plan.source * y_scale
-    target = skeleton.diamond_plan.target * z_scale
-    if not (np.array_equal(mu_eps.atoms, source) and np.array_equal(rho_eps.atoms, target)):
+    law = skeleton.law
+    scaled = []
+    for kept in skeleton.pair:
+        scale = np.full(law.dimension, float(epsilon))
+        scale[kept - 1] = 1.0
+        atoms = law.atoms * scale
+        atoms.flags.writeable = False
+        scaled.append(atoms)
+    source, target = scaled
+    try:
+        diamond_plan = skeleton.diamond_plan.with_atoms(source, target)
+    except ValueError:
         raise ValueError(
             f"build_pair: epsilon={epsilon!r} is too small: scaling by it merges "
             f"or reorders atoms of the carrier"
-        )
-    diamond_plan = skeleton.diamond_plan.with_atoms(mu_eps.atoms, rho_eps.atoms)
-    alt_plan = skeleton.alt_plan.with_atoms(mu_eps.atoms, rho_eps.atoms)
-
-    if not measures_close(alt_plan.second_marginal(), rho_eps, 1e-12):
-        raise RuntimeError(
-            "build_pair: the rewired target law does not match the original one; "
-            "the carrier's margins are too far from uniform"
-        )
-    for label, plan in (("quantile", diamond_plan), ("competitor", alt_plan)):
-        if not validate_plan(plan, mu_eps, rho_eps):
-            raise RuntimeError(f"build_pair: the {label} plan fails marginal validation")
-    return EpsilonConstruction(mu=mu_eps, rho=rho_eps, diamond_plan=diamond_plan, alt_plan=alt_plan)
+        ) from None
+    return EpsilonConstruction(
+        mu=MultivariateMeasure(atoms=source, weights=law.weights),
+        rho=MultivariateMeasure(atoms=target, weights=law.weights),
+        diamond_plan=diamond_plan,
+        alt_plan=skeleton.alt_plan.with_atoms(source, target),
+    )
 
 
 def limit_scores(
@@ -400,17 +403,20 @@ def gap_search(
 
     The pair, the limit scores and the plans all come from one carrier,
     ``discretize(copula, carrier_resolution)``.  The epsilon-free part of the
-    construction, the carrier cells and both plans' rows, is built once
-    (:func:`pair_skeleton`); each epsilon, and the exact certificate at the
-    accepted one, only scales the atoms and checks the plans against the
-    scaled measures (:func:`build_pair`).  Raises
-    :class:`NoViolatingPair` when no pair of it is violating (see
-    :func:`find_violating_pair`), and :class:`ScheduleExhausted` when no
+    construction, the carrier's midpoint law and both plans' rows, is built
+    and checked once (:func:`pair_skeleton`); each epsilon, and the exact
+    certificate at the accepted one, only scales the atoms
+    (:func:`build_pair`).  Raises a ``ValueError`` when the copula has fewer
+    than two coordinates, since the construction needs a pair;
+    :class:`NoViolatingPair` when no pair of the carrier is violating (see
+    :func:`find_violating_pair`); and :class:`ScheduleExhausted` when no
     epsilon yields a significant gap although the limit gap is positive.
     """
     _check_exponents(p, q)
     if p == q:
         raise ValueError("gap_search: requires p != q; for p = q the quantile coupling is optimal")
+    if copula.n < 2:
+        raise ValueError(f"gap_search: the construction needs a coordinate pair, got n={copula.n}")
     carrier = discretize(copula, carrier_resolution)
     found = find_violating_pair(carrier, p, q)
     if found is None:

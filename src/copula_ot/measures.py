@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -262,18 +262,6 @@ class MultivariateMeasure:
         if not 1 <= coord <= self.dimension:
             raise ValueError(f"marginal: coordinate {coord} out of range 1..{self.dimension}")
         return make_measure_1d(self.atoms[:, coord - 1], self.weights)
-
-    def map_coordinates(self, maps: Sequence[tuple[float, float]]) -> "MultivariateMeasure":
-        """Apply x_i -> a_i * x_i + b_i per coordinate; a_i must be positive."""
-        if len(maps) != self.dimension:
-            raise ValueError(f"map_coordinates: expected {self.dimension} maps, got {len(maps)}")
-        scale = np.array([m[0] for m in maps], dtype=float)
-        shift = np.array([m[1] for m in maps], dtype=float)
-        if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(shift))):
-            raise ValueError("map_coordinates: coefficients must be finite")
-        if np.any(scale <= 0):
-            raise ValueError("map_coordinates: scale factors must be positive")
-        return make_measure(self.atoms * scale + shift, self.weights)
 
 
 def make_measure(atoms, weights) -> MultivariateMeasure:

@@ -37,7 +37,6 @@ from .measures import (
     MultivariateMeasure,
     _checked_rows,
     _fsum_runs,
-    _number_array,
     _run_starts,
     exact_sum,
     group_rows,
@@ -491,17 +490,3 @@ def plan_to_dict(plan: TransportPlan) -> dict:
             for xr, yr, wr in zip(plan.x, plan.y, plan.w)
         ]
     }
-
-
-def plan_from_dict(obj: dict) -> TransportPlan:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ValueError("plan: expected a JSON object with an 'entries' field")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("plan: entries must be a nonempty list")
-    for e in entries:
-        if not isinstance(e, dict) or {"x", "y", "w"} - e.keys():
-            raise ValueError("plan: each entry needs fields x, y, w")
-    return make_plan(
-        *(_number_array([e[name] for e in entries], f"plan: {name}") for name in ("x", "y", "w"))
-    )

@@ -9,8 +9,9 @@ comparison is exact, not approximate.
 The rest of the module is API that no CLI path, campaign or gap search
 needs: the copula CDF and the Frechet bounds, the rank-based empirical
 copula, the pointwise cost, the inner-product score and its maximizer, and
-the 1-D view of a one-dimensional measure.  Their own tests and acceptance
-criteria 8 and 9 use them.
+the 1-D view of a one-dimensional measure, positive affine maps of a
+measure's coordinates, and reading a plan file back.  Their own tests and
+acceptance criteria 8 and 9 use them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from copula_ot.copulas import (
     Copula,
     checkerboard,
 )
-from copula_ot.measures import DiscreteMeasure1D, MultivariateMeasure
+from copula_ot.measures import DiscreteMeasure1D, MultivariateMeasure, _number_array, make_measure
 from copula_ot.transport import (
     CostSpec,
     OTResult,
@@ -337,3 +338,31 @@ def as_1d(measure: MultivariateMeasure) -> DiscreteMeasure1D:
     if measure.dimension != 1:
         raise ValueError(f"as_1d: measure has dimension {measure.dimension}")
     return DiscreteMeasure1D(atoms=measure.atoms[:, 0], weights=measure.weights)
+
+
+def map_coordinates(measure: MultivariateMeasure, maps: Sequence[tuple[float, float]]) -> MultivariateMeasure:
+    """Apply x_i -> a_i * x_i + b_i per coordinate; a_i must be positive."""
+    if len(maps) != measure.dimension:
+        raise ValueError(f"map_coordinates: expected {measure.dimension} maps, got {len(maps)}")
+    scale = np.array([m[0] for m in maps], dtype=float)
+    shift = np.array([m[1] for m in maps], dtype=float)
+    if not (np.all(np.isfinite(scale)) and np.all(np.isfinite(shift))):
+        raise ValueError("map_coordinates: coefficients must be finite")
+    if np.any(scale <= 0):
+        raise ValueError("map_coordinates: scale factors must be positive")
+    return make_measure(measure.atoms * scale + shift, measure.weights)
+
+
+def plan_from_dict(obj: dict) -> TransportPlan:
+    """The plan of a JSON object in the ``{"entries": [{"x", "y", "w"}, ...]}`` shape."""
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValueError("plan: expected a JSON object with an 'entries' field")
+    entries = obj["entries"]
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("plan: entries must be a nonempty list")
+    for e in entries:
+        if not isinstance(e, dict) or {"x", "y", "w"} - e.keys():
+            raise ValueError("plan: each entry needs fields x, y, w")
+    return make_plan(
+        *(_number_array([e[name] for e in entries], f"plan: {name}") for name in ("x", "y", "w"))
+    )

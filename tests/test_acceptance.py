@@ -48,6 +48,7 @@ from helpers import (
     fd_cross_partial,
     frechet_check,
     inner_product_score,
+    map_coordinates,
     max_inner_product,
 )
 
@@ -312,7 +313,7 @@ def test_criterion_9_structural_battery(campaign):
             if not measures_close(got.to_multivariate(), expected.to_multivariate(), 1e-12):
                 failures.append(f"marginal {i} drift: n={r.n} t={r.instance}")
 
-    mapped = sample.map_coordinates([(2.5, -1.0), (0.5, 3.0)])
+    mapped = map_coordinates(sample, [(2.5, -1.0), (0.5, 3.0)])
     if not np.array_equal(
         np.asarray(empirical_copula(sample, 8).masses),
         np.asarray(empirical_copula(mapped, 8).masses),

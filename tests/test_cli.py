@@ -9,7 +9,9 @@ import pytest
 from copula_ot.cli import _fmt, main
 from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
 from copula_ot.measures import make_measure, measure_to_dict
-from copula_ot.transport import plan_from_dict, validate_plan
+from copula_ot.transport import validate_plan
+
+from helpers import plan_from_dict
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -177,6 +179,13 @@ class TestUsageErrors:
 
     def test_counterexample_rejects_equal_exponents(self, capsys):
         assert main(["counterexample", "--p", "2", "--q", "2"]) == 2
+
+    def test_counterexample_needs_two_coordinates(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = main(["counterexample", "--p", "2", "--q", "1", "--n", "1", "--out", str(out)])
+        assert rc == 2
+        assert "coordinate pair, got n=1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,obj,field",

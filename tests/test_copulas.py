@@ -26,6 +26,7 @@ from helpers import (
     frechet_lower,
     frechet_upper,
     grid_pushforward,
+    map_coordinates,
     measure_as_dict,
 )
 
@@ -238,7 +239,7 @@ class TestEmpirical:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(8, 2))
         sample = make_measure(pts, np.full(8, 1.0))
-        mapped = sample.map_coordinates([(2.5, -1.0), (0.25, 7.0)])
+        mapped = map_coordinates(sample, [(2.5, -1.0), (0.25, 7.0)])
         a = empirical_copula(sample, 4)
         b = empirical_copula(mapped, 4)
         assert np.array_equal(a.masses, b.masses)

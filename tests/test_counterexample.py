@@ -29,6 +29,7 @@ from copula_ot.instances import random_copula
 from copula_ot.measures import make_measure
 from copula_ot.transport import CostSpec, exact_ot, make_plan, plan_cost, validate_plan
 
+import copula_ot.counterexample as counterexample
 from helpers import (
     empirical_copula,
     fd_cross_partial,
@@ -288,6 +289,33 @@ class TestPairSkeleton:
             assert plan.i is rows.i and plan.j is rows.j and plan.w is rows.w
             assert plan.source is built.mu.atoms and plan.target is built.rho.atoms
 
+    @pytest.mark.parametrize(
+        "carrier, pair, p, q",
+        [
+            (independence(2, 48), (1, 2), 2.0, 1.0),
+            (random_copula(np.random.default_rng(17), 3, 4), (1, 3), 1.0, 2.0),
+        ],
+    )
+    def test_measures_equal_the_point_built_measures(self, carrier, pair, p, q):
+        # Reference: scale the carrier's cell midpoints and canonicalize them
+        # with make_measure at every epsilon, as the construction once did.
+        k = carrier.k
+        cells = np.nonzero(carrier.masses)
+        mids = np.column_stack([(c + 0.5) / k for c in cells])
+        masses = carrier.masses[cells]
+        skeleton = pair_skeleton(carrier, p, q, pair)
+        for eps in default_schedule():
+            built = build_pair(skeleton, eps)
+            ref = []
+            for kept in pair:
+                scale = np.full(carrier.n, eps)
+                scale[kept - 1] = 1.0
+                ref.append(make_measure(mids * scale, masses))
+            assert same_measure(built.mu, ref[0]), eps
+            assert same_measure(built.rho, ref[1]), eps
+            assert validate_plan(built.diamond_plan, *ref)
+            assert validate_plan(built.alt_plan, *ref)
+
     def test_epsilon_that_merges_atoms_is_named(self):
         # At 5e-324 the scaled midpoints round to 0 or 5e-324 and atoms merge.
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
@@ -396,6 +424,34 @@ class TestGapSearch:
             gap_search(independence(2, 8), 2.0, 1.0, schedule=[0.5])
         assert len(err.value.curve) == 1
         assert err.value.curve[0].gap < 0
+
+    def test_rejects_a_single_coordinate(self):
+        # no pair exists, so this is a usage error, not NoViolatingPair
+        for copula in (independence(1, 4), checkerboard(1, 2, [0.5, 0.5])):
+            with pytest.raises(ValueError, match="coordinate pair, got n=1") as err:
+                gap_search(copula, 2.0, 1.0)
+            assert not isinstance(err.value, NoViolatingPair)
+
+    def test_checks_run_once_per_search(self, monkeypatch):
+        # The epsilon-free checks live in pair_skeleton, so a longer schedule
+        # adds no measure construction, law comparison or plan validation.
+        names = ("make_measure", "measures_close", "validate_plan")
+        counts = {}
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(counterexample, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(counterexample, name, counted)
+
+        per_schedule = []
+        for schedule in (default_schedule()[-2:], default_schedule()):
+            counts.update(dict.fromkeys(names, 0))
+            report = gap_search(independence(2, 8), 1.0, 2.0, schedule=schedule)
+            assert len(report.curve) == len(schedule)
+            per_schedule.append(dict(counts))
+        assert per_schedule[0] == per_schedule[1]
+        assert per_schedule[0] == {"make_measure": 1, "measures_close": 1, "validate_plan": 2}
 
     def test_rejects_equal_exponents_and_bad_schedule(self):
         with pytest.raises(ValueError):

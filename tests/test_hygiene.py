@@ -1,6 +1,7 @@
 """Static checks on the source tree."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,50 @@ def unused_imports(tree: ast.AST) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(qualified name, bare name) of every public function and method in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "copula_ot").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(node, "") for node in tree.body]
+        scopes += [
+            (item, f"{node.name}.")
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        ]
+        for node, owner in scopes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                found.append((f"{path.stem}.{owner}{node.name}", node.name))
+    return found
+
+
+def called_names() -> set[str]:
+    """Every name and attribute read in the program code: src/ outside __init__, scripts/, perfbench/."""
+    files = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "scripts").rglob("*.py")) + list((ROOT / "perfbench").rglob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def readme_code_names() -> set[str]:
+    """Identifiers inside the README's code spans and code blocks."""
+    text = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_every_public_function_has_a_caller_or_is_documented():
+    # A public function that only tests call is test-only API: it belongs in
+    # tests/helpers.py unless the README documents it.
+    reachable = called_names() | readme_code_names()
+    orphans = [qualified for qualified, name in public_definitions() if name not in reachable]
+    assert orphans == []

@@ -20,7 +20,6 @@ from copula_ot.transport import (
     exact_ot,
     make_plan,
     plan_cost,
-    plan_from_dict,
     plan_from_indices,
     plan_to_dict,
     separable_dual_bound,
@@ -38,9 +37,11 @@ from helpers import (
     grid_pushforward,
     inner_product_score,
     lp_reference,
+    map_coordinates,
     max_inner_product,
     norm_cost,
     plan_as_dict,
+    plan_from_dict,
     plan_rows_oracle,
 )
 
@@ -302,8 +303,8 @@ class TestWasserstein1D:
         rng = np.random.default_rng(seed)
         mu = random_marginal(rng)
         rho = random_marginal(rng)
-        mu_shift = as_1d(mu.to_multivariate().map_coordinates([(1.0, 2.5)]))
-        rho_shift = as_1d(rho.to_multivariate().map_coordinates([(1.0, 2.5)]))
+        mu_shift = as_1d(map_coordinates(mu.to_multivariate(), [(1.0, 2.5)]))
+        rho_shift = as_1d(map_coordinates(rho.to_multivariate(), [(1.0, 2.5)]))
         assert wasserstein_1d(mu_shift, rho_shift, p) == pytest.approx(
             wasserstein_1d(mu, rho, p), rel=1e-12, abs=1e-12
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ from .transport import (
     CostSpec,
     PairCountCapExceeded,
     TransportPlan,
+    _check_atoms,
+    _RowCosts,
     exact_ot,
-    plan_cost,
     plan_from_indices,
     validate_plan,
 )
@@ -306,36 +307,66 @@ def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
 
     Only the atoms depend on epsilon: the source scales every coordinate but
     pair[0] of the skeleton's law by epsilon, the target every coordinate
-    but pair[1].  Both skeleton plans move onto the scaled atoms
-    (:meth:`TransportPlan.with_atoms`), and both measures are the scaled
-    atoms with the law's weights; everything else was checked once by
-    :func:`pair_skeleton`.  An epsilon so small that scaling merges or
-    reorders atoms raises a ``ValueError`` naming it.
+    but pair[1].  The scaled atoms are checked sorted and distinct once per
+    side, both skeleton plans move onto them with their rows unchanged, and
+    both measures are the scaled atoms with the law's weights; everything
+    else was checked once by :func:`pair_skeleton`.  An epsilon so small
+    that scaling merges or reorders atoms raises a ``ValueError`` naming it.
     """
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
         raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
-    law = skeleton.law
-    scaled = []
-    for kept in skeleton.pair:
-        scale = np.full(law.dimension, float(epsilon))
-        scale[kept - 1] = 1.0
-        atoms = law.atoms * scale
-        atoms.flags.writeable = False
-        scaled.append(atoms)
-    source, target = scaled
-    try:
-        diamond_plan = skeleton.diamond_plan.with_atoms(source, target)
-    except ValueError:
-        raise ValueError(
-            f"build_pair: epsilon={epsilon!r} is too small: scaling by it merges "
-            f"or reorders atoms of the carrier"
-        ) from None
+    _, (source, target) = _scaled_sides(skeleton, epsilon)
     return EpsilonConstruction(
-        mu=MultivariateMeasure(atoms=source, weights=law.weights),
-        rho=MultivariateMeasure(atoms=target, weights=law.weights),
-        diamond_plan=diamond_plan,
-        alt_plan=skeleton.alt_plan.with_atoms(source, target),
+        mu=MultivariateMeasure(atoms=source, weights=skeleton.law.weights),
+        rho=MultivariateMeasure(atoms=target, weights=skeleton.law.weights),
+        diamond_plan=skeleton.diamond_plan._moved(source, target),
+        alt_plan=skeleton.alt_plan._moved(source, target),
     )
+
+
+def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> tuple[list[list[float]], list[np.ndarray]]:
+    """Per side, the column scales and the law's atoms under them, read-only and checked once.
+
+    The source keeps coordinate pair[0] and the target pair[1]; every other
+    coordinate is scaled by epsilon.
+    """
+    n = skeleton.law.dimension
+    scales = [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
+    sides = []
+    for scale in scales:
+        atoms = skeleton.law.atoms * scale
+        atoms.flags.writeable = False
+        try:
+            _check_atoms(atoms, "scaled", "build_pair")
+        except ValueError:
+            raise ValueError(
+                f"build_pair: epsilon={epsilon!r} is too small: scaling by it merges "
+                f"or reorders atoms of the carrier"
+            ) from None
+        sides.append(atoms)
+    return scales, sides
+
+
+def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tuple[float, float]]:
+    """Both plan costs of the construction at any epsilon, from rows gathered once.
+
+    Returns ``costs(epsilon) -> (diamond_cost, alt_cost)``, equal bit for bit
+    to :func:`plan_cost` of the plans of ``build_pair(skeleton, epsilon)``.
+    Each plan's unscaled row coordinates are gathered once
+    (:class:`_RowCosts`); each epsilon only scales them, after checking the
+    scaled atoms as :func:`build_pair` does, with its ``ValueError``.
+    """
+    kernels = [
+        _RowCosts(plan.source.T.take(plan.i, axis=1), plan.target.T.take(plan.j, axis=1), plan.w)
+        for plan in (skeleton.diamond_plan, skeleton.alt_plan)
+    ]
+
+    def costs(epsilon: float) -> tuple[float, float]:
+        scales, _ = _scaled_sides(skeleton, epsilon)
+        diamond_cost, alt_cost = (kernel.cost(spec, *scales) for kernel in kernels)
+        return diamond_cost, alt_cost
+
+    return costs
 
 
 def limit_scores(
@@ -404,10 +435,12 @@ def gap_search(
     The pair, the limit scores and the plans all come from one carrier,
     ``discretize(copula, carrier_resolution)``.  The epsilon-free part of the
     construction, the carrier's midpoint law and both plans' rows, is built
-    and checked once (:func:`pair_skeleton`); each epsilon, and the exact
-    certificate at the accepted one, only scales the atoms
-    (:func:`build_pair`).  Raises a ``ValueError`` when the copula has fewer
-    than two coordinates, since the construction needs a pair;
+    and checked once (:func:`pair_skeleton`).  Each epsilon checks the scaled
+    atoms and costs both plans from row coordinates gathered once
+    (:func:`_cost_sweep`); only the exact certificate at the accepted epsilon
+    builds the scaled measures (:func:`build_pair`).  Raises a ``ValueError``
+    when the copula has fewer than two coordinates, since the construction
+    needs a pair;
     :class:`NoViolatingPair` when no pair of the carrier is violating (see
     :func:`find_violating_pair`); and :class:`ScheduleExhausted` when no
     epsilon yields a significant gap although the limit gap is positive.
@@ -432,11 +465,10 @@ def gap_search(
         raise ValueError("gap_search: schedule must be nonempty with entries in (0, 1)")
     spec = CostSpec(p, q)
     skeleton = pair_skeleton(carrier, p, q, (i, j))
+    costs = _cost_sweep(skeleton, spec)
     curve = []
     for eps in eps_values:
-        built = build_pair(skeleton, eps)
-        dc = plan_cost(built.diamond_plan, spec)
-        ac = plan_cost(built.alt_plan, spec)
+        dc, ac = costs(eps)
         curve.append(CurvePoint(epsilon=float(eps), diamond_cost=dc, alt_cost=ac, gap=dc - ac))
     significant = [
         pt for pt in curve if pt.gap > GAP_SIGNIFICANCE * max(1.0, pt.diamond_cost)

@@ -23,51 +23,62 @@ MASS_TOL = 1e-12
 
 # exact_sum hands shorter inputs to math.fsum, which is faster on them: on
 # uniform random values (x86-64, one thread) the two take equal time at about
-# 640 to 768 values, fsum is 1.6x faster at 512 and exact_sum 2.6x at 2304.
+# 768 values, fsum is 1.3x faster at 512 and exact_sum 2.6x at 2304.
 EXACT_SUM_CUTOVER = 768
-# Bucket sums of 27-bit mantissa halves stay below 2**53 up to this length.
-_EXACT_SUM_MAX_LEN = 2**26
-# Inputs below 2**_EXACT_SUM_MAX_EXP cannot overflow any partial sum.
-_EXACT_SUM_MAX_EXP = 960
-# Adding and subtracting this rounds |x| < 2**53 to a multiple of 2**26.
-_SPLIT = 1.5 * 2.0**78
+# Inputs below this cannot overflow any level or partial sum.
+_EXACT_SUM_LIMIT = 2.0**960
+# Each level extracts at least 53 - ceil(log2(n + 2)) bits, 36 on 110k values;
+# inputs that need more levels than this go to math.fsum.
+_EXACT_SUM_MAX_LEVELS = 8
+# The binary exponent of the smallest normal float.
+_MIN_NORMAL_EXP = -1022
 
 
 def exact_sum(v: np.ndarray) -> float:
     """``math.fsum`` of a 1-D float array: the correctly rounded exact sum.
 
     Returns the same float as ``math.fsum(v)`` on every input and raises the
-    same exception.  Each value is an integer mantissa times a power of two
-    (``np.frexp``); each mantissa splits exactly into a multiple of 2**26 and
-    a remainder, and two ``np.bincount`` calls sum those halves per exponent
-    without rounding.  The buckets are combined as Python ints and the total
-    is rounded once, by int true division.  Inputs shorter than
-    ``EXACT_SUM_CUTOVER``, longer than 2**26, non-finite or above 2**960 go
-    to ``math.fsum`` itself.
+    same exception.  Long inputs are split into levels by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31(1), 2008): with max|v| < 2**e and
+    sigma = 2**(ceil(log2(n + 2)) + e), ``(v + sigma) - sigma`` rounds every
+    value to a multiple of 2**-53 sigma, so its ``np.sum`` is exact in any
+    order, and the remainder is the exact rounding error.  The remainders are
+    extracted again until none is left, and ``math.fsum`` of the level sums
+    rounds the total once.  Inputs shorter than ``EXACT_SUM_CUTOVER``,
+    non-finite, above 2**960, all zero (fsum decides the sign of a zero), or
+    reaching the subnormal range or the level cap go to ``math.fsum``.
     """
     v = np.asarray(v, dtype=float)
-    if not (EXACT_SUM_CUTOVER <= len(v) <= _EXACT_SUM_MAX_LEN and np.isfinite(v).all()):
+    if len(v) < EXACT_SUM_CUTOVER:
         return math.fsum(v.tolist())
-    mant, expo = np.frexp(v)
-    emin, emax = int(expo.min()), int(expo.max())
-    if emax > _EXACT_SUM_MAX_EXP:
-        return math.fsum(v.tolist())
-    mant *= 2.0**53  # integers, |mant| < 2**53
-    high = mant + _SPLIT
-    high -= _SPLIT
-    mant -= high  # the low half, |mant| <= 2**25
-    expo -= emin
-    bins = expo.astype(np.intp)
-    high_sums = np.bincount(bins, weights=high).tolist()
-    low_sums = np.bincount(bins, weights=mant).tolist()
-    total = 0
-    for shift, (h, lo) in enumerate(zip(high_sums, low_sums)):
-        if h or lo:
-            total += (int(h) + int(lo)) << shift
-    if not total:
-        return math.fsum(v.tolist())  # fsum decides the sign of a zero
-    scale = emin - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    return _exact_sum_in_place(v.copy(), np.empty(len(v)))
+
+
+def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
+    """:func:`exact_sum` of ``p``, overwriting ``p`` and ``work``, a contiguous float array at least as long."""
+    if len(p) < EXACT_SUM_CUTOVER:
+        return math.fsum(p.tolist())
+    work = work.ravel("K")[: len(p)]  # a view, in memory order
+    top = max(p.max(), -p.min())
+    if not 0.0 < top < _EXACT_SUM_LIMIT:  # nan fails both comparisons
+        return math.fsum(p.tolist())
+    bits = (len(p) + 1).bit_length()  # ceil(log2(n + 2))
+    sums = []
+    for _ in range(_EXACT_SUM_MAX_LEVELS):
+        exponent = math.frexp(top)[1] + bits
+        if exponent - 53 < _MIN_NORMAL_EXP:
+            break
+        sigma = math.ldexp(1.0, exponent)
+        np.add(p, sigma, out=work)
+        work -= sigma
+        sums.append(float(work.sum()))
+        p -= work
+        top = max(p.max(), -p.min())
+        if not top:
+            return math.fsum(sums)
+    # Levels and remainders still add up to the input exactly.
+    return math.fsum(sums + p.tolist())
 
 
 def _checked_rows(
@@ -101,7 +112,11 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows that differ from the row before; on sorted rows, each group's first."""
     new_run = np.empty(len(rows), dtype=bool)
     new_run[:1] = True
-    (rows[1:] != rows[:-1]).any(axis=1, out=new_run[1:])
+    if rows.shape[1] == 1:
+        # On one column the any() reduction costs more than the comparison.
+        np.not_equal(rows[1:, 0], rows[:-1, 0], out=new_run[1:])
+    else:
+        (rows[1:] != rows[:-1]).any(axis=1, out=new_run[1:])
     return new_run
 
 

@@ -37,8 +37,8 @@ from .measures import (
     MultivariateMeasure,
     _checked_rows,
     _fsum_runs,
+    _exact_sum_in_place,
     _run_starts,
-    exact_sum,
     group_rows,
     measures_close,
     merge_weighted_rows,
@@ -137,6 +137,10 @@ class TransportPlan:
             )
         _check_atoms(source, "source", "with_atoms")
         _check_atoms(target, "target", "with_atoms")
+        return self._moved(source, target)
+
+    def _moved(self, source: np.ndarray, target: np.ndarray) -> "TransportPlan":
+        """:meth:`with_atoms` on read-only atom arrays that the caller has checked."""
         weights = (self._first_marginal.weights, self._second_marginal.weights)
         return _indexed_plan(source, target, self.i, self.j, self.w, weights)
 
@@ -265,27 +269,67 @@ def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
     """Integral of ||x - y||_q^p against the plan, correctly rounded.
 
     The row costs w_r ||x_r - y_r||_q^p are summed exactly and rounded once,
-    to the float that ``math.fsum`` returns (:func:`exact_sum`).
+    to the float that ``math.fsum`` returns (:func:`exact_sum`).  This is
+    :class:`_RowCosts` at unit scales, on column views of the row points.
     """
-    # In-place steps compute the same floats with fewer large temporaries.
-    dist = plan.x - plan.y
-    np.abs(dist, out=dist)
-    dist **= spec.q
-    if plan.dimension < 8:
-        # np.sum(dist, axis=1) adds fewer than 8 columns left to right, and
-        # so does this loop, without numpy's slow reduction of short rows: on
-        # the 110,592-row gap-sweep plan it takes 0.24 ms against 2.4 ms
-        # (x86-64, one thread).
-        # numpy does not document that order; test_transport pins the
-        # equality bit for bit at 1 to 9 columns.
-        per_row = dist[:, 0].copy()
-        for d in range(1, plan.dimension):
-            per_row += dist[:, d]
-    else:
-        per_row = np.sum(dist, axis=1)  # pairwise within each row
-    per_row **= spec.p / spec.q
-    per_row *= plan.w
-    return exact_sum(per_row)
+    return _RowCosts(plan.x.T, plan.y.T, plan.w).cost(spec)
+
+
+class _RowCosts:
+    """Cost of a plan's rows on column-scaled atoms, from per-coordinate row arrays.
+
+    ``x[d]`` and ``y[d]`` hold coordinate d of every row's source and target
+    point; contiguous rows make the steps fastest.  ``cost(spec, s, t)`` is
+    :func:`plan_cost` of the plan whose source atoms have column d
+    multiplied by ``s[d]`` and whose target atoms by ``t[d]``, bit for bit:
+    ``(atoms * s)[i] == atoms[i] * s`` elementwise, and the steps are those
+    of the whole-array computation in the same order.  The work arrays are
+    allocated once, so repeated calls allocate no row-length array.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray):
+        self.x, self.y, self.w = x, y, w
+        n, rows = x.shape
+        self.per_row = np.empty(rows)
+        # The coordinate differences, in x's memory layout so that the
+        # whole-array steps see matching strides; from 8 columns on row-major,
+        # for np.sum to add pairwise within each row.
+        self.dist = np.empty((rows, n)) if n >= 8 else np.empty_like(x)
+
+    def cost(self, spec: CostSpec, s: list[float] | None = None, t: list[float] | None = None) -> float:
+        n = len(self.x)
+        per_row, dist = self.per_row, self.dist
+        wide = n >= 8
+        columns = dist.T if wide else dist
+        if s is None:
+            np.subtract(self.x, self.y, out=columns)
+        else:
+            for d in range(n):
+                # out = s * x - t * y; a unit scale multiplies nothing, and
+                # per_row is free until the row sums, so it holds t * y.
+                x, y, out = self.x[d], self.y[d], columns[d]
+                if t[d] != 1.0:
+                    y = np.multiply(y, t[d], out=per_row)
+                if s[d] != 1.0:
+                    x = np.multiply(x, s[d], out=out)
+                np.subtract(x, y, out=out)
+        # In-place steps compute the same floats with no row-length temporaries.
+        np.abs(dist, out=dist)
+        dist **= spec.q
+        if wide:
+            np.sum(dist, axis=1, out=per_row)
+        else:
+            # np.sum(axis=1) adds fewer than 8 columns left to right, and so
+            # does this loop, without numpy's slow reduction of short rows: on
+            # the 110,592-row gap-sweep plan it takes 0.24 ms against 2.4 ms
+            # (x86-64, one thread).  numpy does not document that order;
+            # test_transport pins the equality bit for bit at 1 to 9 columns.
+            np.copyto(per_row, dist[0])
+            for d in range(1, n):
+                per_row += dist[d]
+        per_row **= spec.p / spec.q
+        per_row *= self.w
+        return _exact_sum_in_place(per_row, dist)  # the row sums are taken
 
 
 def validate_plan(

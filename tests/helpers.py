@@ -366,3 +366,17 @@ def plan_from_dict(obj: dict) -> TransportPlan:
     return make_plan(
         *(_number_array([e[name] for e in entries], f"plan: {name}") for name in ("x", "y", "w"))
     )
+
+
+def fsum_lengths(monkeypatch) -> list[int]:
+    """Record the length of every ``math.fsum`` call from now on."""
+    lengths = []
+    real = math.fsum
+
+    def counted(values):
+        values = list(values)
+        lengths.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return lengths

@@ -26,13 +26,14 @@ from copula_ot.counterexample import (
     report_to_dict,
 )
 from copula_ot.instances import random_copula
-from copula_ot.measures import make_measure
-from copula_ot.transport import CostSpec, exact_ot, make_plan, plan_cost, validate_plan
+from copula_ot.measures import _EXACT_SUM_MAX_LEVELS, make_measure
+from copula_ot.transport import CostSpec, TransportPlan, exact_ot, make_plan, plan_cost, validate_plan
 
 import copula_ot.counterexample as counterexample
 from helpers import (
     empirical_copula,
     fd_cross_partial,
+    fsum_lengths,
     fsum_plan_cost,
     rank_bin_copula,
     same_measure,
@@ -321,6 +322,69 @@ class TestPairSkeleton:
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
             build_pair(skeleton, 5e-324)
+
+
+class TestCostSweep:
+    @pytest.mark.parametrize(
+        "carrier, pair",
+        [
+            (independence(2, 4), (1, 2)),
+            (independence(2, 16), (1, 2)),
+            (independence(2, 48), (1, 2)),
+            (random_copula(np.random.default_rng(17), 3, 4), (1, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0), (3.0, 2.0), (1.5, 1.0)])
+    def test_costs_equal_plan_cost_of_the_built_plans(self, carrier, pair, p, q):
+        # Bit for bit, at every epsilon: the sweep scales gathered columns,
+        # build_pair scales the atoms and plan_cost gathers the rows.
+        spec = CostSpec(p, q)
+        skeleton = pair_skeleton(carrier, p, q, pair)
+        costs = counterexample._cost_sweep(skeleton, spec)
+        for eps in default_schedule():
+            built = build_pair(skeleton, eps)
+            expected = (plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec))
+            assert costs(eps) == expected, eps
+            assert expected == (
+                fsum_plan_cost(built.diamond_plan, spec),
+                fsum_plan_cost(built.alt_plan, spec),
+            ), eps
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
+    def test_gap_sweep_plans_need_no_fsum_fallback(self, monkeypatch, p, q):
+        # exact_sum's fallback is an fsum call of the whole row array; the
+        # level sums are an fsum call of at most _EXACT_SUM_MAX_LEVELS values.
+        spec = CostSpec(p, q)
+        costs = counterexample._cost_sweep(pair_skeleton(independence(2, 48), p, q, (1, 2)), spec)
+        lengths = fsum_lengths(monkeypatch)
+        for eps in default_schedule():
+            costs(eps)
+        assert len(lengths) == 2 * 16 and max(lengths) <= _EXACT_SUM_MAX_LEVELS
+
+    def test_epsilon_that_merges_atoms_is_named(self):
+        with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
+            gap_search(independence(2, 4), 2.0, 1.0, carrier_resolution=4, schedule=[0.5, 5e-324])
+
+    def test_sweep_builds_no_pair_and_gathers_no_plan_points(self, monkeypatch):
+        calls = []
+
+        def counted(skeleton, epsilon, _fn=counterexample.build_pair):
+            calls.append(epsilon)
+            return _fn(skeleton, epsilon)
+
+        def refused(*args):
+            raise AssertionError("the sweep moved a plan or read its row points")
+
+        monkeypatch.setattr(counterexample, "build_pair", counted)
+        monkeypatch.setattr(TransportPlan, "with_atoms", refused)
+        monkeypatch.setattr(TransportPlan, "x", property(refused))
+        monkeypatch.setattr(TransportPlan, "y", property(refused))
+        report = gap_search(independence(2, 8), 1.0, 2.0, attach_exact=False)
+        assert len(report.curve) == 16 and calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(counterexample, "build_pair", counted)
+        report = gap_search(independence(2, 8), 1.0, 2.0)
+        assert calls == [report.epsilon] and report.exact_cost is not None
 
 
 class TestLimitScores:

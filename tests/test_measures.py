@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from copula_ot.measures import (
     EXACT_SUM_CUTOVER,
+    _EXACT_SUM_MAX_LEVELS,
     MultivariateMeasure,
     exact_sum,
     make_measure,
@@ -18,7 +19,7 @@ from copula_ot.measures import (
 )
 from copula_ot.transport import make_plan
 
-from helpers import as_1d, map_coordinates, measure_as_dict, merge_rows_oracle, same_measure
+from helpers import as_1d, fsum_lengths, map_coordinates, measure_as_dict, merge_rows_oracle, same_measure
 
 
 def measures_1d():
@@ -374,6 +375,40 @@ class TestExactSum:
             with np.errstate(over="ignore"):  # near 1.7e308 the scaled copy may be inf
                 values = np.concatenate([values, -values[::-1] * cancel])
         assert sum_outcome(exact_sum, values) == sum_outcome(math.fsum, values.tolist())
+
+    @pytest.mark.parametrize(
+        "case, levels",
+        [
+            ("one binade", [2]),
+            ("exact cancellation", "extracted"),
+            ("2**-1000 to 2**900", "fallback"),
+            ("subnormal", "fallback"),
+        ],
+    )
+    def test_sweep_sized_examples(self, monkeypatch, case, levels):
+        # At the 110,592 rows of the k = 48 competitor plan.  The sum of the
+        # level sums is one fsum call of a few values; the fallback is one
+        # fsum call of the whole input.
+        n = 110_592
+        rng = np.random.default_rng(5)
+        if case == "one binade":
+            values = 1.0 + rng.random(n)
+        elif case == "exact cancellation":
+            half = rng.standard_normal(n // 2)
+            values = rng.permutation(np.concatenate([half, -half]))
+        elif case == "2**-1000 to 2**900":
+            values = np.ldexp(rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n)), rng.integers(-1000, 900, n))
+        else:
+            values = rng.random(n) * 2.0**-1022
+        expected = math.fsum(values.tolist())
+        calls = fsum_lengths(monkeypatch)
+        assert exact_sum(values).hex() == expected.hex()
+        if levels == "fallback":
+            assert max(calls) >= n
+        elif levels == "extracted":
+            assert expected == 0.0 and max(calls) <= _EXACT_SUM_MAX_LEVELS
+        else:
+            assert calls == levels
 
     @pytest.mark.parametrize(
         "values, expected",

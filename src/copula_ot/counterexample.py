@@ -307,11 +307,11 @@ def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
 
     Only the atoms depend on epsilon: the source scales every coordinate but
     pair[0] of the skeleton's law by epsilon, the target every coordinate
-    but pair[1].  The scaled atoms are checked sorted and distinct once per
-    side, both skeleton plans move onto them with their rows unchanged, and
-    both measures are the scaled atoms with the law's weights; everything
-    else was checked once by :func:`pair_skeleton`.  An epsilon so small
-    that scaling merges or reorders atoms raises a ``ValueError`` naming it.
+    but pair[1].  Both skeleton plans move onto the scaled atoms
+    (:meth:`TransportPlan.with_atoms`), and both measures are the scaled
+    atoms with the law's weights; everything else was checked once by
+    :func:`pair_skeleton`.  An epsilon so small that scaling merges or
+    reorders atoms raises a ``ValueError`` naming it.
     """
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
         raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
@@ -319,8 +319,8 @@ def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
     return EpsilonConstruction(
         mu=MultivariateMeasure(atoms=source, weights=skeleton.law.weights),
         rho=MultivariateMeasure(atoms=target, weights=skeleton.law.weights),
-        diamond_plan=skeleton.diamond_plan._moved(source, target),
-        alt_plan=skeleton.alt_plan._moved(source, target),
+        diamond_plan=skeleton.diamond_plan.with_atoms(source, target),
+        alt_plan=skeleton.alt_plan.with_atoms(source, target),
     )
 
 

@@ -112,11 +112,7 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows that differ from the row before; on sorted rows, each group's first."""
     new_run = np.empty(len(rows), dtype=bool)
     new_run[:1] = True
-    if rows.shape[1] == 1:
-        # On one column the any() reduction costs more than the comparison.
-        np.not_equal(rows[1:, 0], rows[:-1, 0], out=new_run[1:])
-    else:
-        (rows[1:] != rows[:-1]).any(axis=1, out=new_run[1:])
+    (rows[1:] != rows[:-1]).any(axis=1, out=new_run[1:])
     return new_run
 
 

@@ -137,10 +137,6 @@ class TransportPlan:
             )
         _check_atoms(source, "source", "with_atoms")
         _check_atoms(target, "target", "with_atoms")
-        return self._moved(source, target)
-
-    def _moved(self, source: np.ndarray, target: np.ndarray) -> "TransportPlan":
-        """:meth:`with_atoms` on read-only atom arrays that the caller has checked."""
         weights = (self._first_marginal.weights, self._second_marginal.weights)
         return _indexed_plan(source, target, self.i, self.j, self.w, weights)
 
@@ -272,7 +268,8 @@ def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
     to the float that ``math.fsum`` returns (:func:`exact_sum`).  This is
     :class:`_RowCosts` at unit scales, on column views of the row points.
     """
-    return _RowCosts(plan.x.T, plan.y.T, plan.w).cost(spec)
+    ones = [1.0] * plan.dimension
+    return _RowCosts(plan.x.T, plan.y.T, plan.w).cost(spec, ones, ones)
 
 
 class _RowCosts:
@@ -296,23 +293,20 @@ class _RowCosts:
         # for np.sum to add pairwise within each row.
         self.dist = np.empty((rows, n)) if n >= 8 else np.empty_like(x)
 
-    def cost(self, spec: CostSpec, s: list[float] | None = None, t: list[float] | None = None) -> float:
+    def cost(self, spec: CostSpec, s: list[float], t: list[float]) -> float:
         n = len(self.x)
         per_row, dist = self.per_row, self.dist
         wide = n >= 8
         columns = dist.T if wide else dist
-        if s is None:
-            np.subtract(self.x, self.y, out=columns)
-        else:
-            for d in range(n):
-                # out = s * x - t * y; a unit scale multiplies nothing, and
-                # per_row is free until the row sums, so it holds t * y.
-                x, y, out = self.x[d], self.y[d], columns[d]
-                if t[d] != 1.0:
-                    y = np.multiply(y, t[d], out=per_row)
-                if s[d] != 1.0:
-                    x = np.multiply(x, s[d], out=out)
-                np.subtract(x, y, out=out)
+        for d in range(n):
+            # out = s * x - t * y; a unit scale multiplies nothing, and
+            # per_row is free until the row sums, so it holds t * y.
+            x, y, out = self.x[d], self.y[d], columns[d]
+            if t[d] != 1.0:
+                y = np.multiply(y, t[d], out=per_row)
+            if s[d] != 1.0:
+                x = np.multiply(x, s[d], out=out)
+            np.subtract(x, y, out=out)
         # In-place steps compute the same floats with no row-length temporaries.
         np.abs(dist, out=dist)
         dist **= spec.q

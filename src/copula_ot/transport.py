@@ -17,6 +17,13 @@ feasibility tolerances).  ``diamond`` builds the quantile coupling induced by
 a shared copula.  For p = q the verification campaign certifies it with no
 solver: ``separable_dual_bound`` reads dual potentials off each coordinate's
 north-west-corner staircase, and their objective meets the plan's cost.
+
+scipy is imported by the first ``solve_transport`` call, not at import, so the
+``p = q`` certificate, ``diamond``, ``plan_cost`` and a gap sweep without its
+exact certificate never pay its start-up time and memory.  ``linprog`` and
+``linear_sum_assignment`` stay module attributes (the module ``__getattr__``
+loads them on first access) and ``solve_transport`` calls them by their global
+names, so a tracer that rebinds them here still sees every call.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .copulas import Copula, push_through_quantiles
 from .measures import (
@@ -436,6 +441,20 @@ def separable_dual_bound(plan: TransportPlan, p: float) -> tuple[float, float]:
     return value, violation
 
 
+def _load_scipy() -> None:
+    global sparse, linear_sum_assignment, linprog
+    if "sparse" not in globals():
+        from scipy import sparse
+        from scipy.optimize import linear_sum_assignment, linprog
+
+
+def __getattr__(name: str):
+    if name in ("linprog", "linear_sum_assignment"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class OTResult(NamedTuple):
     value: float
     plan: TransportPlan
@@ -457,6 +476,7 @@ def solve_transport(
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
         raise ValueError("solve_transport: weight vectors do not match the cost matrix")
+    _load_scipy()
     if a == b > 0 and np.all(row_weights == row_weights[0]) and np.all(col_weights == row_weights[0]):
         rows, cols = linear_sum_assignment(cost_matrix)
         plan = np.zeros((a, b))

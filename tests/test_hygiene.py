@@ -79,3 +79,32 @@ def test_every_public_function_has_a_caller_or_is_documented():
     reachable = called_names() | readme_code_names()
     orphans = [qualified for qualified, name in public_definitions() if name not in reachable]
     assert orphans == []
+
+
+def import_time_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules a file imports when it is itself imported.
+
+    Function bodies run later, so imports inside them are skipped.
+    """
+    found = set()
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_package_does_not_import_scipy_at_module_level():
+    # Only an exact solve needs scipy, and its import is most of the package's
+    # start-up time and memory; transport.solve_transport loads it on first use.
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "copula_ot").glob("*.py"))
+        if "scipy" in import_time_modules(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []

@@ -54,7 +54,6 @@ from .transport import (
     TransportPlan,
     diamond,
     exact_ot,
-    make_plan,
     plan_cost,
     plan_from_indices,
     plan_to_dict,

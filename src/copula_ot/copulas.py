@@ -13,7 +13,8 @@ The pushforward machinery (:func:`push_through_quantiles`) is exact: it
 refines the unit cube along each axis at every cell boundary and every jump
 of the supplied quantile maps, so each refined box carries piecewise-constant
 data and its midpoint evaluates both the density and the quantiles without
-discretization error.
+discretization error.  It returns each box's quantiles as atom indices into
+the marginals, which order and group the boxes as their points would.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ COUNTERMONOTONE = "countermonotone"
 # Slack allowed on each 1-D slice sum of a checkerboard mass tensor.
 SLICE_TOL = 1e-10
 
-# Axis intervals shorter than this are float dust from nearly-coincident
-# breakpoints; their mass is below any tolerance used downstream.
+# Axis intervals no longer than this are float dust from nearly-coincident
+# breakpoints and are dropped; an atom left with no interval is an error.
 _MIN_INTERVAL = 1e-15
 
 
@@ -139,11 +140,34 @@ def discretize(copula: Copula, k: int) -> Copula:
     return checkerboard(copula.n, k, tensor)
 
 
-def _axis_breaks(cell_count: int | None, jump_families: Iterable[np.ndarray]) -> np.ndarray:
+def _refine(
+    jump_families: Iterable[np.ndarray], cell_count: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and midpoints of the intervals between 0, 1, the jumps and the cells' bounds.
+
+    Intervals no longer than ``_MIN_INTERVAL`` are dropped.
+    """
     pts = [np.array([0.0, 1.0]), *jump_families]
     if cell_count is not None:
         pts.append(np.arange(1, cell_count) / cell_count)
-    return np.unique(np.clip(np.concatenate(pts), 0.0, 1.0))
+    breaks = np.unique(np.clip(np.concatenate(pts), 0.0, 1.0))
+    lens = np.diff(breaks)
+    keep = lens > _MIN_INTERVAL
+    return lens[keep], ((breaks[:-1] + breaks[1:]) / 2.0)[keep]
+
+
+def _covering_index(marginal: DiscreteMeasure1D, us: np.ndarray, coord: int) -> np.ndarray:
+    """``marginal.quantile_index(us)``; raises if an atom is the quantile at no u, losing its mass."""
+    index = marginal.quantile_index(us)
+    # A set of the few axis intervals is cheaper than a numpy pass here.
+    if len(set(index.tolist())) < len(marginal):
+        t = min(set(range(len(marginal))).difference(index.tolist()))
+        raise ValueError(
+            f"push_through_quantiles: atom {float(marginal.atoms[t])!r} of coordinate {coord + 1} "
+            f"has weight {float(marginal.weights[t])!r}, below the {_MIN_INTERVAL} that the "
+            f"quantile refinement resolves"
+        )
+    return index
 
 
 def push_through_quantiles(
@@ -154,8 +178,9 @@ def push_through_quantiles(
 
     Each group is a list of n one-dimensional marginals; the map sends a cube
     point u to (F_1^{-1}(u_1), ..., F_n^{-1}(u_n)) per group.  Returns one
-    (m, n) atom matrix per group plus the shared mass vector of the m refined
-    boxes with positive mass.
+    (m, n) matrix per group of the atom indices of each box in the group's
+    marginals, plus the shared mass vector of the m refined boxes with
+    positive mass.  An atom too light to get a box is a ``ValueError``.
     """
     n = copula.n
     for g, marginals in enumerate(groups):
@@ -170,18 +195,12 @@ def push_through_quantiles(
 
 def _push_checkerboard(copula, groups):
     n, k = copula.n, copula.k
-    lens_by_axis = []
-    cells_by_axis = []
-    quantiles_by_axis = []
+    lens_by_axis, cells_by_axis, index_by_axis = [], [], []
     for d in range(n):
-        breaks = _axis_breaks(k, [g[d].cum_weights for g in groups])
-        lens = np.diff(breaks)
-        keep = lens > _MIN_INTERVAL
-        mids = ((breaks[:-1] + breaks[1:]) / 2.0)[keep]
-        lens = lens[keep]
+        lens, mids = _refine([g[d].cum_weights for g in groups], k)
         lens_by_axis.append(lens)
         cells_by_axis.append(np.minimum((mids * k).astype(int), k - 1))
-        quantiles_by_axis.append([g[d].quantile_array(mids) for g in groups])
+        index_by_axis.append([_covering_index(g[d], mids, d) for g in groups])
     box = np.asarray(copula.masses, dtype=float)[np.ix_(*cells_by_axis)].copy()
     for d in range(n):
         shape = [1] * n
@@ -189,11 +208,8 @@ def _push_checkerboard(copula, groups):
         box *= (lens_by_axis[d] * k).reshape(shape)
     nz = np.nonzero(box)
     masses = box[nz]
-    atom_groups = []
-    for g in range(len(groups)):
-        cols = [quantiles_by_axis[d][g][nz[d]] for d in range(n)]
-        atom_groups.append(np.column_stack(cols))
-    return atom_groups, masses
+    columns = [[index_by_axis[d][g][nz[d]] for d in range(n)] for g in range(len(groups))]
+    return [np.column_stack(c) for c in columns], masses
 
 
 def _push_monotone(copula, groups):
@@ -204,25 +220,21 @@ def _push_monotone(copula, groups):
         for d in range(n):
             cw = g[d].cum_weights
             families.append(1.0 - cw if (reflected and d == 1) else cw)
-    breaks = _axis_breaks(None, families)
-    lens = np.diff(breaks)
-    keep = lens > _MIN_INTERVAL
-    mids = ((breaks[:-1] + breaks[1:]) / 2.0)[keep]
-    masses = lens[keep]
-    atom_groups = []
-    for g in groups:
-        cols = []
-        for d in range(n):
-            at = 1.0 - mids if (reflected and d == 1) else mids
-            cols.append(g[d].quantile_array(at))
-        atom_groups.append(np.column_stack(cols))
-    return atom_groups, masses
+    masses, mids = _refine(families)
+    at = [1.0 - mids if (reflected and d == 1) else mids for d in range(n)]
+    columns = [[_covering_index(g[d], at[d], d) for d in range(n)] for g in groups]
+    return [np.column_stack(c) for c in columns], masses
+
+
+def _atoms_at(index: np.ndarray, marginals: Sequence[DiscreteMeasure1D]) -> np.ndarray:
+    """The points whose coordinate d is atom ``index[:, d]`` of marginal d."""
+    return np.column_stack([m.atoms[index[:, d]] for d, m in enumerate(marginals)])
 
 
 def sklar_compose(copula: Copula, marginals: Sequence[DiscreteMeasure1D]) -> MultivariateMeasure:
     """Joint law with the given copula and one-dimensional marginals."""
-    atom_groups, masses = push_through_quantiles(copula, [list(marginals)])
-    return make_measure(atom_groups[0], masses)
+    (index,), masses = push_through_quantiles(copula, [list(marginals)])
+    return make_measure(_atoms_at(index, marginals), masses)
 
 
 def copula_to_dict(copula: Copula) -> dict:

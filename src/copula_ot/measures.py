@@ -81,17 +81,15 @@ def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
     return math.fsum(sums + p.tolist())
 
 
-def _checked_rows(
-    atoms, weights, what: str = "atoms", ndims: tuple[int, ...] = (1, 2)
-) -> tuple[np.ndarray, np.ndarray]:
+def _checked_rows(atoms, weights, ndims: tuple[int, ...] = (1, 2)) -> tuple[np.ndarray, np.ndarray]:
     """Finite atom rows of shape (m, d) and m finite nonnegative weights.
 
     A flat atom list is read as m points on the line.  These are the input
-    checks of every measure and transport-plan constructor.
+    checks of every measure constructor.
     """
     a = np.asarray(atoms, dtype=float)
     w = np.asarray(weights, dtype=float)
-    for arr, name, allowed in ((a, what, ndims), (w, "weights", (1,))):
+    for arr, name, allowed in ((a, "atoms", ndims), (w, "weights", (1,))):
         if arr.ndim not in allowed:
             wanted = " or ".join(map(str, allowed))
             raise ValueError(
@@ -102,7 +100,7 @@ def _checked_rows(
         if not np.isfinite(arr).all():
             raise ValueError(f"{name}: values must be finite")
     if a.shape[0] != w.shape[0]:
-        raise ValueError(f"{what} and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
+        raise ValueError(f"atoms and weights differ in length: {a.shape[0]} vs {w.shape[0]}")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     return a.reshape(a.shape[0], -1), w
@@ -160,8 +158,8 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group exactly-equal rows, fsum their weights, drop zero-weight groups.
 
-    Rows come back sorted lexicographically by coordinate.  Shared by measure
-    and transport-plan canonicalization.
+    Rows come back sorted lexicographically by coordinate.  This is the merge
+    of the measure constructors; plans are built from atom indices instead.
     """
     order, rows, first = _sorted_runs(rows)
     starts = first.nonzero()[0]
@@ -232,12 +230,11 @@ class DiscreteMeasure1D:
             raise ValueError(f"quantile: u must lie in (0, 1], got {u!r}")
         return float(self.atoms[np.searchsorted(self.cum_weights, u, side="left")])
 
-    def quantile_array(self, us: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`quantile` for u values already known to be in (0, 1]."""
+    def quantile_index(self, us: np.ndarray) -> np.ndarray:
+        """Atom indices of :meth:`quantile` at u values already known to be in (0, 1]."""
         idx = np.searchsorted(self.cum_weights, us, side="left")
         # cum_weights ends at exactly 1.0, but guard against float dust above it
-        idx = np.minimum(idx, len(self.atoms) - 1)
-        return self.atoms[idx]
+        return np.minimum(idx, len(self.atoms) - 1)
 
     def to_multivariate(self) -> "MultivariateMeasure":
         return MultivariateMeasure(atoms=self.atoms[:, None], weights=self.weights)

@@ -35,18 +35,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .copulas import Copula, push_through_quantiles
+from .copulas import Copula, _atoms_at, _refine, push_through_quantiles
 from .measures import (
     MASS_TOL,
     DiscreteMeasure1D,
     MultivariateMeasure,
-    _checked_rows,
     _fsum_runs,
     _exact_sum_in_place,
     _run_starts,
     group_rows,
     measures_close,
-    merge_weighted_rows,
 )
 
 DEFAULT_PAIR_CAP = 250_000
@@ -90,8 +88,7 @@ class TransportPlan:
     every source and every target atom appears in some row, and the weights
     sum to one.  On sorted atoms (i, j) order is lexicographic (x, y) order.
     The two marginals hold the atoms with the plan weight of their rows.
-    Build through :func:`plan_from_indices`, :func:`make_plan` or
-    :meth:`with_atoms`.
+    Build through :func:`plan_from_indices` or :meth:`with_atoms`.
     """
 
     source: np.ndarray
@@ -194,21 +191,29 @@ def plan_from_indices(source, target, i, j, w) -> TransportPlan:
     for index, atoms, side in ((i, source, "source"), (j, target, "target")):
         if not np.issubdtype(index.dtype, np.integer) or index.min() < 0 or index.max() >= len(atoms):
             raise ValueError(f"plan_from_indices: {side} indices must be integers in [0, {len(atoms)})")
-    i = i.astype(np.intp, copy=False)
-    j = j.astype(np.intp, copy=False)
     if not ((w > 0) & np.isfinite(w)).all():
         raise ValueError("plan_from_indices: weights must be finite and positive")
-    key = i * len(target) + j
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        starts = _run_starts(key[order, None]).nonzero()[0]
-        i, j, w = i[order][starts], j[order][starts], _fsum_runs(w[order], starts)
-    plan = _indexed_plan(source, target, _frozen_copy(i), _frozen_copy(j), _frozen_copy(w))
+    i, j = i.astype(np.intp, copy=False), j.astype(np.intp, copy=False)
+    plan = _merged_plan(source, target, i, j, w)
     for marginal, side in ((plan.first_marginal(), "source"), (plan.second_marginal(), "target")):
         if not (marginal.weights > 0).all():
             t = int(np.flatnonzero(marginal.weights == 0)[0])
             raise ValueError(f"plan_from_indices: {side} atom {t} appears in no row")
     return plan
+
+
+def _merged_plan(source, target, i, j, w) -> TransportPlan:
+    """:func:`plan_from_indices` after its checks: read-only atoms, ``intp`` indices.
+
+    Rows are sorted by (i, j) unless they already are; repeated pairs are
+    merged by ``math.fsum``, whose sum does not depend on the row order.
+    """
+    key = i * len(target) + j
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        starts = _run_starts(key[order, None]).nonzero()[0]
+        i, j, w = i[order][starts], j[order][starts], _fsum_runs(w[order], starts)
+    return _indexed_plan(source, target, _frozen_copy(i), _frozen_copy(j), _frozen_copy(w))
 
 
 def _indexed_plan(source, target, i, j, w, marginal_weights=None) -> TransportPlan:
@@ -235,34 +240,6 @@ def _indexed_plan(source, target, i, j, w, marginal_weights=None) -> TransportPl
         w=w,
         _first_marginal=MultivariateMeasure(atoms=source, weights=marginal_weights[0]),
         _second_marginal=MultivariateMeasure(atoms=target, weights=marginal_weights[1]),
-    )
-
-
-def make_plan(x, y, w) -> TransportPlan:
-    """Canonical plan of the rows (x_r, y_r, w_r), w_r >= 0.
-
-    Repeated (x, y) pairs are merged and zero weights dropped as the measure
-    constructors do (:func:`merge_weighted_rows`), so an atom carried only by
-    zero weights vanishes.  The merged rows are in (x, y) order, so each
-    source atom is a run of them; the target atoms come from
-    :func:`group_rows`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim not in (1, 2):
-        raise ValueError(f"make_plan: inconsistent shapes x={x.shape}, y={y.shape}")
-    xy, w = _checked_rows(np.column_stack([x, y]), w, "make_plan: x, y", ndims=(2,))
-    rows, w = merge_weighted_rows(xy, w)
-    n = rows.shape[1] // 2
-    first = _run_starts(rows[:, :n])
-    target, j = group_rows(rows[:, n:])
-    # Sorted, distinct and covering by construction: no further checks.
-    return _indexed_plan(
-        _read_only(rows[first, :n]),
-        target,
-        _read_only(first.cumsum() - 1),
-        _read_only(j),
-        _read_only(w),
     )
 
 
@@ -351,14 +328,21 @@ def diamond(
 
     Pushes the copula mass through both quantile tuples at once, pairing
     F_mu^{-1}(u) with F_rho^{-1}(u) box by box; the construction is exact.
+    Each side's atoms are the distinct rows of its quantile indices: marginal
+    atoms are sorted and distinct, so index rows group as their points do.
     """
     if len(mu_marginals) != len(rho_marginals):
         raise ValueError(
             f"diamond: marginal tuples differ in length, "
             f"{len(mu_marginals)} vs {len(rho_marginals)}"
         )
-    groups, masses = push_through_quantiles(copula, [list(mu_marginals), list(rho_marginals)])
-    return make_plan(groups[0], groups[1], masses)
+    (ix, iy), masses = push_through_quantiles(copula, [list(mu_marginals), list(rho_marginals)])
+    source_rows, i = group_rows(ix)
+    target_rows, j = group_rows(iy)
+    source = _read_only(_atoms_at(source_rows, mu_marginals))
+    target = _read_only(_atoms_at(target_rows, rho_marginals))
+    # Sorted, distinct and covering by construction: no further checks.
+    return _merged_plan(source, target, i, j, masses)
 
 
 def wasserstein_1d(mu: DiscreteMeasure1D, rho: DiscreteMeasure1D, p: float) -> float:
@@ -369,15 +353,9 @@ def wasserstein_1d(mu: DiscreteMeasure1D, rho: DiscreteMeasure1D, p: float) -> f
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"wasserstein_1d: p must be >= 1, got {p}")
-    breaks = np.unique(
-        np.concatenate([[0.0, 1.0], mu.cum_weights, rho.cum_weights])
-    )
-    breaks = np.clip(breaks, 0.0, 1.0)
-    lens = np.diff(breaks)
-    keep = lens > 1e-15
-    mids = ((breaks[:-1] + breaks[1:]) / 2.0)[keep]
-    gaps = np.abs(mu.quantile_array(mids) - rho.quantile_array(mids)) ** p
-    return math.fsum(lens[keep] * gaps)
+    lens, mids = _refine([mu.cum_weights, rho.cum_weights])
+    gaps = np.abs(mu.atoms[mu.quantile_index(mids)] - rho.atoms[rho.quantile_index(mids)]) ** p
+    return math.fsum(lens * gaps)
 
 
 def _staircase_potentials(cum_a: list, cum_b: list, cost: list) -> tuple[np.ndarray, np.ndarray]:

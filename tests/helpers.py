@@ -8,10 +8,11 @@ comparison is exact, not approximate.
 
 The rest of the module is API that no CLI path, campaign or gap search
 needs: the copula CDF and the Frechet bounds, the rank-based empirical
-copula, the pointwise cost, the inner-product score and its maximizer, and
-the 1-D view of a one-dimensional measure, positive affine maps of a
-measure's coordinates, and reading a plan file back.  Their own tests and
-acceptance criteria 8 and 9 use them.
+copula, the pointwise cost, the inner-product score and its maximizer, the
+1-D view of a one-dimensional measure, positive affine maps of a measure's
+coordinates, the canonical plan of weighted point pairs (``make_plan``), and
+reading a plan file back.  Their own tests and acceptance criteria 8 and 9
+use them.
 """
 
 from __future__ import annotations
@@ -30,12 +31,20 @@ from copula_ot.copulas import (
     Copula,
     checkerboard,
 )
-from copula_ot.measures import DiscreteMeasure1D, MultivariateMeasure, _number_array, make_measure
+from copula_ot.measures import (
+    DiscreteMeasure1D,
+    MultivariateMeasure,
+    _checked_rows,
+    _number_array,
+    group_rows,
+    make_measure,
+    merge_weighted_rows,
+)
 from copula_ot.transport import (
     CostSpec,
     OTResult,
     TransportPlan,
-    make_plan,
+    plan_from_indices,
     solve_transport,
 )
 
@@ -351,6 +360,27 @@ def map_coordinates(measure: MultivariateMeasure, maps: Sequence[tuple[float, fl
     if np.any(scale <= 0):
         raise ValueError("map_coordinates: scale factors must be positive")
     return make_measure(measure.atoms * scale + shift, measure.weights)
+
+
+def make_plan(x, y, w) -> TransportPlan:
+    """Canonical plan of the rows (x_r, y_r, w_r), w_r >= 0.
+
+    Repeated (x, y) pairs are merged and zero weights dropped as the measure
+    constructors do (``merge_weighted_rows``), so an atom carried only by
+    zero weights vanishes.  Each side's atoms and indices come from
+    ``group_rows`` of its points, so the plan is built from floats alone, by
+    a path independent of ``diamond``'s atom indices.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError(f"make_plan: inconsistent shapes x={x.shape}, y={y.shape}")
+    xy, w = _checked_rows(np.column_stack([x, y]), w, ndims=(2,))
+    rows, w = merge_weighted_rows(xy, w)
+    n = rows.shape[1] // 2
+    source, i = group_rows(rows[:, :n])
+    target, j = group_rows(rows[:, n:])
+    return plan_from_indices(source, target, i, j, w)
 
 
 def plan_from_dict(obj: dict) -> TransportPlan:

@@ -92,6 +92,12 @@ class TestDiamond:
         assert "--k 2" in err and "k = 4" in err
         assert main(args + ["--k", "4"]) == 0
 
+    def test_atom_too_light_for_the_refinement_is_a_usage_error(self, tmp_path, capsys):
+        mu = write_measure(tmp_path / "mu.json", [[0.0, 0.0], [5.0, 5.0]], [1.0, 1e-16])
+        rho = write_measure(tmp_path / "rho.json", [[2.0, 2.0], [3.0, 3.0]], [0.5, 0.5])
+        assert main(["diamond", "--mu", mu, "--rho", rho, "--copula", "comonotone"]) == 2
+        assert "atom 5.0 of coordinate 1 has weight 1e-16" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         mu = write_measure(tmp_path / "mu.json", [[0.0]], [1.0])
         rho = write_measure(tmp_path / "rho.json", [[0.0, 0.0]], [1.0])

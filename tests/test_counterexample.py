@@ -27,7 +27,7 @@ from copula_ot.counterexample import (
 )
 from copula_ot.instances import random_copula
 from copula_ot.measures import _EXACT_SUM_MAX_LEVELS, make_measure
-from copula_ot.transport import CostSpec, TransportPlan, exact_ot, make_plan, plan_cost, validate_plan
+from copula_ot.transport import CostSpec, TransportPlan, exact_ot, plan_cost, validate_plan
 
 import copula_ot.counterexample as counterexample
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     fd_cross_partial,
     fsum_lengths,
     fsum_plan_cost,
+    make_plan,
     rank_bin_copula,
     same_measure,
 )

@@ -17,9 +17,16 @@ from copula_ot.measures import (
     measures_close,
     merge_weighted_rows,
 )
-from copula_ot.transport import make_plan
 
-from helpers import as_1d, fsum_lengths, map_coordinates, measure_as_dict, merge_rows_oracle, same_measure
+from helpers import (
+    as_1d,
+    fsum_lengths,
+    make_plan,
+    map_coordinates,
+    measure_as_dict,
+    merge_rows_oracle,
+    same_measure,
+)
 
 
 def measures_1d():
@@ -141,10 +148,10 @@ class TestCdfQuantile:
         with pytest.raises(ValueError):
             make_measure_1d([0], [1]).cdf(float("nan"))
 
-    def test_quantile_array_matches_scalar(self):
+    def test_quantile_index_matches_scalar(self):
         m = make_measure_1d([-1, 0, 3], [1, 2, 1])
         us = np.linspace(0.01, 1.0, 37)
-        batch = m.quantile_array(us)
+        batch = m.atoms[m.quantile_index(us)]
         assert all(batch[t] == m.quantile(float(us[t])) for t in range(len(us)))
 
     @given(measures_1d(), st.integers(min_value=1, max_value=50))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,20 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copula_ot.copulas import (
+    Copula,
     checkerboard,
     comonotone,
     countermonotone,
     independence,
+    push_through_quantiles,
     sklar_compose,
 )
-from copula_ot.instances import random_marginal, random_shared_pair
+from copula_ot.instances import VerifyConfig, iter_campaign, random_marginal, random_shared_pair
 from copula_ot.measures import EXACT_SUM_CUTOVER, group_rows, make_measure, make_measure_1d
 from copula_ot.transport import (
     CostSpec,
     PairCountCapExceeded,
     diamond,
     exact_ot,
-    make_plan,
     plan_cost,
     plan_from_indices,
     plan_to_dict,
@@ -37,6 +39,7 @@ from helpers import (
     grid_pushforward,
     inner_product_score,
     lp_reference,
+    make_plan,
     map_coordinates,
     max_inner_product,
     norm_cost,
@@ -631,6 +634,52 @@ class TestDiamond:
             ((0.0, 1.0), (10.0, 20.0)): 0.5,
             ((1.0, 0.0), (20.0, 10.0)): 0.5,
         }
+
+    @staticmethod
+    def _points_plan(copula, mu_m, rho_m):
+        """``make_plan`` of the pushforward's points: the float-sorted oracle."""
+        (ix, iy), masses = push_through_quantiles(copula, [mu_m, rho_m])
+        x = np.column_stack([m.atoms[ix[:, d]] for d, m in enumerate(mu_m)])
+        y = np.column_stack([m.atoms[iy[:, d]] for d, m in enumerate(rho_m)])
+        return make_plan(x, y, masses)
+
+    def test_equals_the_plan_of_the_pushforward_points(self):
+        # Grouping quantile indices builds the plan that sorting and merging
+        # the points builds, array for array, marginal weights included.
+        uneven = [make_measure_1d([-1, 0, 2], [1, 2, 1]), make_measure_1d([0, 5], [3, 1])]
+        uneven += [make_measure_1d([0, 1, 3, 7], [5, 1, 1, 2])]
+        cases = [
+            (independence(3, 4), uneven, uneven[::-1]),
+            (comonotone(3), uneven, uneven[1:] + uneven[:1]),
+            (countermonotone(), uneven[:2], uneven[1:]),
+        ]
+        cases += [case[4:] for case in itertools.islice(iter_campaign(VerifyConfig()), 200)]
+        for copula, mu_m, rho_m in cases:
+            plan = diamond(copula, mu_m, rho_m)
+            oracle = self._points_plan(copula, mu_m, rho_m)
+            for name in ("source", "target", "i", "j", "w"):
+                assert np.array_equal(getattr(plan, name), getattr(oracle, name)), name
+            for side in ("first_marginal", "second_marginal"):
+                got, want = getattr(plan, side)(), getattr(oracle, side)()
+                assert np.array_equal(got.atoms, want.atoms) and np.array_equal(got.weights, want.weights)
+
+    @pytest.mark.parametrize("copula", [independence(2, 2), comonotone(2), countermonotone()], ids=Copula.describe)
+    @pytest.mark.parametrize("weight", [1e-16, 5e-16])
+    @pytest.mark.parametrize("build", ["diamond", "sklar_compose"])
+    def test_an_atom_too_light_for_the_refinement_raises(self, copula, weight, build):
+        # Its quantile interval is empty or under 1e-15; dropping it would lose its mass.
+        m = make_measure_1d([0, 5], [1, weight])
+        with pytest.raises(ValueError, match=r"atom 5\.0 of coordinate 1 has weight .*e-16, below the 1e-15"):
+            diamond(copula, [m, m], [m, m]) if build == "diamond" else sklar_compose(copula, [m, m])
+
+    @pytest.mark.parametrize("copula", [independence(2, 2), comonotone(2), countermonotone()], ids=Copula.describe)
+    def test_an_atom_of_weight_1e_15_keeps_its_mass(self, copula):
+        m = make_measure_1d([0, 5], [1, 1e-15])
+        plan = diamond(copula, [m, m], [m, m])
+        law = sklar_compose(copula, [m, m])
+        for measure in (plan.first_marginal(), plan.second_marginal(), law):
+            assert measure.marginal(1).atoms.tolist() == [0.0, 5.0]
+        assert validate_plan(plan, law, law)
 
 
 class TestInnerProduct:

@@ -16,12 +16,10 @@ from .copulas import (
 from .counterexample import (
     CounterexampleReport,
     CurvePoint,
-    EpsilonConstruction,
     NoViolatingPair,
     PairSkeleton,
     ScheduleExhausted,
     adversary_copula,
-    build_pair,
     default_schedule,
     find_violating_pair,
     gap_search,

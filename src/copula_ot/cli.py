@@ -157,6 +157,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "pass --allow-pq together with --p/--q for a smoke campaign"
             )
         pair = None
+    for flag, value in (
+        ("--instances", args.instances),
+        ("--dimensions", min(args.dimensions)),
+        ("--max-resolution", args.max_resolution),
+        ("--max-atoms", args.max_atoms),
+    ):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     config = VerifyConfig(
         seed=args.seed,
         instances=args.instances,

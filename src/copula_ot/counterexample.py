@@ -87,15 +87,6 @@ class CurvePoint(NamedTuple):
         return ["" if v is None else v for v in self]
 
 
-class EpsilonConstruction(NamedTuple):
-    """One point of the construction: both measures and both competitor plans."""
-
-    mu: MultivariateMeasure
-    rho: MultivariateMeasure
-    diamond_plan: TransportPlan
-    alt_plan: TransportPlan
-
-
 @dataclass(frozen=True)
 class CounterexampleReport:
     p: float
@@ -200,8 +191,9 @@ class PairSkeleton(NamedTuple):
 
     ``law`` is the carrier's midpoint law: one atom per cell of positive
     mass, in the carrier's coordinate order, weighted by the cell's mass.
-    Both plans couple ``law`` with itself, and :func:`build_pair` only
-    rescales their atoms.
+    Both plans couple ``law`` with itself.  At an epsilon only the atoms
+    change (:func:`_scaled_sides`), so no plan is built per epsilon:
+    :func:`_cost_sweep` costs both plans from their rows.
     """
 
     pair: tuple[int, int]
@@ -302,28 +294,6 @@ def pair_skeleton(
     return PairSkeleton(pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan)
 
 
-def build_pair(skeleton: PairSkeleton, epsilon: float) -> EpsilonConstruction:
-    """Source/target pair at one epsilon plus the two competitor plans.
-
-    Only the atoms depend on epsilon: the source scales every coordinate but
-    pair[0] of the skeleton's law by epsilon, the target every coordinate
-    but pair[1].  Both skeleton plans move onto the scaled atoms
-    (:meth:`TransportPlan.with_atoms`), and both measures are the scaled
-    atoms with the law's weights; everything else was checked once by
-    :func:`pair_skeleton`.  An epsilon so small that scaling merges or
-    reorders atoms raises a ``ValueError`` naming it.
-    """
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
-        raise ValueError(f"build_pair: epsilon must lie in (0, 1), got {epsilon!r}")
-    _, (source, target) = _scaled_sides(skeleton, epsilon)
-    return EpsilonConstruction(
-        mu=MultivariateMeasure(atoms=source, weights=skeleton.law.weights),
-        rho=MultivariateMeasure(atoms=target, weights=skeleton.law.weights),
-        diamond_plan=skeleton.diamond_plan.with_atoms(source, target),
-        alt_plan=skeleton.alt_plan.with_atoms(source, target),
-    )
-
-
 def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> tuple[list[list[float]], list[np.ndarray]]:
     """Per side, the column scales and the law's atoms under them, read-only and checked once.
 
@@ -337,10 +307,10 @@ def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> tuple[list[list[flo
         atoms = skeleton.law.atoms * scale
         atoms.flags.writeable = False
         try:
-            _check_atoms(atoms, "scaled", "build_pair")
+            _check_atoms(atoms, "scaled", "gap_search")
         except ValueError:
             raise ValueError(
-                f"build_pair: epsilon={epsilon!r} is too small: scaling by it merges "
+                f"gap_search: epsilon={epsilon!r} is too small: scaling by it merges "
                 f"or reorders atoms of the carrier"
             ) from None
         sides.append(atoms)
@@ -351,10 +321,11 @@ def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tup
     """Both plan costs of the construction at any epsilon, from rows gathered once.
 
     Returns ``costs(epsilon) -> (diamond_cost, alt_cost)``, equal bit for bit
-    to :func:`plan_cost` of the plans of ``build_pair(skeleton, epsilon)``.
-    Each plan's unscaled row coordinates are gathered once
-    (:class:`_RowCosts`); each epsilon only scales them, after checking the
-    scaled atoms as :func:`build_pair` does, with its ``ValueError``.
+    to :func:`plan_cost` of each skeleton plan's rows (i, j, w) on the scaled
+    atoms of :func:`_scaled_sides`.  Each plan's unscaled row coordinates are
+    gathered once (:class:`_RowCosts`); each epsilon checks the scaled atoms,
+    with ``_scaled_sides``' ``ValueError``, and only scales the coordinates.
+    No plan is built at any epsilon.
     """
     kernels = [
         _RowCosts(plan.source.T.take(plan.i, axis=1), plan.target.T.take(plan.j, axis=1), plan.w)
@@ -437,10 +408,11 @@ def gap_search(
     construction, the carrier's midpoint law and both plans' rows, is built
     and checked once (:func:`pair_skeleton`).  Each epsilon checks the scaled
     atoms and costs both plans from row coordinates gathered once
-    (:func:`_cost_sweep`); only the exact certificate at the accepted epsilon
-    builds the scaled measures (:func:`build_pair`).  Raises a ``ValueError``
-    when the copula has fewer than two coordinates, since the construction
-    needs a pair;
+    (:func:`_cost_sweep`), so no plan is built at any epsilon.  The exact
+    certificate at the accepted epsilon solves between the two scaled
+    measures: the scaled atoms of each side with the law's weights.  Raises a
+    ``ValueError`` when the copula has fewer than two coordinates, since the
+    construction needs a pair;
     :class:`NoViolatingPair` when no pair of the carrier is violating (see
     :func:`find_violating_pair`); and :class:`ScheduleExhausted` when no
     epsilon yields a significant gap although the limit gap is positive.
@@ -484,9 +456,12 @@ def gap_search(
     accepted = min(significant, key=lambda pt: pt.epsilon)
     exact_cost = None
     if attach_exact:
-        built = build_pair(skeleton, accepted.epsilon)
+        _, (source, target) = _scaled_sides(skeleton, accepted.epsilon)
+        weights = skeleton.law.weights
+        mu = MultivariateMeasure(atoms=source, weights=weights)
+        rho = MultivariateMeasure(atoms=target, weights=weights)
         try:
-            exact_cost = exact_ot(built.mu, built.rho, spec, pair_cap).value
+            exact_cost = exact_ot(mu, rho, spec, pair_cap).value
         except PairCountCapExceeded:
             exact_cost = None
     if exact_cost is not None and exact_cost > accepted.alt_cost + 1e-9 * max(1.0, accepted.alt_cost):

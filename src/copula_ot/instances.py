@@ -78,8 +78,14 @@ def random_copula(rng: np.random.Generator, n: int, k: int) -> Copula:
 
 
 def random_marginal(rng: np.random.Generator, max_atoms: int = 5) -> DiscreteMeasure1D:
+    """Up to ``max_atoms`` distinct integer atoms, centred on 0, with integer weights.
+
+    The atoms are drawn from ``max(7, max_atoms)`` consecutive integers, so
+    any ``max_atoms`` fits and up to 7 the draws are those of -3..3.
+    """
     count = int(rng.integers(1, max_atoms + 1))
-    atoms = np.sort(rng.choice(7, size=count, replace=False)) - 3.0
+    pool = max(7, max_atoms)
+    atoms = np.sort(rng.choice(pool, size=count, replace=False)) - float(pool // 2)
     weights = rng.integers(1, 13, size=count).astype(float)
     return make_measure_1d(atoms, weights)
 

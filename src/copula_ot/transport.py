@@ -88,7 +88,9 @@ class TransportPlan:
     every source and every target atom appears in some row, and the weights
     sum to one.  On sorted atoms (i, j) order is lexicographic (x, y) order.
     The two marginals hold the atoms with the plan weight of their rows.
-    Build through :func:`plan_from_indices` or :meth:`with_atoms`.
+    Build through :func:`plan_from_indices`, which checks these invariants;
+    only :func:`diamond`, whose indices hold them by construction, skips the
+    checks.
     """
 
     source: np.ndarray
@@ -121,26 +123,6 @@ class TransportPlan:
 
     def second_marginal(self) -> MultivariateMeasure:
         return self._second_marginal
-
-    def with_atoms(self, source, target) -> "TransportPlan":
-        """The same rows (i, j, w) and marginal weights on new atom arrays.
-
-        ``source`` and ``target`` must have this plan's shapes and be finite,
-        sorted and distinct, like the atoms of every plan.  Mapping both
-        sides by maps that keep the lexicographic order of their atoms, such
-        as positive per-column scales, gives a plan with these rows.
-        """
-        source = _frozen_copy(np.asarray(source, dtype=float))
-        target = _frozen_copy(np.asarray(target, dtype=float))
-        if source.shape != self.source.shape or target.shape != self.target.shape:
-            raise ValueError(
-                f"with_atoms: atom arrays of shapes {source.shape}, {target.shape} "
-                f"do not replace {self.source.shape}, {self.target.shape}"
-            )
-        _check_atoms(source, "source", "with_atoms")
-        _check_atoms(target, "target", "with_atoms")
-        weights = (self._first_marginal.weights, self._second_marginal.weights)
-        return _indexed_plan(source, target, self.i, self.j, self.w, weights)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -206,40 +188,31 @@ def _merged_plan(source, target, i, j, w) -> TransportPlan:
     """:func:`plan_from_indices` after its checks: read-only atoms, ``intp`` indices.
 
     Rows are sorted by (i, j) unless they already are; repeated pairs are
-    merged by ``math.fsum``, whose sum does not depend on the row order.
+    merged by ``math.fsum``, whose sum does not depend on the row order.  The
+    marginal weights are ``np.bincount`` sums of ``w`` over ``i`` and ``j``.
     """
     key = i * len(target) + j
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         starts = _run_starts(key[order, None]).nonzero()[0]
         i, j, w = i[order][starts], j[order][starts], _fsum_runs(w[order], starts)
-    return _indexed_plan(source, target, _frozen_copy(i), _frozen_copy(j), _frozen_copy(w))
-
-
-def _indexed_plan(source, target, i, j, w, marginal_weights=None) -> TransportPlan:
-    """The plan of read-only arrays that already hold every invariant but the unit mass.
-
-    The marginal weights are ``np.bincount`` sums of ``w`` over ``i`` and
-    ``j``; ``marginal_weights`` passes them in when a plan with these rows
-    has already summed them.
-    """
+    i, j, w = _frozen_copy(i), _frozen_copy(j), _frozen_copy(w)
     # Pairwise summation errs by O(log len) ulps, far inside the tolerance.
     total = float(w.sum())
     if abs(total - 1.0) > MASS_TOL * max(1, len(w)):
         raise ValueError(f"plan weights sum to {total!r}, expected 1")
-    if marginal_weights is None:
-        marginal_weights = (
-            _read_only(np.bincount(i, weights=w, minlength=len(source))),
-            _read_only(np.bincount(j, weights=w, minlength=len(target))),
-        )
     return TransportPlan(
         source=source,
         target=target,
         i=i,
         j=j,
         w=w,
-        _first_marginal=MultivariateMeasure(atoms=source, weights=marginal_weights[0]),
-        _second_marginal=MultivariateMeasure(atoms=target, weights=marginal_weights[1]),
+        _first_marginal=MultivariateMeasure(
+            atoms=source, weights=_read_only(np.bincount(i, weights=w, minlength=len(source)))
+        ),
+        _second_marginal=MultivariateMeasure(
+            atoms=target, weights=_read_only(np.bincount(j, weights=w, minlength=len(target)))
+        ),
     )
 
 

@@ -10,15 +10,16 @@ The rest of the module is API that no CLI path, campaign or gap search
 needs: the copula CDF and the Frechet bounds, the rank-based empirical
 copula, the pointwise cost, the inner-product score and its maximizer, the
 1-D view of a one-dimensional measure, positive affine maps of a measure's
-coordinates, the canonical plan of weighted point pairs (``make_plan``), and
-reading a plan file back.  Their own tests and acceptance criteria 8 and 9
-use them.
+coordinates, the canonical plan of weighted point pairs (``make_plan``), the
+gap construction's measures and plans at one epsilon (``construction_at``),
+and reading a plan file back.  Their own tests and acceptance criteria 8 and
+9 use them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from copula_ot.copulas import (
     Copula,
     checkerboard,
 )
+from copula_ot.counterexample import PairSkeleton, _scaled_sides
 from copula_ot.measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
@@ -410,3 +412,34 @@ def fsum_lengths(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(math, "fsum", counted)
     return lengths
+
+
+class Construction(NamedTuple):
+    """The gap construction at one epsilon: both measures and both competitor plans."""
+
+    mu: MultivariateMeasure
+    rho: MultivariateMeasure
+    diamond_plan: TransportPlan
+    alt_plan: TransportPlan
+
+
+def construction_at(skeleton: PairSkeleton, epsilon: float) -> Construction:
+    """Both scaled measures and both plans of the construction at ``epsilon``.
+
+    The measures are the scaled atoms of ``_scaled_sides`` with the law's
+    weights, the ones ``gap_search`` hands its exact certificate.  The plans
+    are the skeleton plans' rows (i, j, w) on those atoms, built and checked
+    by ``plan_from_indices``; the library builds no plan at any epsilon.
+    """
+    _, (source, target) = _scaled_sides(skeleton, epsilon)
+    weights = skeleton.law.weights
+    diamond_plan, alt_plan = (
+        plan_from_indices(source, target, plan.i, plan.j, plan.w)
+        for plan in (skeleton.diamond_plan, skeleton.alt_plan)
+    )
+    return Construction(
+        mu=MultivariateMeasure(atoms=source, weights=weights),
+        rho=MultivariateMeasure(atoms=target, weights=weights),
+        diamond_plan=diamond_plan,
+        alt_plan=alt_plan,
+    )

@@ -2,9 +2,9 @@
 
 ``perfbench/run.py --smoke`` runs one traced op per workload.  Its tracer
 reads library results by shape: ``merge_weighted_rows(rows, weights)[1]``,
-``len(build_pair(...).alt_plan)``, ``solve_transport(...).size`` and
-``push_through_quantiles(...)[1]``.  A library change that breaks one of them
-fails here, not only when the benchmark is run.
+``solve_transport(...).size`` and ``push_through_quantiles(...)[1]``.  A
+library change that breaks one of them fails here, not only when the
+benchmark is run.
 """
 
 import json

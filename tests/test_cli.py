@@ -280,6 +280,20 @@ class TestVerify:
         assert main(pq) == 3
         assert "exceed the cap 1" in capsys.readouterr().err
 
+    def test_more_atoms_than_the_default_pool(self, tmp_path, capsys):
+        # Marginals of up to 10 distinct atoms come from a pool of 10 integers.
+        out = tmp_path / "v.csv"
+        args = ["verify", "--max-atoms", "10", "--instances", "3", "--dimensions", "2", "--exponents", "2"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("flag", ["--instances", "--dimensions", "--max-atoms", "--max-resolution"])
+    def test_nonpositive_grid_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        out = tmp_path / "v.csv"
+        assert main(["verify", flag, "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got 0\n"
+        assert not out.exists()
+
 
 class TestCounterexample:
     def test_success_writes_report_and_curve(self, tmp_path, capsys):

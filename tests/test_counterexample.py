@@ -16,7 +16,6 @@ from copula_ot.counterexample import (
     NoViolatingPair,
     ScheduleExhausted,
     adversary_copula,
-    build_pair,
     default_schedule,
     find_violating_pair,
     gap_search,
@@ -31,6 +30,7 @@ from copula_ot.transport import CostSpec, TransportPlan, exact_ot, plan_cost, va
 
 import copula_ot.counterexample as counterexample
 from helpers import (
+    construction_at,
     empirical_copula,
     fd_cross_partial,
     fsum_lengths,
@@ -176,22 +176,23 @@ class TestFindViolatingPair:
                     assert abs(limit_diamond - limit_alt) <= 1e-15
 
 
-class TestBuildPair:
+class TestConstructionAtEpsilon:
+    # The library builds no plan at any epsilon; construction_at builds the
+    # skeleton plans' rows on the scaled atoms with the checked
+    # plan_from_indices, so these tests check the construction itself.
     def test_requires_checkerboard_and_valid_arguments(self):
         with pytest.raises(ValueError, match="discretize"):
-            build_pair(pair_skeleton(comonotone(2), 2.0, 1.0, (1, 2)), 0.5)
+            pair_skeleton(comonotone(2), 2.0, 1.0, (1, 2))
         carrier = independence(2, 4)
-        with pytest.raises(ValueError, match="epsilon"):
-            build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.0)
         with pytest.raises(ValueError, match="pair|1 <="):
-            build_pair(pair_skeleton(carrier, 2.0, 1.0, (2, 1)), 0.5)
+            pair_skeleton(carrier, 2.0, 1.0, (2, 1))
         with pytest.raises(ValueError, match="optimal"):
-            build_pair(pair_skeleton(carrier, 2.0, 2.0, (1, 2)), 0.5)
+            pair_skeleton(carrier, 2.0, 2.0, (1, 2))
 
     def test_costs_match_direct_summation_oracle(self):
         carrier = independence(2, 4)
         for p, q, adv in ((1.0, 2.0, "comonotone"), (2.0, 1.0, "countermonotone")):
-            built = build_pair(pair_skeleton(carrier, p, q, (1, 2)), 0.25)
+            built = construction_at(pair_skeleton(carrier, p, q, (1, 2)), 0.25)
             spec = CostSpec(p, q)
             assert plan_cost(built.alt_plan, spec) == pytest.approx(
                 direct_alt_cost(carrier, p, q, 0.25, adv), abs=1e-12
@@ -203,7 +204,7 @@ class TestBuildPair:
     def test_rewired_target_law_is_exactly_the_original(self):
         # dyadic carriers make the check exact, not just within tolerance
         for carrier in (independence(2, 8), discretize(comonotone(2), 8)):
-            built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.25)
+            built = construction_at(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.25)
             rewired = built.alt_plan.second_marginal()
             assert same_measure(rewired, built.rho)
 
@@ -217,24 +218,24 @@ class TestBuildPair:
         masses[1, 1] -= 5e-11
         carrier = checkerboard(2, 4, masses)
         with pytest.raises(RuntimeError, match="rewired target law"):
-            build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
+            pair_skeleton(carrier, 2.0, 1.0, (1, 2))
 
     def test_plans_validate_and_preserve_source_law(self):
         carrier = random_copula(np.random.default_rng(17), 3, 4)
-        built = build_pair(pair_skeleton(carrier, 1.0, 2.0, (1, 3)), 0.5)
+        built = construction_at(pair_skeleton(carrier, 1.0, 2.0, (1, 3)), 0.5)
         assert validate_plan(built.diamond_plan, built.mu, built.rho)
         assert validate_plan(built.alt_plan, built.mu, built.rho)
 
     def test_scaling_pattern(self):
         carrier = discretize(comonotone(2), 2)
-        built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
+        built = construction_at(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
         # source keeps coordinate 1, target keeps coordinate 2
         assert built.mu.atoms.tolist() == [[0.25, 0.125], [0.75, 0.375]]
         assert built.rho.atoms.tolist() == [[0.125, 0.25], [0.375, 0.75]]
 
     def test_off_pair_coordinates_shrink_on_both_sides(self):
         carrier = independence(3, 2)
-        built = build_pair(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
+        built = construction_at(pair_skeleton(carrier, 2.0, 1.0, (1, 2)), 0.5)
         third_mu = built.mu.marginal(3)
         third_rho = built.rho.marginal(3)
         assert third_mu.atoms.tolist() == [0.125, 0.375]
@@ -244,7 +245,7 @@ class TestBuildPair:
         # the construction only rescales coordinates, so the rank structure
         # of the source equals the carrier; same for the target
         carrier = random_copula(np.random.default_rng(23), 2, 4)
-        built = build_pair(pair_skeleton(carrier, 1.0, 2.0, (1, 2)), 0.25)
+        built = construction_at(pair_skeleton(carrier, 1.0, 2.0, (1, 2)), 0.25)
         assert np.allclose(rank_bin_copula(built.mu, 4), carrier.masses, atol=1e-12)
         assert np.allclose(rank_bin_copula(built.rho, 4), carrier.masses, atol=1e-12)
 
@@ -252,7 +253,7 @@ class TestBuildPair:
         carrier = independence(2, 8)
         spec = CostSpec(2.0, 2.0)
         for eps in (0.5, 0.25, 0.125):
-            built = build_pair(pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=comonotone(2)), eps)
+            built = construction_at(pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=comonotone(2)), eps)
             dc = plan_cost(built.diamond_plan, spec)
             ac = plan_cost(built.alt_plan, spec)
             exact = exact_ot(built.mu, built.rho, spec).value
@@ -274,7 +275,7 @@ class TestPairSkeleton:
         # the canonical plan of the scaled points, array for array.
         skeleton = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
         for eps in (0.5, 2.0**-8, 0.3):
-            built = build_pair(skeleton, eps)
+            built = construction_at(skeleton, eps)
             for plan in (built.diamond_plan, built.alt_plan):
                 canonical = make_plan(plan.x, plan.y, plan.w)
                 for name in ("source", "target", "i", "j", "w"):
@@ -284,9 +285,11 @@ class TestPairSkeleton:
                 spec = CostSpec(2.0, 1.0)
                 assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
 
-    def test_build_pair_only_moves_the_atoms(self):
+    def test_scaled_plans_keep_the_skeleton_rows(self):
+        # The skeleton's rows are canonical, so plan_from_indices neither
+        # sorts nor copies them on the scaled atoms.
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
-        built = build_pair(skeleton, 0.25)
+        built = construction_at(skeleton, 0.25)
         for plan, rows in ((built.diamond_plan, skeleton.diamond_plan), (built.alt_plan, skeleton.alt_plan)):
             assert plan.i is rows.i and plan.j is rows.j and plan.w is rows.w
             assert plan.source is built.mu.atoms and plan.target is built.rho.atoms
@@ -307,7 +310,7 @@ class TestPairSkeleton:
         masses = carrier.masses[cells]
         skeleton = pair_skeleton(carrier, p, q, pair)
         for eps in default_schedule():
-            built = build_pair(skeleton, eps)
+            built = construction_at(skeleton, eps)
             ref = []
             for kept in pair:
                 scale = np.full(carrier.n, eps)
@@ -321,8 +324,9 @@ class TestPairSkeleton:
     def test_epsilon_that_merges_atoms_is_named(self):
         # At 5e-324 the scaled midpoints round to 0 or 5e-324 and atoms merge.
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
+        costs = counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0))
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
-            build_pair(skeleton, 5e-324)
+            costs(5e-324)
 
 
 class TestCostSweep:
@@ -338,12 +342,13 @@ class TestCostSweep:
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0), (3.0, 2.0), (1.5, 1.0)])
     def test_costs_equal_plan_cost_of_the_built_plans(self, carrier, pair, p, q):
         # Bit for bit, at every epsilon: the sweep scales gathered columns,
-        # build_pair scales the atoms and plan_cost gathers the rows.
+        # the reference plans sit on the scaled atoms and plan_cost gathers
+        # the rows.
         spec = CostSpec(p, q)
         skeleton = pair_skeleton(carrier, p, q, pair)
         costs = counterexample._cost_sweep(skeleton, spec)
         for eps in default_schedule():
-            built = build_pair(skeleton, eps)
+            built = construction_at(skeleton, eps)
             expected = (plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec))
             assert costs(eps) == expected, eps
             assert expected == (
@@ -367,25 +372,35 @@ class TestCostSweep:
             gap_search(independence(2, 4), 2.0, 1.0, carrier_resolution=4, schedule=[0.5, 5e-324])
 
     def test_sweep_builds_no_pair_and_gathers_no_plan_points(self, monkeypatch):
-        calls = []
+        planned, solved = [], []
 
-        def counted(skeleton, epsilon, _fn=counterexample.build_pair):
-            calls.append(epsilon)
-            return _fn(skeleton, epsilon)
+        def planned_rows(*args, _fn=counterexample.plan_from_indices):
+            planned.append(args)
+            return _fn(*args)
+
+        def counted(mu, rho, *args, _fn=counterexample.exact_ot):
+            solved.append((mu, rho))
+            return _fn(mu, rho, *args)
 
         def refused(*args):
-            raise AssertionError("the sweep moved a plan or read its row points")
+            raise AssertionError("the sweep read a plan's row points")
 
-        monkeypatch.setattr(counterexample, "build_pair", counted)
-        monkeypatch.setattr(TransportPlan, "with_atoms", refused)
+        copula = independence(2, 8)
+        skeleton = pair_skeleton(discretize(copula, 16), 1.0, 2.0, (1, 2))
+        monkeypatch.setattr(counterexample, "plan_from_indices", planned_rows)
+        monkeypatch.setattr(counterexample, "exact_ot", counted)
         monkeypatch.setattr(TransportPlan, "x", property(refused))
         monkeypatch.setattr(TransportPlan, "y", property(refused))
-        report = gap_search(independence(2, 8), 1.0, 2.0, attach_exact=False)
-        assert len(report.curve) == 16 and calls == []
+        report = gap_search(copula, 1.0, 2.0, attach_exact=False)
+        # Only pair_skeleton builds plans: the quantile plan and the competitor.
+        assert len(report.curve) == 16 and len(planned) == 2 and solved == []
         monkeypatch.undo()
-        monkeypatch.setattr(counterexample, "build_pair", counted)
-        report = gap_search(independence(2, 8), 1.0, 2.0)
-        assert calls == [report.epsilon] and report.exact_cost is not None
+        monkeypatch.setattr(counterexample, "exact_ot", counted)
+        report = gap_search(copula, 1.0, 2.0)
+        assert report.exact_cost is not None and len(solved) == 1
+        # The certificate solves between the scaled measures at the accepted epsilon.
+        built = construction_at(skeleton, report.epsilon)
+        assert same_measure(solved[0][0], built.mu) and same_measure(solved[0][1], built.rho)
 
 
 class TestLimitScores:

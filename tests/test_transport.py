@@ -98,36 +98,6 @@ class TestPlans:
                 spec = CostSpec(p, q)
                 assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
 
-    def test_with_atoms_keeps_rows_and_marginal_weights(self):
-        plan = make_plan([[0, 1], [0, 1], [1, 0]], [[5, 5], [6, 0], [5, 5]], [0.25, 0.25, 0.5])
-        moved = plan.with_atoms(plan.source * [1.0, 0.5], plan.target * [0.5, 1.0])
-        for name in ("i", "j", "w"):
-            assert getattr(moved, name) is getattr(plan, name)
-        assert moved.source.tolist() == [[0.0, 0.5], [1.0, 0.0]]
-        assert moved.target.tolist() == [[2.5, 5.0], [3.0, 0.0]]
-        assert not moved.source.flags.writeable and not moved.target.flags.writeable
-        expected = make_plan(moved.x, moved.y, moved.w)
-        for marginal, want in (
-            (moved.first_marginal(), expected.first_marginal()),
-            (moved.second_marginal(), expected.second_marginal()),
-        ):
-            assert marginal.atoms.tolist() == want.atoms.tolist()
-            assert marginal.weights.tolist() == want.weights.tolist()
-
-    @pytest.mark.parametrize(
-        "source, target, match",
-        [
-            ([[1.0, 0.0], [0.0, 1.0]], [[5.0, 5.0], [6.0, 0.0]], "with_atoms: source atoms must be sorted"),
-            ([[0.0, 1.0], [1.0, 0.0]], [[5.0, 5.0], [5.0, 5.0]], "with_atoms: target atoms must be sorted"),
-            ([[0.0, 1.0]], [[5.0, 5.0], [6.0, 0.0]], "do not replace"),
-            ([[0.0, 1.0], [1.0, np.inf]], [[5.0, 5.0], [6.0, 0.0]], "finite"),
-        ],
-    )
-    def test_with_atoms_rejects_atoms_that_break_the_invariants(self, source, target, match):
-        plan = make_plan([[0, 1], [0, 1], [1, 0]], [[5, 5], [6, 0], [5, 5]], [0.25, 0.25, 0.5])
-        with pytest.raises(ValueError, match=match):
-            plan.with_atoms(np.array(source), np.array(target))
-
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):
             make_plan([[0.0]], [[1.0]], [0.5])
@@ -207,6 +177,9 @@ class TestPlans:
             ([[0.0], [1.0]], [[5.0]], [0, 0], [0, 0], [0.5, 0.5], "source atom 1 appears in no row"),
             ([[0.0]], [[5.0], [6.0]], [0], [1], [1.0], "target atom 0 appears in no row"),
             ([[0.0]], [[5.0]], [], [], [], "nonempty"),
+            ([[0.0]], [[6.0], [5.0]], [0, 0], [0, 1], [0.5, 0.5], "target atoms must be sorted"),
+            ([[0.0], [np.inf]], [[5.0]], [0, 1], [0, 0], [0.5, 0.5], "source must be .* finite atoms"),
+            ([[0.0]], [[np.nan]], [0], [0], [1.0], "target must be .* finite atoms"),
         ],
     )
     def test_plan_from_indices_rejects_broken_invariants(self, source, target, i, j, w, match):

@@ -38,14 +38,15 @@ from .copulas import (
     countermonotone,
     discretize,
 )
-from .measures import MultivariateMeasure, group_rows, make_measure, measures_close
+from .measures import MultivariateMeasure, exact_sum, group_rows, measures_close
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     PairCountCapExceeded,
     TransportPlan,
     _check_atoms,
-    _RowCosts,
+    _read_only,
+    _row_cost_sum,
     exact_ot,
     plan_from_indices,
     validate_plan,
@@ -191,9 +192,10 @@ class PairSkeleton(NamedTuple):
 
     ``law`` is the carrier's midpoint law: one atom per cell of positive
     mass, in the carrier's coordinate order, weighted by the cell's mass.
-    Both plans couple ``law`` with itself.  At an epsilon only the atoms
-    change (:func:`_scaled_sides`), so no plan is built per epsilon:
-    :func:`_cost_sweep` costs both plans from their rows.
+    Both plans couple ``law`` with itself, and their source and target are
+    ``law.atoms``.  At an epsilon only the atoms change
+    (:func:`_scaled_sides`), so no plan is built per epsilon:
+    :func:`_cost_sweep` costs both plans from their rows' atom indices.
     """
 
     pair: tuple[int, int]
@@ -219,15 +221,16 @@ def pair_skeleton(
     side, and scaling columns by positive factors keeps the lexicographic
     order of the atoms, so the weights and the plans' rows (atom indices and
     weights) are the same at every epsilon.  They are built here once, with
-    :func:`plan_from_indices` on the unscaled midpoints: the quantile plan
-    pairs each cell's source atom with its own target atom, the competitor
-    each source cell of row a with every target cell of column adv[a].  The
-    competitor target copy rewires the dependence between its first two
-    coordinates through the adversary while keeping all conditionals, which
-    leaves its law unchanged.  Both plans are validated against
-    (``law``, ``law``), and the rewired target law is checked against
-    ``law`` exactly (same atoms, weights within 1e-12); either failure
-    raises a ``RuntimeError``.
+    :func:`plan_from_indices` on the unscaled midpoints, whose one sort
+    (:func:`group_rows`) gives the law's atoms: the quantile plan pairs each
+    cell's source atom with its own target atom, the competitor each source
+    cell of row a with every target cell of column adv[a], in one pass of
+    gathers.  The competitor target copy rewires the dependence between its
+    first two coordinates through the adversary while keeping all
+    conditionals, which leaves its law unchanged.  Both plans are validated
+    against (``law``, ``law``), and the rewired target law is checked
+    against ``law`` exactly (same atoms, weights within 1e-12); either
+    failure raises a ``RuntimeError``.
 
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
@@ -253,34 +256,41 @@ def pair_skeleton(
     U = np.empty((len(cells[0]), n))
     for new_axis, orig_axis in enumerate(order):
         U[:, orig_axis] = mids[cells[new_axis]]
-    w = T[cells]
-    law = make_measure(U, w)
-    # Every cell weight is positive, so the grouped rows are the law's atoms;
-    # validating the plans below checks that they are exactly equal.
+    w = _read_only(T[cells])
+    # Distinct cells have distinct midpoints, so each atom is one cell: these
+    # are make_measure(U, w)'s atoms and weights, with one sort instead of two.
     atoms, cell_atom = group_rows(U)
+    weights = np.empty(len(w))
+    weights[cell_atom] = w
+    weights /= exact_sum(w)
+    law = MultivariateMeasure(atoms=atoms, weights=_read_only(weights))
+    # Read-only rows in (i, j) order are kept by plan_from_indices as they are.
+    cell_atom = _read_only(cell_atom)
     diamond_plan = plan_from_indices(atoms, atoms, cell_atom, cell_atom, w)
 
     # Competitor: independently draw the target's pair-i coordinate and tail
     # from the conditional given its pair-j coordinate, which the adversary
-    # ties to the source's pair-i coordinate.  Row a of the carrier holds the
-    # source cells with pair-i index a, column adv[a] the target cells they
-    # are coupled with; both lists are in the carrier's cell order.
-    row_cells = np.split(np.arange(len(w)), np.cumsum(np.bincount(cells[0], minlength=k))[:-1])
-    col_cells = np.split(
-        np.argsort(cells[1], kind="stable"), np.cumsum(np.bincount(cells[1], minlength=k))[:-1]
-    )
-    rows_i, rows_j, rows_w = [], [], []
-    for a in range(k):
-        b2 = int(adv[a])
-        src_cells, tgt_cells = row_cells[a], col_cells[b2]
-        if len(src_cells) == 0:
-            continue
-        tgt_mass = w[tgt_cells] / colsum[b2]
-        rows_i.append(np.repeat(cell_atom[src_cells], len(tgt_cells)))
-        rows_j.append(np.tile(cell_atom[tgt_cells], len(src_cells)))
-        rows_w.append((w[src_cells][:, None] * tgt_mass[None, :]).ravel())
+    # ties to the source's pair-i coordinate.  Each source cell s, of row a of
+    # the carrier, is coupled with every target cell t of column adv[a], in
+    # the carrier's cell order, with weight w_s * (w_t / colsum); the rows run
+    # over the source cells in that order too.
+    col_count = np.bincount(cells[1], minlength=k)
+    col_cells = np.argsort(cells[1], kind="stable")
+    target_col = adv[cells[0]]
+    fan = col_count[target_col]
+    src = np.repeat(np.arange(len(w)), fan)
+    # Row r of a source cell whose rows start at row f is the (r - f)-th cell
+    # of its target column, which starts at position col_start in col_cells.
+    col_start = np.cumsum(col_count) - col_count
+    position = np.repeat(col_start[target_col] - (np.cumsum(fan) - fan), fan)
+    position += np.arange(len(src))
+    tgt = col_cells[position]
     alt_plan = plan_from_indices(
-        atoms, atoms, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
+        atoms,
+        atoms,
+        _read_only(cell_atom[src]),
+        _read_only(cell_atom[tgt]),
+        _read_only(w[src] * (w / colsum[cells[1]])[tgt]),
     )
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
@@ -294,47 +304,82 @@ def pair_skeleton(
     return PairSkeleton(pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan)
 
 
-def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> tuple[list[list[float]], list[np.ndarray]]:
-    """Per side, the column scales and the law's atoms under them, read-only and checked once.
-
-    The source keeps coordinate pair[0] and the target pair[1]; every other
-    coordinate is scaled by epsilon.
-    """
+def _side_scales(skeleton: PairSkeleton, epsilon: float) -> list[list[float]]:
+    """Column scales of the source and the target: each keeps its coordinate of the pair."""
     n = skeleton.law.dimension
-    scales = [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
-    sides = []
-    for scale in scales:
-        atoms = skeleton.law.atoms * scale
-        atoms.flags.writeable = False
-        try:
-            _check_atoms(atoms, "scaled", "gap_search")
-        except ValueError:
-            raise ValueError(
-                f"gap_search: epsilon={epsilon!r} is too small: scaling by it merges "
-                f"or reorders atoms of the carrier"
-            ) from None
-        sides.append(atoms)
-    return scales, sides
+    return [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
+
+
+def _scaled_atoms(skeleton: PairSkeleton, scale: list[float], epsilon: float) -> np.ndarray:
+    """The law's atoms with column d multiplied by ``scale[d]``, read-only and checked."""
+    atoms = skeleton.law.atoms * scale
+    atoms.flags.writeable = False
+    try:
+        _check_atoms(atoms, "scaled", "gap_search")
+    except ValueError:
+        raise ValueError(
+            f"gap_search: epsilon={epsilon!r} is too small: scaling by it merges "
+            f"or reorders atoms of the carrier"
+        ) from None
+    return atoms
+
+
+def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> list[np.ndarray]:
+    """The source's and the target's scaled atoms at ``epsilon`` (:func:`_side_scales`)."""
+    return [_scaled_atoms(skeleton, scale, epsilon) for scale in _side_scales(skeleton, epsilon)]
 
 
 def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tuple[float, float]]:
-    """Both plan costs of the construction at any epsilon, from rows gathered once.
+    """Both plan costs of the construction at any epsilon, from per-coordinate distance tables.
 
     Returns ``costs(epsilon) -> (diamond_cost, alt_cost)``, equal bit for bit
     to :func:`plan_cost` of each skeleton plan's rows (i, j, w) on the scaled
-    atoms of :func:`_scaled_sides`.  Each plan's unscaled row coordinates are
-    gathered once (:class:`_RowCosts`); each epsilon checks the scaled atoms,
-    with ``_scaled_sides``' ``ValueError``, and only scales the coordinates.
-    No plan is built at any epsilon.
+    atoms of :func:`_scaled_sides`.  Both plans sit on the law's atoms, whose
+    column d takes the values v_d, so a row's distance in coordinate d is
+    entry a * len(v_d) + b of the table |s_d v_d[a] - t_d v_d[b]|^q; these
+    codes are found once per search.  Each epsilon builds the tables by
+    ``plan_cost``'s steps ((s v)[a] == s v[a] elementwise), gathers them into
+    work arrays allocated once and sums the rows by :func:`_row_cost_sum`.
+
+    Each epsilon checks the scaled atoms, with ``_scaled_atoms``'
+    ``ValueError``, through the scaled column values: multiplying by a
+    positive float keeps their order, so while every column stays finite and
+    strictly increasing the scaled atoms stay sorted and distinct.  Only when
+    a column merges values are the scaled atoms checked whole.  No plan is
+    built at any epsilon.
     """
-    kernels = [
-        _RowCosts(plan.source.T.take(plan.i, axis=1), plan.target.T.take(plan.j, axis=1), plan.w)
-        for plan in (skeleton.diamond_plan, skeleton.alt_plan)
-    ]
+    law = skeleton.law
+    n = law.dimension
+    values, inverses = zip(*(np.unique(law.atoms[:, d], return_inverse=True) for d in range(n)))
+    kernels = []
+    for plan in (skeleton.diamond_plan, skeleton.alt_plan):
+        codes = [inv[plan.i] * len(v) + inv[plan.j] for v, inv in zip(values, inverses)]
+        # Coordinate d's distances are column d, contiguous below 8 columns
+        # and row-major from 8 on (see _row_cost_sum).
+        dist = np.empty((len(plan), n)) if n >= 8 else np.empty((n, len(plan))).T
+        kernels.append((codes, dist, np.empty(len(plan)), plan.w))
+
+    def scaled_columns(scale: list[float], epsilon: float) -> list[np.ndarray]:
+        columns = [v * s if s != 1.0 else v for v, s in zip(values, scale)]
+        if not all(np.isfinite(c).all() and (c[1:] > c[:-1]).all() for c in columns):
+            _scaled_atoms(skeleton, scale, epsilon)
+        return columns
 
     def costs(epsilon: float) -> tuple[float, float]:
-        scales, _ = _scaled_sides(skeleton, epsilon)
-        diamond_cost, alt_cost = (kernel.cost(spec, *scales) for kernel in kernels)
+        source_scale, target_scale = _side_scales(skeleton, epsilon)
+        tables = []
+        for a, b in zip(scaled_columns(source_scale, epsilon), scaled_columns(target_scale, epsilon)):
+            table = np.subtract.outer(a, b)
+            np.abs(table, out=table)
+            table **= spec.q
+            tables.append(table)
+        plan_costs = []
+        for codes, dist, per_row, w in kernels:
+            for d, (table, code) in enumerate(zip(tables, codes)):
+                # Every code is in range; "clip" spares the copy that "raise" makes.
+                np.take(table, code, out=dist[:, d], mode="clip")
+            plan_costs.append(_row_cost_sum(dist, per_row, w, spec))
+        diamond_cost, alt_cost = plan_costs
         return diamond_cost, alt_cost
 
     return costs
@@ -407,8 +452,9 @@ def gap_search(
     ``discretize(copula, carrier_resolution)``.  The epsilon-free part of the
     construction, the carrier's midpoint law and both plans' rows, is built
     and checked once (:func:`pair_skeleton`).  Each epsilon checks the scaled
-    atoms and costs both plans from row coordinates gathered once
-    (:func:`_cost_sweep`), so no plan is built at any epsilon.  The exact
+    atoms through their columns and costs both plans from per-coordinate
+    distance tables, gathered by row codes found once (:func:`_cost_sweep`),
+    so no plan is built at any epsilon.  The exact
     certificate at the accepted epsilon solves between the two scaled
     measures: the scaled atoms of each side with the law's weights.  Raises a
     ``ValueError`` when the copula has fewer than two coordinates, since the
@@ -456,7 +502,7 @@ def gap_search(
     accepted = min(significant, key=lambda pt: pt.epsilon)
     exact_cost = None
     if attach_exact:
-        _, (source, target) = _scaled_sides(skeleton, accepted.epsilon)
+        source, target = _scaled_sides(skeleton, accepted.epsilon)
         weights = skeleton.law.weights
         mu = MultivariateMeasure(atoms=source, weights=weights)
         rho = MultivariateMeasure(atoms=target, weights=weights)

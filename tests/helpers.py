@@ -12,7 +12,8 @@ copula, the pointwise cost, the inner-product score and its maximizer, the
 1-D view of a one-dimensional measure, positive affine maps of a measure's
 coordinates, the canonical plan of weighted point pairs (``make_plan``), the
 gap construction's measures and plans at one epsilon (``construction_at``),
-and reading a plan file back.  Their own tests and acceptance criteria 8 and
+its competitor plan built block by block (``block_competitor_plan``), and
+reading a plan file back.  Their own tests and acceptance criteria 8 and
 9 use them.
 """
 
@@ -32,7 +33,12 @@ from copula_ot.copulas import (
     Copula,
     checkerboard,
 )
-from copula_ot.counterexample import PairSkeleton, _scaled_sides
+from copula_ot.counterexample import (
+    PairSkeleton,
+    _adversary_index_map,
+    _scaled_sides,
+    adversary_copula,
+)
 from copula_ot.measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
@@ -431,7 +437,7 @@ def construction_at(skeleton: PairSkeleton, epsilon: float) -> Construction:
     are the skeleton plans' rows (i, j, w) on those atoms, built and checked
     by ``plan_from_indices``; the library builds no plan at any epsilon.
     """
-    _, (source, target) = _scaled_sides(skeleton, epsilon)
+    source, target = _scaled_sides(skeleton, epsilon)
     weights = skeleton.law.weights
     diamond_plan, alt_plan = (
         plan_from_indices(source, target, plan.i, plan.j, plan.w)
@@ -442,4 +448,43 @@ def construction_at(skeleton: PairSkeleton, epsilon: float) -> Construction:
         rho=MultivariateMeasure(atoms=target, weights=weights),
         diamond_plan=diamond_plan,
         alt_plan=alt_plan,
+    )
+
+
+def block_competitor_plan(carrier: Copula, p: float, q: float, pair: tuple[int, int]) -> TransportPlan:
+    """``pair_skeleton``'s competitor plan, built by a loop over the carrier's rows.
+
+    Row a of the carrier holds the source cells with pair-i index a, column
+    adv[a] the target cells they are coupled with, both in the carrier's cell
+    order; each block pairs every source cell with every target cell of its
+    column, with weight w_s * (w_t / colsum).
+    """
+    n, k = carrier.n, carrier.k
+    i, j = pair
+    adv = _adversary_index_map(adversary_copula(p, q), k)
+    order = [i - 1, j - 1] + [d for d in range(n) if d not in (i - 1, j - 1)]
+    T = np.transpose(carrier.masses, order)
+    colsum = (T.sum(axis=tuple(range(2, n))) if n > 2 else T).sum(axis=0)
+    cells = np.nonzero(T)
+    U = np.empty((len(cells[0]), n))
+    for new_axis, orig_axis in enumerate(order):
+        U[:, orig_axis] = (cells[new_axis] + 0.5) / k
+    w = T[cells]
+    atoms, cell_atom = group_rows(U)
+    row_cells = np.split(np.arange(len(w)), np.cumsum(np.bincount(cells[0], minlength=k))[:-1])
+    col_cells = np.split(
+        np.argsort(cells[1], kind="stable"), np.cumsum(np.bincount(cells[1], minlength=k))[:-1]
+    )
+    rows_i, rows_j, rows_w = [], [], []
+    for a in range(k):
+        b = int(adv[a])
+        src_cells, tgt_cells = row_cells[a], col_cells[b]
+        if len(src_cells) == 0:
+            continue
+        tgt_mass = w[tgt_cells] / colsum[b]
+        rows_i.append(np.repeat(cell_atom[src_cells], len(tgt_cells)))
+        rows_j.append(np.tile(cell_atom[tgt_cells], len(src_cells)))
+        rows_w.append((w[src_cells][:, None] * tgt_mass[None, :]).ravel())
+    return plan_from_indices(
+        atoms, atoms, np.concatenate(rows_i), np.concatenate(rows_j), np.concatenate(rows_w)
     )

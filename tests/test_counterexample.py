@@ -30,6 +30,7 @@ from copula_ot.transport import CostSpec, TransportPlan, exact_ot, plan_cost, va
 
 import copula_ot.counterexample as counterexample
 from helpers import (
+    block_competitor_plan,
     construction_at,
     empirical_copula,
     fd_cross_partial,
@@ -321,6 +322,59 @@ class TestPairSkeleton:
             assert validate_plan(built.diamond_plan, *ref)
             assert validate_plan(built.alt_plan, *ref)
 
+    @pytest.mark.parametrize(
+        "carrier",
+        [
+            independence(2, 4),
+            independence(2, 48),
+            random_copula(np.random.default_rng(17), 3, 4),
+            random_copula(np.random.default_rng(41), 4, 4),
+            discretize(comonotone(2), 8),
+        ],
+    )
+    def test_law_is_the_measure_of_the_cell_midpoints(self, carrier):
+        # Grouping the midpoints and placing the weights equals make_measure.
+        k = carrier.k
+        cells = np.nonzero(carrier.masses)
+        mids = np.column_stack([(c + 0.5) / k for c in cells])
+        law = pair_skeleton(carrier, 2.0, 1.0, (1, 2)).law
+        reference = make_measure(mids, carrier.masses[cells])
+        assert np.array_equal(law.atoms, reference.atoms)
+        assert np.array_equal(law.weights, reference.weights)
+
+    @pytest.mark.parametrize(
+        "carrier, pair, p, q",
+        [
+            (independence(2, 4), (1, 2), 2.0, 1.0),
+            (independence(2, 4), (1, 2), 1.0, 2.0),
+            (independence(2, 48), (1, 2), 2.0, 1.0),
+            (independence(2, 48), (1, 2), 1.0, 2.0),
+            (random_copula(np.random.default_rng(17), 3, 4), (1, 3), 1.0, 2.0),
+            (random_copula(np.random.default_rng(41), 4, 4), (2, 4), 2.0, 1.0),
+            (discretize(comonotone(2), 8), (1, 2), 2.0, 1.0),
+        ],
+    )
+    def test_competitor_rows_equal_the_block_loop(self, carrier, pair, p, q):
+        alt_plan = pair_skeleton(carrier, p, q, pair).alt_plan
+        reference = block_competitor_plan(carrier, p, q, pair)
+        for name in ("i", "j", "w"):
+            assert np.array_equal(getattr(alt_plan, name), getattr(reference, name)), name
+
+    def test_sorted_skeleton_rows_are_kept_as_built(self, monkeypatch):
+        # The rows come read-only and, on a pair in coordinate order, sorted,
+        # so plan_from_indices keeps the arrays instead of copying them.
+        built = []
+
+        def recorded(*args, _fn=counterexample.plan_from_indices):
+            built.append((args, _fn(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(counterexample, "plan_from_indices", recorded)
+        pair_skeleton(independence(2, 48), 2.0, 1.0, (1, 2))
+        assert len(built) == 2
+        for (source, target, i, j, w), plan in built:
+            assert plan.i is i and plan.j is j and plan.w is w
+
     def test_epsilon_that_merges_atoms_is_named(self):
         # At 5e-324 the scaled midpoints round to 0 or 5e-324 and atoms merge.
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
@@ -337,13 +391,18 @@ class TestCostSweep:
             (independence(2, 16), (1, 2)),
             (independence(2, 48), (1, 2)),
             (random_copula(np.random.default_rng(17), 3, 4), (1, 3)),
+            # From 8 columns on the sweep gathers into row-major distances.
+            (independence(8, 2), (1, 2)),
+            (random_copula(np.random.default_rng(5), 8, 2), (3, 7)),
         ],
     )
-    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0), (3.0, 2.0), (1.5, 1.0)])
+    # q = 1.5 has no numpy fast path: the tables and plan_cost raise
+    # different arrays to it.
+    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0), (3.0, 2.0), (1.5, 1.0), (1.0, 1.5)])
     def test_costs_equal_plan_cost_of_the_built_plans(self, carrier, pair, p, q):
-        # Bit for bit, at every epsilon: the sweep scales gathered columns,
-        # the reference plans sit on the scaled atoms and plan_cost gathers
-        # the rows.
+        # Bit for bit, at every epsilon: the sweep gathers per-coordinate
+        # distance tables, the reference plans sit on the scaled atoms and
+        # plan_cost subtracts the rows' points.
         spec = CostSpec(p, q)
         skeleton = pair_skeleton(carrier, p, q, pair)
         costs = counterexample._cost_sweep(skeleton, spec)
@@ -370,6 +429,40 @@ class TestCostSweep:
     def test_epsilon_that_merges_atoms_is_named(self):
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
             gap_search(independence(2, 4), 2.0, 1.0, carrier_resolution=4, schedule=[0.5, 5e-324])
+
+    def test_merged_column_falls_back_to_the_full_atom_check(self, monkeypatch):
+        # At 3e-323 the 16 scaled midpoints of the comonotone carrier keep 7
+        # values, yet the atoms (m, eps m) and (eps m, m) stay sorted and
+        # distinct: only the check of the whole scaled atoms accepts them.
+        mids = (np.arange(16) + 0.5) / 16
+        assert len(np.unique(mids * 3e-323)) == 7
+        report = gap_search(comonotone(2), 2.0, 1.0, schedule=[0.5, 3e-323], attach_exact=False)
+        assert (report.epsilon, report.diamond_cost, report.alt_cost) == (3e-323, 1.33203125, 1.0)
+
+        checked = []
+
+        def counted(atoms, *args, _fn=counterexample._check_atoms):
+            checked.append(atoms)
+            return _fn(atoms, *args)
+
+        spec = CostSpec(2.0, 1.0)
+        skeleton = pair_skeleton(discretize(comonotone(2), 16), 2.0, 1.0, (1, 2))
+        costs = counterexample._cost_sweep(skeleton, spec)
+        monkeypatch.setattr(counterexample, "_check_atoms", counted)
+        costs(0.5)
+        assert checked == []
+        got = costs(3e-323)
+        monkeypatch.undo()
+        built = construction_at(skeleton, 3e-323)
+        assert len(checked) == 2
+        for atoms, measure in zip(checked, (built.mu, built.rho)):
+            assert np.array_equal(atoms, measure.atoms)
+        assert got == (plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec))
+
+    def test_epsilon_that_merges_grid_atoms_still_raises(self):
+        # On the independence carrier merged columns merge atoms too.
+        with pytest.raises(ValueError, match=r"gap_search: epsilon=3e-323 is too small"):
+            gap_search(independence(2, 16), 2.0, 1.0, schedule=[0.5, 3e-323])
 
     def test_sweep_builds_no_pair_and_gathers_no_plan_points(self, monkeypatch):
         planned, solved = [], []
@@ -514,8 +607,9 @@ class TestGapSearch:
 
     def test_checks_run_once_per_search(self, monkeypatch):
         # The epsilon-free checks live in pair_skeleton, so a longer schedule
-        # adds no measure construction, law comparison or plan validation.
-        names = ("make_measure", "measures_close", "validate_plan")
+        # adds no measure construction (the law is grouped from the cell
+        # midpoints), law comparison or plan validation.
+        names = ("group_rows", "measures_close", "validate_plan")
         counts = {}
         for name in names:
             def counted(*args, _name=name, _fn=getattr(counterexample, name), **kwargs):
@@ -531,7 +625,7 @@ class TestGapSearch:
             assert len(report.curve) == len(schedule)
             per_schedule.append(dict(counts))
         assert per_schedule[0] == per_schedule[1]
-        assert per_schedule[0] == {"make_measure": 1, "measures_close": 1, "validate_plan": 2}
+        assert per_schedule[0] == {"group_rows": 1, "measures_close": 1, "validate_plan": 2}
 
     def test_rejects_equal_exponents_and_bad_schedule(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from .copulas import (
     independence,
 )
 from .counterexample import (
+    DEFAULT_CARRIER_RESOLUTION,
     CurvePoint,
     NoViolatingPair,
     ScheduleExhausted,
@@ -58,8 +59,6 @@ EXIT_USAGE = 2
 EXIT_PAIR_CAP = 3
 EXIT_NO_PAIR = 4
 EXIT_EXHAUSTED = 5
-
-DEFAULT_CARRIER_RESOLUTION = 16
 
 
 def _fmt(value: float) -> str:

@@ -28,6 +28,7 @@ from .measures import (
     DiscreteMeasure1D,
     MultivariateMeasure,
     _number_array,
+    _read_only,
     make_measure,
 )
 
@@ -86,9 +87,7 @@ def checkerboard(n: int, k: int, masses) -> Copula:
                 f"checkerboard: slice sums along axis {axis + 1} are not uniform: "
                 f"slice {r} has mass {slices[r]!r}, expected {1.0 / k!r}"
             )
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return Copula(variant=CHECKERBOARD, n=n, k=k, masses=arr)
+    return Copula(variant=CHECKERBOARD, n=n, k=k, masses=_read_only(arr.copy()))
 
 
 def independence(n: int, k: int = 1) -> Copula:

@@ -23,7 +23,7 @@ on the same carrier (see :func:`find_violating_pair`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,14 +38,13 @@ from .copulas import (
     countermonotone,
     discretize,
 )
-from .measures import MultivariateMeasure, exact_sum, group_rows, measures_close
+from .measures import MultivariateMeasure, _read_only, exact_sum, group_rows, measures_close
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     PairCountCapExceeded,
     TransportPlan,
     _check_atoms,
-    _read_only,
     _row_cost_sum,
     exact_ot,
     plan_from_indices,
@@ -55,6 +54,9 @@ from .transport import (
 # A gap is treated as real once it clears this fraction of max(1, cost);
 # anything smaller is indistinguishable from accumulated rounding.
 GAP_SIGNIFICANCE = 1e-9
+
+# Checkerboard resolution at which gap_search discretizes monotone copulas.
+DEFAULT_CARRIER_RESOLUTION = 16
 
 CAVEAT = (
     "Purely atomic marginals admit more than one copula. The certified claim is "
@@ -106,24 +108,10 @@ class CounterexampleReport:
 
 
 def report_to_dict(report: CounterexampleReport) -> dict:
-    return {
-        "p": report.p,
-        "q": report.q,
-        "copula": report.copula,
-        "pair": list(report.pair),
-        "epsilon": report.epsilon,
-        "diamond_cost": report.diamond_cost,
-        "alt_cost": report.alt_cost,
-        "exact_cost": report.exact_cost,
-        "gap": report.gap,
-        "limit_diamond": report.limit_diamond,
-        "limit_alt": report.limit_alt,
-        "caveat": report.caveat,
-    }
-
-
-def _check_exponents(p: float, q: float) -> None:
-    CostSpec(p, q)  # shared validation: finite, >= 1
+    """Every field but the curve, in the dataclass's order, with the pair as a list."""
+    obj = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "curve"}
+    obj["pair"] = list(report.pair)
+    return obj
 
 
 def monge_cross_partial(p: float, q: float, u1: float, u2: float) -> float:
@@ -133,7 +121,7 @@ def monge_cross_partial(p: float, q: float, u1: float, u2: float) -> float:
     the comonotone or the countermonotone rearrangement wins in the limit.
     Returns exactly 0.0 when p == q.
     """
-    _check_exponents(p, q)
+    CostSpec(p, q)
     for name, u in (("u1", u1), ("u2", u2)):
         if not (isinstance(u, (int, float)) and 0.0 < u < 1.0):
             raise ValueError(f"monge_cross_partial: {name} must lie strictly in (0, 1), got {u!r}")
@@ -145,7 +133,7 @@ def monge_cross_partial(p: float, q: float, u1: float, u2: float) -> float:
 
 def adversary_copula(p: float, q: float) -> Copula:
     """Extremal dependence that beats the shared copula in the limit."""
-    _check_exponents(p, q)
+    CostSpec(p, q)
     if p == q:
         raise ValueError("adversary_copula: the exponents must differ; for p = q the quantile coupling is optimal")
     return comonotone(2) if q > p else countermonotone()
@@ -163,7 +151,7 @@ def find_violating_pair(carrier: Copula, p: float, q: float) -> tuple[int, int] 
     margin has mass off the cells (a, adv[a]).  Returns None when every pair
     sits on them.
     """
-    _check_exponents(p, q)
+    CostSpec(p, q)
     if p == q:
         raise ValueError("find_violating_pair: requires p != q")
     if carrier.variant != CHECKERBOARD:
@@ -185,6 +173,26 @@ def _adversary_index_map(adversary: Copula, k: int) -> np.ndarray:
     if adversary.variant == COUNTERMONOTONE:
         return k - 1 - np.arange(k)
     raise ValueError("adversary must be the bivariate comonotone or countermonotone copula")
+
+
+def _pair_arguments(
+    caller: str, carrier: Copula, pair: tuple[int, int], p: float, q: float, adversary: Copula | None
+) -> tuple[int, int, np.ndarray]:
+    """``(i, j, adv)`` after the argument checks of ``caller``, which its errors name.
+
+    The exponents must be valid, the carrier a checkerboard and the pair
+    1 <= i < j <= n; ``adv`` is the index map of ``adversary``, by default
+    :func:`adversary_copula`, which requires p != q.
+    """
+    CostSpec(p, q)
+    if carrier.variant != CHECKERBOARD:
+        raise ValueError(f"{caller}: carrier must be a checkerboard; discretize monotone copulas first")
+    i, j = pair
+    if not (1 <= i < j <= carrier.n):
+        raise ValueError(f"{caller}: need 1 <= i < j <= {carrier.n}, got ({i}, {j})")
+    if adversary is None:
+        adversary = adversary_copula(p, q)
+    return i, j, _adversary_index_map(adversary, carrier.k)
 
 
 class PairSkeleton(NamedTuple):
@@ -235,16 +243,8 @@ def pair_skeleton(
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
     """
-    _check_exponents(p, q)
-    if carrier.variant != CHECKERBOARD:
-        raise ValueError("pair_skeleton: carrier must be a checkerboard; discretize monotone copulas first")
+    i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q, adversary)
     n, k = carrier.n, carrier.k
-    i, j = pair
-    if not (1 <= i < j <= n):
-        raise ValueError(f"pair_skeleton: need 1 <= i < j <= {n}, got ({i}, {j})")
-    if adversary is None:
-        adversary = adversary_copula(p, q)
-    adv = _adversary_index_map(adversary, k)
 
     order = [i - 1, j - 1] + [d for d in range(n) if d not in (i - 1, j - 1)]
     T = np.transpose(carrier.masses, order)
@@ -312,8 +312,7 @@ def _side_scales(skeleton: PairSkeleton, epsilon: float) -> list[list[float]]:
 
 def _scaled_atoms(skeleton: PairSkeleton, scale: list[float], epsilon: float) -> np.ndarray:
     """The law's atoms with column d multiplied by ``scale[d]``, read-only and checked."""
-    atoms = skeleton.law.atoms * scale
-    atoms.flags.writeable = False
+    atoms = _read_only(skeleton.law.atoms * scale)
     try:
         _check_atoms(atoms, "scaled", "gap_search")
     except ValueError:
@@ -400,19 +399,9 @@ def limit_scores(
     competitor's to the same functional under the adversary rearrangement of
     that margin.
     """
-    _check_exponents(p, q)
-    if carrier.variant != CHECKERBOARD:
-        raise ValueError("limit_scores: carrier must be a checkerboard; discretize monotone copulas first")
-    i, j = pair
-    if not (1 <= i < j <= carrier.n):
-        raise ValueError(f"limit_scores: need 1 <= i < j <= {carrier.n}, got ({i}, {j})")
-    if adversary is None:
-        adversary = adversary_copula(p, q)
-    margin = bivariate_margin(carrier, i, j)
-    k = margin.k
-    C2 = np.asarray(margin.masses)
-    mids = (np.arange(k) + 0.5) / k
-    adv = _adversary_index_map(adversary, k)
+    i, j, adv = _pair_arguments("limit_scores", carrier, pair, p, q, adversary)
+    C2 = np.asarray(bivariate_margin(carrier, i, j).masses)
+    mids = (np.arange(carrier.k) + 0.5) / carrier.k
     nz = np.nonzero(C2)
     limit_diamond = math.fsum(
         C2[nz] * (mids[nz[0]] ** q + mids[nz[1]] ** q) ** (p / q)
@@ -432,7 +421,7 @@ def gap_search(
     p: float,
     q: float,
     *,
-    carrier_resolution: int = 16,
+    carrier_resolution: int = DEFAULT_CARRIER_RESOLUTION,
     schedule: Sequence[float] | None = None,
     attach_exact: bool = True,
     pair_cap: int = DEFAULT_PAIR_CAP,
@@ -463,7 +452,7 @@ def gap_search(
     :func:`find_violating_pair`); and :class:`ScheduleExhausted` when no
     epsilon yields a significant gap although the limit gap is positive.
     """
-    _check_exponents(p, q)
+    spec = CostSpec(p, q)
     if p == q:
         raise ValueError("gap_search: requires p != q; for p = q the quantile coupling is optimal")
     if copula.n < 2:
@@ -481,7 +470,6 @@ def gap_search(
     eps_values = tuple(schedule) if schedule is not None else default_schedule()
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):
         raise ValueError("gap_search: schedule must be nonempty with entries in (0, 1)")
-    spec = CostSpec(p, q)
     skeleton = pair_skeleton(carrier, p, q, (i, j))
     costs = _cost_sweep(skeleton, spec)
     curve = []

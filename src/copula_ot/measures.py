@@ -81,6 +81,12 @@ def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
     return math.fsum(sums + p.tolist())
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _checked_rows(atoms, weights, ndims: tuple[int, ...] = (1, 2)) -> tuple[np.ndarray, np.ndarray]:
     """Finite atom rows of shape (m, d) and m finite nonnegative weights.
 
@@ -150,9 +156,7 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(rows), dtype=np.intp)
     # numpy's cumsum of a bool array is slow on short arrays; of intp it is not.
     inverse[order] = first.astype(np.intp).cumsum() - 1
-    atoms = rows.take(first.nonzero()[0], axis=0)
-    atoms.flags.writeable = False
-    return atoms, inverse
+    return _read_only(rows.take(first.nonzero()[0], axis=0)), inverse
 
 
 def merge_weighted_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +189,7 @@ def _canonical(atoms, weights, ndims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if total <= 0.0:
         raise ValueError("weights must have positive total mass")
     rows, merged = merge_weighted_rows(a, w)
-    merged = merged / total
-    rows.flags.writeable = False
-    merged.flags.writeable = False
-    return rows, merged
+    return _read_only(rows), _read_only(merged / total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +209,7 @@ class DiscreteMeasure1D:
     def cum_weights(self) -> np.ndarray:
         acc = np.cumsum(self.weights)
         acc[-1] = 1.0
-        acc.flags.writeable = False
-        return acc
+        return _read_only(acc)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -35,13 +35,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .copulas import Copula, _atoms_at, _refine, push_through_quantiles
+from .copulas import Copula, _atoms_at, independence, push_through_quantiles
 from .measures import (
     MASS_TOL,
     DiscreteMeasure1D,
     MultivariateMeasure,
     _fsum_runs,
     _exact_sum_in_place,
+    _read_only,
     _run_starts,
     group_rows,
     measures_close,
@@ -123,11 +124,6 @@ class TransportPlan:
 
     def second_marginal(self) -> MultivariateMeasure:
         return self._second_marginal
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -297,14 +293,13 @@ def diamond(
 def wasserstein_1d(mu: DiscreteMeasure1D, rho: DiscreteMeasure1D, p: float) -> float:
     """One-dimensional transport cost: integral of |F_mu^-1 - F_rho^-1|^p.
 
-    Both quantile functions are step functions, so integrating over the
-    refinement of their jumps at interval midpoints is exact.
+    This is the cost of the 1-D quantile coupling, :func:`diamond` of the
+    one-dimensional independence copula, so an atom too light for the
+    pushforward to give it an interval raises as it does there.
     """
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"wasserstein_1d: p must be >= 1, got {p}")
-    lens, mids = _refine([mu.cum_weights, rho.cum_weights])
-    gaps = np.abs(mu.atoms[mu.quantile_index(mids)] - rho.atoms[rho.quantile_index(mids)]) ** p
-    return math.fsum(lens * gaps)
+    return plan_cost(diamond(independence(1), [mu], [rho]), CostSpec(p, p))
 
 
 def _staircase_potentials(cum_a: list, cum_b: list, cost: list) -> tuple[np.ndarray, np.ndarray]:
@@ -353,9 +348,8 @@ def separable_dual_bound(plan: TransportPlan, p: float) -> tuple[float, float]:
     repair = []
     violation = 0.0
     for d in range(plan.dimension):
-        xs, ix = group_rows(plan.x[:, d, None])
-        ys, iy = group_rows(plan.y[:, d, None])
-        xs, ys = xs.ravel(), ys.ravel()
+        xs, ix = np.unique(plan.x[:, d], return_inverse=True)
+        ys, iy = np.unique(plan.y[:, d], return_inverse=True)
         a = np.bincount(ix, weights=plan.w)
         b = np.bincount(iy, weights=plan.w)
         cost = np.abs(xs[:, None] - ys[None, :]) ** p

@@ -8,6 +8,7 @@ import pytest
 
 from copula_ot.cli import _fmt, main
 from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
+from copula_ot.counterexample import gap_search, report_to_dict
 from copula_ot.measures import make_measure, measure_to_dict
 from copula_ot.transport import validate_plan
 
@@ -296,6 +297,10 @@ class TestVerify:
 
 
 class TestCounterexample:
+    def test_report_keys_follow_the_readme_in_order(self):
+        report = gap_search(independence(2, 8), 1.0, 2.0, attach_exact=False)
+        assert list(report_to_dict(report)) == readme_listed_fields("Gap reports carry") + ["caveat"]
+
     def test_success_writes_report_and_curve(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(

@@ -264,6 +264,17 @@ class TestWasserstein1D:
         with pytest.raises(ValueError):
             wasserstein_1d(m, m, 0.5)
 
+    @pytest.mark.parametrize("weight", [1e-16, 5e-16])
+    @pytest.mark.parametrize("light_side", ["mu", "rho"])
+    def test_an_atom_too_light_for_the_refinement_raises(self, weight, light_side):
+        # Its quantile interval is empty or under 1e-15; dropping it would
+        # lose its mass and report a cost of 0.0 against the point mass.
+        light = make_measure_1d([0, 5], [1, weight])
+        point = make_measure_1d([0], [1])
+        pair = (light, point) if light_side == "mu" else (point, light)
+        with pytest.raises(ValueError, match=r"atom 5\.0 of coordinate 1 has weight .*e-16, below the 1e-15"):
+            wasserstein_1d(*pair, 2.0)
+
     def test_matches_cdf_area_oracle_for_p1(self):
         rng = np.random.default_rng(123)
         for _ in range(50):

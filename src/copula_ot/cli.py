@@ -212,6 +212,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     copula, label = _resolve_copula(args.copula, args.n, args.k, DEFAULT_CARRIER_RESOLUTION)
     out = Path(args.out)
     curve_path = out.with_suffix(".csv")
+    if curve_path == out:
+        raise ValueError(f"--out {out} would be overwritten by the gap curve, which goes to <out>.csv")
 
     def write_curve(curve) -> None:
         with curve_path.open("w", newline="") as fh:
@@ -233,9 +235,12 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         return EXIT_NO_PAIR
     except ScheduleExhausted as exc:
         print(f"schedule exhausted: {exc}")
+        out.parent.mkdir(parents=True, exist_ok=True)
         write_curve(exc.curve)
         print(f"gap curve written to {curve_path}")
         return EXIT_EXHAUSTED
+    # Created only now, so a run that fails before writing leaves nothing behind.
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report_to_dict(report))
     write_curve(report.curve)
     print(f"copula: {report.copula}")

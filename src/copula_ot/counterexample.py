@@ -38,7 +38,7 @@ from .copulas import (
     countermonotone,
     discretize,
 )
-from .measures import MultivariateMeasure, _read_only, exact_sum, group_rows, measures_close
+from .measures import MultivariateMeasure, _read_only, exact_sum, measures_close
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
@@ -199,8 +199,8 @@ class PairSkeleton(NamedTuple):
     """The epsilon-free part of the construction on one carrier and pair.
 
     ``law`` is the carrier's midpoint law: one atom per cell of positive
-    mass, in the carrier's coordinate order, weighted by the cell's mass.
-    Both plans couple ``law`` with itself, and their source and target are
+    mass, in the carrier's cell order, weighted by the cell's mass.  Both
+    plans couple ``law`` with itself, and their source and target are
     ``law.atoms``.  At an epsilon only the atoms change
     (:func:`_scaled_sides`), so no plan is built per epsilon:
     :func:`_cost_sweep` costs both plans from their rows' atom indices.
@@ -222,63 +222,46 @@ def pair_skeleton(
     """Everything of the construction that does not depend on epsilon, checked once.
 
     The carrier must be a checkerboard (see :func:`discretize`).  Writing
-    (U_1, ..., U_n) for the carrier's midpoint law with the pair relabeled to
-    the first two coordinates, the source at epsilon is the law of
-    (U_i, eps U_j, eps U_rest) and the target the law of
-    (eps U_i, U_j, eps U_rest).  Each carrier cell is one atom on either
-    side, and scaling columns by positive factors keeps the lexicographic
-    order of the atoms, so the weights and the plans' rows (atom indices and
-    weights) are the same at every epsilon.  They are built here once, with
-    :func:`plan_from_indices` on the unscaled midpoints, whose one sort
-    (:func:`group_rows`) gives the law's atoms: the quantile plan pairs each
-    cell's source atom with its own target atom, the competitor each source
-    cell of row a with every target cell of column adv[a], in one pass of
-    gathers.  The competitor target copy rewires the dependence between its
-    first two coordinates through the adversary while keeping all
-    conditionals, which leaves its law unchanged.  Both plans are validated
-    against (``law``, ``law``), and the rewired target law is checked
-    against ``law`` exactly (same atoms, weights within 1e-12); either
-    failure raises a ``RuntimeError``.
+    (U_1, ..., U_n) for the carrier's midpoint law, the source at epsilon
+    scales every coordinate but U_i by eps and the target every coordinate
+    but U_j.  Each carrier cell of positive mass is one atom on either side.
+    The cells, taken in the carrier's row-major order, have lexicographically
+    increasing midpoints, and scaling columns by positive factors keeps that
+    order, so cell c is atom c of the law at every epsilon: the weights and
+    the plans' rows (atom indices and weights) are built here once.  The
+    quantile plan pairs each cell with itself.  The competitor pairs each
+    source cell of row a of the (i, j) margin with every target cell of its
+    column adv[a], with weight w_s * (w_t / colsum[adv[a]]); its rows come
+    out in (i, j) order, so :func:`plan_from_indices` keeps them as built.
+    This target copy rewires the dependence between coordinates i and j
+    through the adversary while keeping all conditionals, which leaves its
+    law unchanged.  Both plans are validated against (``law``, ``law``), and
+    the rewired target law is checked against ``law`` exactly (same atoms,
+    weights within 1e-12); either failure raises a ``RuntimeError``.
 
     ``adversary`` defaults to :func:`adversary_copula`, which requires
     p != q; pass it explicitly to build control constructions at p = q.
     """
     i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q, adversary)
-    n, k = carrier.n, carrier.k
-
-    order = [i - 1, j - 1] + [d for d in range(n) if d not in (i - 1, j - 1)]
-    T = np.transpose(carrier.masses, order)
+    k = carrier.k
+    cells = np.nonzero(carrier.masses)
     mids = (np.arange(k) + 0.5) / k
-    C2 = T.sum(axis=tuple(range(2, n))) if n > 2 else T
-    colsum = C2.sum(axis=0)
+    atoms = _read_only(np.column_stack([mids[c] for c in cells]))
+    w = _read_only(carrier.masses[cells])
+    law = MultivariateMeasure(atoms=atoms, weights=_read_only(w / exact_sum(w)))
+    rows = _read_only(np.arange(len(w)))
+    diamond_plan = plan_from_indices(atoms, atoms, rows, rows, w)
 
-    cells = np.nonzero(T)
-    U = np.empty((len(cells[0]), n))
-    for new_axis, orig_axis in enumerate(order):
-        U[:, orig_axis] = mids[cells[new_axis]]
-    w = _read_only(T[cells])
-    # Distinct cells have distinct midpoints, so each atom is one cell: these
-    # are make_measure(U, w)'s atoms and weights, with one sort instead of two.
-    atoms, cell_atom = group_rows(U)
-    weights = np.empty(len(w))
-    weights[cell_atom] = w
-    weights /= exact_sum(w)
-    law = MultivariateMeasure(atoms=atoms, weights=_read_only(weights))
-    # Read-only rows in (i, j) order are kept by plan_from_indices as they are.
-    cell_atom = _read_only(cell_atom)
-    diamond_plan = plan_from_indices(atoms, atoms, cell_atom, cell_atom, w)
-
-    # Competitor: independently draw the target's pair-i coordinate and tail
-    # from the conditional given its pair-j coordinate, which the adversary
-    # ties to the source's pair-i coordinate.  Each source cell s, of row a of
-    # the carrier, is coupled with every target cell t of column adv[a], in
-    # the carrier's cell order, with weight w_s * (w_t / colsum); the rows run
-    # over the source cells in that order too.
-    col_count = np.bincount(cells[1], minlength=k)
-    col_cells = np.argsort(cells[1], kind="stable")
-    target_col = adv[cells[0]]
+    # Competitor: each source cell s, of row a of the (i, j) margin, is
+    # coupled with every target cell of column adv[a], in the carrier's cell
+    # order; the rows run over the source cells in that order too.
+    row, col = cells[i - 1], cells[j - 1]
+    colsum = bivariate_margin(carrier, i, j).masses.sum(axis=0)
+    col_count = np.bincount(col, minlength=k)
+    col_cells = np.argsort(col, kind="stable")
+    target_col = adv[row]
     fan = col_count[target_col]
-    src = np.repeat(np.arange(len(w)), fan)
+    src = np.repeat(rows, fan)
     # Row r of a source cell whose rows start at row f is the (r - f)-th cell
     # of its target column, which starts at position col_start in col_cells.
     col_start = np.cumsum(col_count) - col_count
@@ -286,11 +269,7 @@ def pair_skeleton(
     position += np.arange(len(src))
     tgt = col_cells[position]
     alt_plan = plan_from_indices(
-        atoms,
-        atoms,
-        _read_only(cell_atom[src]),
-        _read_only(cell_atom[tgt]),
-        _read_only(w[src] * (w / colsum[cells[1]])[tgt]),
+        atoms, atoms, _read_only(src), _read_only(tgt), _read_only(w[src] * (w / colsum[col])[tgt])
     )
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
@@ -310,22 +289,18 @@ def _side_scales(skeleton: PairSkeleton, epsilon: float) -> list[list[float]]:
     return [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
 
 
-def _scaled_atoms(skeleton: PairSkeleton, scale: list[float], epsilon: float) -> np.ndarray:
-    """The law's atoms with column d multiplied by ``scale[d]``, read-only and checked."""
-    atoms = _read_only(skeleton.law.atoms * scale)
+def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> list[np.ndarray]:
+    """The source's and the target's atoms at ``epsilon`` (:func:`_side_scales`), read-only and checked."""
+    sides = [_read_only(skeleton.law.atoms * scale) for scale in _side_scales(skeleton, epsilon)]
     try:
-        _check_atoms(atoms, "scaled", "gap_search")
+        for atoms in sides:
+            _check_atoms(atoms, "scaled", "gap_search")
     except ValueError:
         raise ValueError(
             f"gap_search: epsilon={epsilon!r} is too small: scaling by it merges "
             f"or reorders atoms of the carrier"
         ) from None
-    return atoms
-
-
-def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> list[np.ndarray]:
-    """The source's and the target's scaled atoms at ``epsilon`` (:func:`_side_scales`)."""
-    return [_scaled_atoms(skeleton, scale, epsilon) for scale in _side_scales(skeleton, epsilon)]
+    return sides
 
 
 def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tuple[float, float]]:
@@ -340,12 +315,13 @@ def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tup
     ``plan_cost``'s steps ((s v)[a] == s v[a] elementwise), gathers them into
     work arrays allocated once and sums the rows by :func:`_row_cost_sum`.
 
-    Each epsilon checks the scaled atoms, with ``_scaled_atoms``'
-    ``ValueError``, through the scaled column values: multiplying by a
-    positive float keeps their order, so while every column stays finite and
-    strictly increasing the scaled atoms stay sorted and distinct.  Only when
-    a column merges values are the scaled atoms checked whole.  No plan is
-    built at any epsilon.
+    Each epsilon checks the scaled atoms through the scaled column values:
+    multiplying by a positive float keeps their order, so while every column
+    of both sides stays finite and strictly increasing the scaled atoms stay
+    sorted and distinct.  Only when a column merges values or overflows does
+    ``costs`` check the atoms whole, by :func:`_scaled_sides`, whose
+    ``ValueError`` names a too small epsilon.  No plan is built at any
+    epsilon.
     """
     law = skeleton.law
     n = law.dimension
@@ -358,16 +334,15 @@ def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tup
         dist = np.empty((len(plan), n)) if n >= 8 else np.empty((n, len(plan))).T
         kernels.append((codes, dist, np.empty(len(plan)), plan.w))
 
-    def scaled_columns(scale: list[float], epsilon: float) -> list[np.ndarray]:
-        columns = [v * s if s != 1.0 else v for v, s in zip(values, scale)]
-        if not all(np.isfinite(c).all() and (c[1:] > c[:-1]).all() for c in columns):
-            _scaled_atoms(skeleton, scale, epsilon)
-        return columns
-
     def costs(epsilon: float) -> tuple[float, float]:
-        source_scale, target_scale = _side_scales(skeleton, epsilon)
+        source, target = (
+            [v * s if s != 1.0 else v for v, s in zip(values, scale)]
+            for scale in _side_scales(skeleton, epsilon)
+        )
+        if not all(np.isfinite(c).all() and (c[1:] > c[:-1]).all() for c in source + target):
+            _scaled_sides(skeleton, epsilon)
         tables = []
-        for a, b in zip(scaled_columns(source_scale, epsilon), scaled_columns(target_scale, epsilon)):
+        for a, b in zip(source, target):
             table = np.subtract.outer(a, b)
             np.abs(table, out=table)
             table **= spec.q

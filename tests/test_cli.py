@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from copula_ot import cli
 from copula_ot.cli import _fmt, main
 from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
 from copula_ot.counterexample import gap_search, report_to_dict
@@ -386,6 +387,49 @@ class TestCounterexample:
         assert not out.exists()
         curve_lines = (tmp_path / "tiny.csv").read_text().splitlines()
         assert len(curve_lines) == 17
+
+    def test_out_that_is_its_own_curve_is_rejected_before_the_search(self, tmp_path, capsys, monkeypatch):
+        # The curve goes to <out>.csv, so a .csv report would be overwritten;
+        # a search would call None and fail with a TypeError.
+        monkeypatch.setattr(cli, "gap_search", None)
+        out = tmp_path / "r.csv"
+        rc = main(["counterexample", "--p", "1", "--q", "2", "--k", "8", "--out", str(out)])
+        assert rc == 2
+        assert "overwritten by the gap curve" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_creates_the_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "deeper" / "report.json"
+        rc = main(["counterexample", "--p", "1", "--q", "2", "--k", "8", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["gap"] > 0
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == 17
+
+    def test_schedule_exhausted_creates_the_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "tiny.json"
+        rc = main(["counterexample", "--p", "2", "--q", "2.000000001", "--k", "8", "--out", str(out)])
+        assert rc == 5
+        assert not out.exists()
+        assert len((tmp_path / "new" / "tiny.csv").read_text().splitlines()) == 17
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--p", "1", "--q", "2", "--copula", "comonotone"], 4),
+            (["--p", "2", "--q", "1", "--n", "1"], 2),
+        ],
+    )
+    def test_failed_run_creates_no_directory(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "new" / "report.json"
+        assert main(["counterexample", *argv, "--out", str(out)]) == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_path_that_is_a_directory_writes_no_curve(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["counterexample", "--p", "1", "--q", "2", "--k", "8", "--out", str(out)]) == 2
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
 
 def test_module_entrypoint_help():

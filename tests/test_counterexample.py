@@ -333,14 +333,16 @@ class TestPairSkeleton:
         ],
     )
     def test_law_is_the_measure_of_the_cell_midpoints(self, carrier):
-        # Grouping the midpoints and placing the weights equals make_measure.
+        # The cells' midpoints in the carrier's order, weighted by their
+        # masses, equal make_measure's atoms and weights on every pair.
         k = carrier.k
         cells = np.nonzero(carrier.masses)
         mids = np.column_stack([(c + 0.5) / k for c in cells])
-        law = pair_skeleton(carrier, 2.0, 1.0, (1, 2)).law
         reference = make_measure(mids, carrier.masses[cells])
-        assert np.array_equal(law.atoms, reference.atoms)
-        assert np.array_equal(law.weights, reference.weights)
+        for pair in ((1, 2), (1, carrier.n)):
+            law = pair_skeleton(carrier, 2.0, 1.0, pair).law
+            assert np.array_equal(law.atoms, reference.atoms), pair
+            assert np.array_equal(law.weights, reference.weights), pair
 
     @pytest.mark.parametrize(
         "carrier, pair, p, q",
@@ -352,6 +354,9 @@ class TestPairSkeleton:
             (random_copula(np.random.default_rng(17), 3, 4), (1, 3), 1.0, 2.0),
             (random_copula(np.random.default_rng(41), 4, 4), (2, 4), 2.0, 1.0),
             (discretize(comonotone(2), 8), (1, 2), 2.0, 1.0),
+            # Masses are multiples of 1/141: none is dyadic.
+            (random_copula(np.random.default_rng(7), 5, 3), (2, 5), 1.0, 2.0),
+            (random_copula(np.random.default_rng(7), 5, 3), (3, 4), 2.0, 1.0),
         ],
     )
     def test_competitor_rows_equal_the_block_loop(self, carrier, pair, p, q):
@@ -360,9 +365,16 @@ class TestPairSkeleton:
         for name in ("i", "j", "w"):
             assert np.array_equal(getattr(alt_plan, name), getattr(reference, name)), name
 
-    def test_sorted_skeleton_rows_are_kept_as_built(self, monkeypatch):
-        # The rows come read-only and, on a pair in coordinate order, sorted,
-        # so plan_from_indices keeps the arrays instead of copying them.
+    @pytest.mark.parametrize(
+        "carrier, pair",
+        [
+            (independence(2, 48), (1, 2)),
+            (random_copula(np.random.default_rng(41), 4, 4), (2, 4)),
+        ],
+    )
+    def test_sorted_skeleton_rows_are_kept_as_built(self, monkeypatch, carrier, pair):
+        # The rows come read-only and sorted on every pair, so
+        # plan_from_indices keeps the arrays instead of copying them.
         built = []
 
         def recorded(*args, _fn=counterexample.plan_from_indices):
@@ -370,7 +382,7 @@ class TestPairSkeleton:
             return built[-1][1]
 
         monkeypatch.setattr(counterexample, "plan_from_indices", recorded)
-        pair_skeleton(independence(2, 48), 2.0, 1.0, (1, 2))
+        pair_skeleton(carrier, 2.0, 1.0, pair)
         assert len(built) == 2
         for (source, target, i, j, w), plan in built:
             assert plan.i is i and plan.j is j and plan.w is w
@@ -607,9 +619,8 @@ class TestGapSearch:
 
     def test_checks_run_once_per_search(self, monkeypatch):
         # The epsilon-free checks live in pair_skeleton, so a longer schedule
-        # adds no measure construction (the law is grouped from the cell
-        # midpoints), law comparison or plan validation.
-        names = ("group_rows", "measures_close", "validate_plan")
+        # adds no plan construction, law comparison or plan validation.
+        names = ("plan_from_indices", "measures_close", "validate_plan")
         counts = {}
         for name in names:
             def counted(*args, _name=name, _fn=getattr(counterexample, name), **kwargs):
@@ -625,7 +636,7 @@ class TestGapSearch:
             assert len(report.curve) == len(schedule)
             per_schedule.append(dict(counts))
         assert per_schedule[0] == per_schedule[1]
-        assert per_schedule[0] == {"group_rows": 1, "measures_close": 1, "validate_plan": 2}
+        assert per_schedule[0] == {"plan_from_indices": 2, "measures_close": 1, "validate_plan": 2}
 
     def test_rejects_equal_exponents_and_bad_schedule(self):
         with pytest.raises(ValueError):

@@ -199,17 +199,20 @@ class PairSkeleton(NamedTuple):
     """The epsilon-free part of the construction on one carrier and pair.
 
     ``law`` is the carrier's midpoint law: one atom per cell of positive
-    mass, in the carrier's cell order, weighted by the cell's mass.  Both
-    plans couple ``law`` with itself, and their source and target are
+    mass, in the carrier's cell order, weighted by the cell's mass.  Atom c
+    is the point with coordinates ``midpoints[cells[d, c]]``.  Both plans
+    couple ``law`` with itself, and their source and target are
     ``law.atoms``.  At an epsilon only the atoms change
     (:func:`_scaled_sides`), so no plan is built per epsilon:
-    :func:`_cost_sweep` costs both plans from their rows' atom indices.
+    :func:`_cost_sweep` costs both plans from their rows' cell indices.
     """
 
     pair: tuple[int, int]
     law: MultivariateMeasure
     diamond_plan: TransportPlan
     alt_plan: TransportPlan
+    midpoints: np.ndarray
+    cells: np.ndarray
 
 
 def pair_skeleton(
@@ -244,10 +247,10 @@ def pair_skeleton(
     """
     i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q, adversary)
     k = carrier.k
-    cells = np.nonzero(carrier.masses)
-    mids = (np.arange(k) + 0.5) / k
+    cells = _read_only(np.array(np.nonzero(carrier.masses)))
+    mids = _read_only((np.arange(k) + 0.5) / k)
     atoms = _read_only(np.column_stack([mids[c] for c in cells]))
-    w = _read_only(carrier.masses[cells])
+    w = _read_only(carrier.masses[tuple(cells)])
     law = MultivariateMeasure(atoms=atoms, weights=_read_only(w / exact_sum(w)))
     rows = _read_only(np.arange(len(w)))
     diamond_plan = plan_from_indices(atoms, atoms, rows, rows, w)
@@ -261,16 +264,16 @@ def pair_skeleton(
     col_cells = np.argsort(col, kind="stable")
     target_col = adv[row]
     fan = col_count[target_col]
-    src = np.repeat(rows, fan)
+    src = _read_only(np.repeat(rows, fan))
     # Row r of a source cell whose rows start at row f is the (r - f)-th cell
     # of its target column, which starts at position col_start in col_cells.
     col_start = np.cumsum(col_count) - col_count
     position = np.repeat(col_start[target_col] - (np.cumsum(fan) - fan), fan)
     position += np.arange(len(src))
-    tgt = col_cells[position]
-    alt_plan = plan_from_indices(
-        atoms, atoms, _read_only(src), _read_only(tgt), _read_only(w[src] * (w / colsum[col])[tgt])
-    )
+    tgt = col_cells.take(position)
+    alt_w = np.repeat(w, fan)
+    alt_w *= (w / colsum[col]).take(tgt)  # before tgt is read-only: take copies such indices
+    alt_plan = plan_from_indices(atoms, atoms, src, _read_only(tgt), _read_only(alt_w))
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
         raise RuntimeError(
@@ -280,7 +283,9 @@ def pair_skeleton(
     for label, plan in (("quantile", diamond_plan), ("competitor", alt_plan)):
         if not validate_plan(plan, law, law):
             raise RuntimeError(f"pair_skeleton: the {label} plan fails marginal validation")
-    return PairSkeleton(pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan)
+    return PairSkeleton(
+        pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan, midpoints=mids, cells=cells
+    )
 
 
 def _side_scales(skeleton: PairSkeleton, epsilon: float) -> list[list[float]]:
@@ -308,51 +313,88 @@ def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec) -> Callable[[float], tup
 
     Returns ``costs(epsilon) -> (diamond_cost, alt_cost)``, equal bit for bit
     to :func:`plan_cost` of each skeleton plan's rows (i, j, w) on the scaled
-    atoms of :func:`_scaled_sides`.  Both plans sit on the law's atoms, whose
-    column d takes the values v_d, so a row's distance in coordinate d is
-    entry a * len(v_d) + b of the table |s_d v_d[a] - t_d v_d[b]|^q; these
-    codes are found once per search.  Each epsilon builds the tables by
-    ``plan_cost``'s steps ((s v)[a] == s v[a] elementwise), gathers them into
-    work arrays allocated once and sums the rows by :func:`_row_cost_sum`.
+    atoms of :func:`_scaled_sides`.  Coordinate d of atom c is the midpoint
+    m[cells[d, c]] times 1 or epsilon, so a row's distance in coordinate d
+    is entry a * k + b of the k x k table |s_d m_a - t_d m_b|^q, where
+    (s_d, t_d) are the coordinate's source and target scales; these codes
+    are found once per search.  Each epsilon builds one table per distinct
+    pair of scales by ``plan_cost``'s steps ((s m)[a] == s m[a]
+    elementwise), gathers coordinate 0 straight into the row sums and each
+    further coordinate into one reused column that it adds, left to right,
+    as ``plan_cost`` does (from 8 coordinates on, into row-major distances
+    that ``np.sum`` adds), and ends with :func:`_row_cost_sum`.  Below 8
+    coordinates, a further coordinate whose target cell is the same on all
+    rows of each source atom has one code per atom, and ``np.repeat``
+    spreads its distances over the atom's rows instead of a gather; the
+    competitor's coordinate j is one.
 
-    Each epsilon checks the scaled atoms through the scaled column values:
-    multiplying by a positive float keeps their order, so while every column
-    of both sides stays finite and strictly increasing the scaled atoms stay
-    sorted and distinct.  Only when a column merges values or overflows does
-    ``costs`` check the atoms whole, by :func:`_scaled_sides`, whose
-    ``ValueError`` names a too small epsilon.  No plan is built at any
-    epsilon.
+    Each epsilon checks the scaled atoms through the scaled midpoints:
+    multiplying by a positive float keeps their order, so while they stay
+    finite and strictly increasing the scaled atoms stay sorted and
+    distinct.  Only when midpoints merge or overflow does ``costs`` check
+    the atoms whole, by :func:`_scaled_sides`, whose ``ValueError`` names a
+    too small epsilon.  No plan is built at any epsilon.
     """
-    law = skeleton.law
-    n = law.dimension
-    values, inverses = zip(*(np.unique(law.atoms[:, d], return_inverse=True) for d in range(n)))
+    n = skeleton.law.dimension
+    mids, cells = skeleton.midpoints, skeleton.cells
+    k = len(mids)
+    i, j = skeleton.pair
+    # Whether coordinate d is scaled on the source and on the target side.
+    scaled = [(d != i - 1, d != j - 1) for d in range(n)]
     kernels = []
     for plan in (skeleton.diamond_plan, skeleton.alt_plan):
-        codes = [inv[plan.i] * len(v) + inv[plan.j] for v, inv in zip(values, inverses)]
-        # Coordinate d's distances are column d, contiguous below 8 columns
-        # and row-major from 8 on (see _row_cost_sum).
-        dist = np.empty((len(plan), n)) if n >= 8 else np.empty((n, len(plan))).T
-        kernels.append((codes, dist, np.empty(len(plan)), plan.w))
+        rows = len(plan)
+        # The rows are sorted by source atom and cover every atom: atom a's
+        # fan[a] rows start at row starts[a], and plan.i is np.repeat of the
+        # atoms by fan.  np.repeat spreads one value per atom in about half
+        # the time of a gather.
+        starts = np.searchsorted(plan.i, np.arange(len(plan.source)))
+        fan = np.diff(starts, append=rows)
+        codes = []
+        for d, c in enumerate(cells):
+            code = c[plan.j]  # take would copy the read-only indices first
+            if 0 < d < n < 8 and len(starts) < rows and np.array_equal(code, np.repeat(code[starts], fan)):
+                # Each atom's rows share their target cell: one code per atom.
+                codes.append((c * k + code[starts], fan))
+            else:
+                code += np.repeat(c * k, fan)
+                codes.append((code, None))
+        if n >= 8:
+            # Coordinate d's distances are column d of a row-major block,
+            # summed as plan_cost sums them.
+            per_row, work = np.empty(rows), np.empty((rows, n))
+        else:
+            per_row, work = np.empty((2, rows))
+        kernels.append((codes, per_row, work, plan.w))
 
     def costs(epsilon: float) -> tuple[float, float]:
-        source, target = (
-            [v * s if s != 1.0 else v for v, s in zip(values, scale)]
-            for scale in _side_scales(skeleton, epsilon)
-        )
-        if not all(np.isfinite(c).all() and (c[1:] > c[:-1]).all() for c in source + target):
+        eps_mids = mids * epsilon
+        if not (np.isfinite(eps_mids).all() and (eps_mids[1:] > eps_mids[:-1]).all()):
             _scaled_sides(skeleton, epsilon)
-        tables = []
-        for a, b in zip(source, target):
-            table = np.subtract.outer(a, b)
+        column = {False: mids, True: eps_mids}
+        tables = {}
+        for kind in set(scaled):
+            table = np.subtract.outer(column[kind[0]], column[kind[1]])
             np.abs(table, out=table)
             table **= spec.q
-            tables.append(table)
+            tables[kind] = table
         plan_costs = []
-        for codes, dist, per_row, w in kernels:
-            for d, (table, code) in enumerate(zip(tables, codes)):
-                # Every code is in range; "clip" spares the copy that "raise" makes.
-                np.take(table, code, out=dist[:, d], mode="clip")
-            plan_costs.append(_row_cost_sum(dist, per_row, w, spec))
+        for codes, per_row, work, w in kernels:
+            # Every code is in range; "clip" spares the copy that "raise" makes.
+            if n >= 8:
+                for d, (code, _) in enumerate(codes):
+                    np.take(tables[scaled[d]], code, out=work[:, d], mode="clip")
+                np.sum(work, axis=1, out=per_row)
+            else:
+                np.take(tables[scaled[0]], codes[0][0], out=per_row, mode="clip")
+                for d in range(1, n):
+                    (code, fan), table = codes[d], tables[scaled[d]]
+                    if fan is None:
+                        np.take(table, code, out=work, mode="clip")
+                        per_row += work
+                    else:
+                        per_row += np.repeat(table.take(code), fan)
+            plan_costs.append(_row_cost_sum(per_row, w, spec, work))
         diamond_cost, alt_cost = plan_costs
         return diamond_cost, alt_cost
 

@@ -32,6 +32,9 @@ _EXACT_SUM_LIMIT = 2.0**960
 _EXACT_SUM_MAX_LEVELS = 8
 # The binary exponent of the smallest normal float.
 _MIN_NORMAL_EXP = -1022
+# Up to this length n(n - 1) 2**-53 <= 1, which the first level's rounding
+# decision needs (see _exact_sum_in_place).
+_DECIDE_MAX_LEN = 2**26
 
 
 def exact_sum(v: np.ndarray) -> float:
@@ -43,7 +46,9 @@ def exact_sum(v: np.ndarray) -> float:
     part I", SIAM J. Sci. Comput. 31(1), 2008): with max|v| < 2**e and
     sigma = 2**(ceil(log2(n + 2)) + e), ``(v + sigma) - sigma`` rounds every
     value to a multiple of 2**-53 sigma, so its ``np.sum`` is exact in any
-    order, and the remainder is the exact rounding error.  The remainders are
+    order, and the remainder is the exact rounding error.  After the first
+    level the float sum of the remainders usually decides how the total
+    rounds (see :func:`_exact_sum_in_place`).  Otherwise the remainders are
     extracted again until none is left, and ``math.fsum`` of the level sums
     rounds the total once.  Inputs shorter than ``EXACT_SUM_CUTOVER``,
     non-finite, above 2**960, all zero (fsum decides the sign of a zero), or
@@ -56,14 +61,37 @@ def exact_sum(v: np.ndarray) -> float:
 
 
 def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
-    """:func:`exact_sum` of ``p``, overwriting ``p`` and ``work``, a contiguous float array at least as long."""
+    """:func:`exact_sum` of ``p``, overwriting ``p`` and ``work``, a contiguous float array at least as long.
+
+    The first level usually decides the total.  With sigma = 2**E it leaves
+    S1, the exact sum of the extracted values, and n remainders with
+    |r_i| <= 2**(E - 53).  Their float sum R, in any order, is within
+    gamma_(n-1) * n * 2**(E - 53) <= n**2 * 2**(E - 106) = B of their exact
+    sum: gamma_(n-1) = (n-1)u / (1 - (n-1)u) <= n u for u = 2**-53 and
+    n <= 2**26 (Higham, "Accuracy and stability of numerical algorithms",
+    2nd ed., 2002, chapter 4; float addition is exact on underflow).  Let
+    s = fl(S1 + R) and e = S1 + R - s, exact by TwoSum: the total is
+    s + e + d with |d| <= B.  Let up and down be the gaps from s to the next
+    float above and below; they differ when |s| is a power of two.  If
+    e + B < up / 2 and B - e < down / 2, the total lies strictly between the
+    midpoints around s, so it rounds to s with no tie, and s is what
+    ``math.fsum`` returns.
+
+    The tests are made in floats and imply the real ones.  The gaps are
+    exact (Sterbenz), and so is B, a normal float.  Where a gap is 2**-1074
+    its half rounds to 0, and |e| <= 2**-1075 < B, so that test fails.
+    Elsewhere the half gaps are exact and rounding is monotone, so
+    fl(e + B) < up / 2 implies e + B < up / 2, and likewise for B - e.  When
+    a test fails, the remainders, still in ``p``, are extracted further.
+    """
     if len(p) < EXACT_SUM_CUTOVER:
         return math.fsum(p.tolist())
     work = work.ravel("K")[: len(p)]  # a view, in memory order
     top = max(p.max(), -p.min())
     if not 0.0 < top < _EXACT_SUM_LIMIT:  # nan fails both comparisons
         return math.fsum(p.tolist())
-    bits = (len(p) + 1).bit_length()  # ceil(log2(n + 2))
+    n = len(p)
+    bits = (n + 1).bit_length()  # ceil(log2(n + 2))
     sums = []
     for _ in range(_EXACT_SUM_MAX_LEVELS):
         exponent = math.frexp(top)[1] + bits
@@ -74,6 +102,16 @@ def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
         work -= sigma
         sums.append(float(work.sum()))
         p -= work
+        if len(sums) == 1 and n <= _DECIDE_MAX_LEN and exponent - 106 >= _MIN_NORMAL_EXP:
+            bound = math.ldexp(n * n, exponent - 106)
+            s1, r = sums[0], float(p.sum())
+            s = s1 + r
+            r_part = s - s1
+            e = (s1 - (s - r_part)) + (r - r_part)  # TwoSum: s + e == s1 + r exactly
+            up = math.nextafter(s, math.inf) - s
+            down = s - math.nextafter(s, -math.inf)
+            if e + bound < up / 2 and bound - e < down / 2:
+                return s
         top = max(p.max(), -p.min())
         if not top:
             return math.fsum(sums)

@@ -25,7 +25,7 @@ from copula_ot.counterexample import (
     report_to_dict,
 )
 from copula_ot.instances import random_copula
-from copula_ot.measures import _EXACT_SUM_MAX_LEVELS, make_measure
+from copula_ot.measures import make_measure
 from copula_ot.transport import CostSpec, TransportPlan, exact_ot, plan_cost, validate_plan
 
 import copula_ot.counterexample as counterexample
@@ -395,6 +395,10 @@ class TestPairSkeleton:
             costs(5e-324)
 
 
+# Uniform margins with columns of unequal cell counts.
+RAGGED = np.array([[1 / 3, 0.0, 0.0], [0.0, 1 / 6, 1 / 6], [0.0, 1 / 6, 1 / 6]])
+
+
 class TestCostSweep:
     @pytest.mark.parametrize(
         "carrier, pair",
@@ -403,6 +407,10 @@ class TestCostSweep:
             (independence(2, 16), (1, 2)),
             (independence(2, 48), (1, 2)),
             (random_copula(np.random.default_rng(17), 3, 4), (1, 3)),
+            # Margin columns of 1 and 2 cells: the competitor's source atoms
+            # have 1 or 2 rows each, which np.repeat spreads unevenly.
+            (checkerboard(2, 3, RAGGED), (1, 2)),
+            (checkerboard(3, 3, np.multiply.outer(RAGGED, np.full(3, 1 / 3))), (1, 2)),
             # From 8 columns on the sweep gathers into row-major distances.
             (independence(8, 2), (1, 2)),
             (random_copula(np.random.default_rng(5), 8, 2), (3, 7)),
@@ -429,14 +437,16 @@ class TestCostSweep:
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
     def test_gap_sweep_plans_need_no_fsum_fallback(self, monkeypatch, p, q):
-        # exact_sum's fallback is an fsum call of the whole row array; the
-        # level sums are an fsum call of at most _EXACT_SUM_MAX_LEVELS values.
+        # exact_sum's fallback is an fsum call of the whole row array and a
+        # second level an fsum call of the level sums.  Every row-cost sum of
+        # the sweep is decided after its first level, with no fsum call: each
+        # total sits at least 10**4 error bounds away from a rounding midpoint.
         spec = CostSpec(p, q)
         costs = counterexample._cost_sweep(pair_skeleton(independence(2, 48), p, q, (1, 2)), spec)
         lengths = fsum_lengths(monkeypatch)
         for eps in default_schedule():
             costs(eps)
-        assert len(lengths) == 2 * 16 and max(lengths) <= _EXACT_SUM_MAX_LEVELS
+        assert lengths == []
 
     def test_epsilon_that_merges_atoms_is_named(self):
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):

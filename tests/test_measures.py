@@ -357,6 +357,49 @@ summands = st.one_of(
 )
 
 
+def first_level_case(n: int, case: str) -> np.ndarray:
+    """n values whose first extraction level leaves an exactly known remainder sum.
+
+    All but one or two values are multiples of 2**-10 in [1, 2): with
+    sigma = 2**E, E = 1 + ceil(log2(n + 2)), the first level extracts them
+    whole.  They add up to F, a power of two or not.  The others are
+    remainders smaller than 2**(E - 54), which the first level leaves whole,
+    so the remainder sum R is exact and S1 = F.  Each case places F + R
+    against the midpoints around F and the decision bound
+    B = n**2 * 2**(E - 106).
+    """
+    rng = np.random.default_rng(n)
+    power = case.startswith("power of two")
+    f = 2.0 ** (n.bit_length()) if power else 1.5 * n  # 2**k in [n, 2n)
+    up, down = math.nextafter(f, math.inf) - f, f - math.nextafter(f, -math.inf)
+    bound = math.ldexp(n * n, (n + 1).bit_length() + 1 - 106)
+    if case == "exact cancellation":
+        half = rng.standard_normal(n // 2)
+        return rng.permutation(np.concatenate([half, -half]))
+    if case == "values near 2**960":
+        return np.ldexp(1.0 + rng.random(n), 959)
+    remainders = {
+        "midpoint, ties down": [up / 2],  # F is even
+        "midpoint, ties up": [up, up / 2],  # F + up is odd
+        "power of two from below": [-down / 4],
+        "power of two from below, within the bound": [-(down / 2 - 0.75 * bound)],
+        "power of two from below, at 2**960": [-down / 4],
+        "within the bound below the upper midpoint": [up / 2 - 0.75 * bound],
+        "within the bound above the lower midpoint": [-(down / 2 - 0.75 * bound)],
+        "twice the bound below the upper midpoint": [up / 2 - 2.0 * bound],
+    }[case]
+    m = n - len(remainders)
+    target = round(f * 1024)
+    bulk = rng.integers(target // m - 100, target // m + 100, m)
+    extra, rest = divmod(target - int(bulk.sum()), m)
+    bulk += extra
+    bulk[:rest] += 1
+    assert 1024 <= bulk.min() and bulk.max() < 2048 and int(bulk.sum()) == target
+    values = rng.permutation(np.concatenate([bulk / 1024, remainders]))
+    # Scaling by a power of two scales F, R, the gaps and the bound alike.
+    return np.ldexp(values, 960 - n.bit_length()) if case.endswith("2**960") else values
+
+
 class TestExactSum:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -386,16 +429,18 @@ class TestExactSum:
     @pytest.mark.parametrize(
         "case, levels",
         [
-            ("one binade", [2]),
+            ("one binade", []),
             ("exact cancellation", "extracted"),
-            ("2**-1000 to 2**900", "fallback"),
+            ("2**-1000 to 2**900", []),
+            ("2**900 cancels over 2**-1000", "fallback"),
             ("subnormal", "fallback"),
         ],
     )
     def test_sweep_sized_examples(self, monkeypatch, case, levels):
-        # At the 110,592 rows of the k = 48 competitor plan.  The sum of the
-        # level sums is one fsum call of a few values; the fallback is one
-        # fsum call of the whole input.
+        # At the 110,592 rows of the k = 48 competitor plan.  A total decided
+        # after the first level makes no fsum call; the sum of the level sums
+        # is one fsum call of a few values; the fallback is one fsum call of
+        # the whole input.
         n = 110_592
         rng = np.random.default_rng(5)
         if case == "one binade":
@@ -405,6 +450,10 @@ class TestExactSum:
             values = rng.permutation(np.concatenate([half, -half]))
         elif case == "2**-1000 to 2**900":
             values = np.ldexp(rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n)), rng.integers(-1000, 900, n))
+        elif case == "2**900 cancels over 2**-1000":
+            # The first level leaves only the small values; the next would reach the subnormal range.
+            values = np.ldexp(1.0 + rng.random(n), -1000)
+            values[:2] = [2.0**900, -(2.0**900)]
         else:
             values = rng.random(n) * 2.0**-1022
         expected = math.fsum(values.tolist())
@@ -416,6 +465,34 @@ class TestExactSum:
             assert expected == 0.0 and max(calls) <= _EXACT_SUM_MAX_LEVELS
         else:
             assert calls == levels
+
+    @pytest.mark.parametrize("n", [EXACT_SUM_CUTOVER, 110_592])
+    @pytest.mark.parametrize(
+        "case, decided",
+        [
+            ("midpoint, ties down", False),
+            ("midpoint, ties up", False),
+            ("power of two from below", True),
+            ("power of two from below, within the bound", False),
+            ("within the bound below the upper midpoint", False),
+            ("within the bound above the lower midpoint", False),
+            ("twice the bound below the upper midpoint", True),
+            ("power of two from below, at 2**960", True),
+            ("values near 2**960", True),
+            ("exact cancellation", False),
+        ],
+    )
+    def test_first_level_decision(self, monkeypatch, n, case, decided):
+        # A decided total makes no fsum call; one that falls through makes
+        # one fsum call of its level sums.  Both give fsum's float.
+        values = first_level_case(n, case)
+        expected = math.fsum(values.tolist())
+        calls = fsum_lengths(monkeypatch)
+        assert exact_sum(values).hex() == expected.hex()
+        if decided:
+            assert calls == []
+        else:
+            assert len(calls) == 1 and 2 <= calls[0] <= _EXACT_SUM_MAX_LEVELS
 
     @pytest.mark.parametrize(
         "values, expected",

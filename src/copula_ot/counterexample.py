@@ -46,6 +46,7 @@ from .transport import (
     TransportPlan,
     _check_atoms,
     _row_cost_sum,
+    _staircase_potentials,
     exact_ot,
     plan_from_indices,
     validate_plan,
@@ -428,6 +429,28 @@ def limit_scores(
     return float(limit_diamond), float(limit_alt)
 
 
+def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dual potentials (f, g) of the epsilon -> 0 limit problem on the k midpoints.
+
+    The limit problem couples two uniform laws on the midpoints m_a under
+    L[a, b] = (m_a^q + m_b^q)^{p/q}, and the adversary's permutation adv
+    (:func:`adversary_copula`) is its optimal coupling
+    (:func:`find_violating_pair`).  Reordering the target by adv makes L a
+    Monge array with adv on its north-west-corner staircase of cumulative
+    weights (1..k)/k, so that staircase's potentials (Hoffman 1963) are dual
+    feasible: f[a] + g[b] = L[a, b] on the cells (a, adv[a]) and
+    (a + 1, adv[a]), and f[a] + g[b] <= L[a, b] elsewhere up to rounding.
+    """
+    adv = _adversary_index_map(adversary_copula(p, q), k)
+    mids = (np.arange(k) + 0.5) / k
+    limit = (mids[:, None] ** q + mids[None, :] ** q) ** (p / q)
+    cum = [(t + 1) / k for t in range(k)]
+    f, g_adv = _staircase_potentials(cum, cum, limit[:, adv].tolist())
+    g = np.empty(k)
+    g[adv] = g_adv
+    return f, g
+
+
 def default_schedule() -> tuple[float, ...]:
     """Geometric epsilon schedule 0.5, 0.25, ..., 0.5 * 2^-15."""
     return tuple(0.5 * 0.5**step for step in range(16))
@@ -462,7 +485,9 @@ def gap_search(
     distance tables, gathered by row codes found once (:func:`_cost_sweep`),
     so no plan is built at any epsilon.  The exact
     certificate at the accepted epsilon solves between the two scaled
-    measures: the scaled atoms of each side with the law's weights.  Raises a
+    measures: the scaled atoms of each side with the law's weights.  Its
+    assignment is warm-started from :func:`limit_potentials`, the duals of
+    the problem it tends to as epsilon -> 0; they move no output.  Raises a
     ``ValueError`` when the copula has fewer than two coordinates, since the
     construction needs a pair;
     :class:`NoViolatingPair` when no pair of the carrier is violating (see
@@ -511,8 +536,11 @@ def gap_search(
         weights = skeleton.law.weights
         mu = MultivariateMeasure(atoms=source, weights=weights)
         rho = MultivariateMeasure(atoms=target, weights=weights)
+        # The target keeps coordinate j, so at small epsilon target atom t
+        # sits near midpoint cells[j - 1][t] of the limit problem.
+        _, g = limit_potentials(carrier.k, p, q)
         try:
-            exact_cost = exact_ot(mu, rho, spec, pair_cap).value
+            exact_cost = exact_ot(mu, rho, spec, pair_cap, g[skeleton.cells[j - 1]]).value
         except PairCountCapExceeded:
             exact_cost = None
     if exact_cost is not None and exact_cost > accepted.alt_cost + 1e-9 * max(1.0, accepted.alt_cost):

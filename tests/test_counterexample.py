@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from copula_ot.copulas import (
     checkerboard,
@@ -15,10 +17,13 @@ from copula_ot.counterexample import (
     CAVEAT,
     NoViolatingPair,
     ScheduleExhausted,
+    _adversary_index_map,
+    _scaled_sides,
     adversary_copula,
     default_schedule,
     find_violating_pair,
     gap_search,
+    limit_potentials,
     limit_scores,
     monge_cross_partial,
     pair_skeleton,
@@ -29,6 +34,7 @@ from copula_ot.measures import make_measure
 from copula_ot.transport import CostSpec, TransportPlan, exact_ot, plan_cost, validate_plan
 
 import copula_ot.counterexample as counterexample
+import copula_ot.transport as transport
 from helpers import (
     block_competitor_plan,
     construction_at,
@@ -77,6 +83,29 @@ def direct_diamond_cost(carrier, p, q, epsilon):
             d2 = abs(epsilon * mids[b] - mids[b])
             total += C2[a, b] * (d1**q + d2**q) ** (p / q)
     return total
+
+
+def spy_on_assignment(monkeypatch) -> list:
+    """Record each matrix the assignment solver receives, with the columns it returns."""
+    calls = []
+    solve = transport.linear_sum_assignment
+
+    def spy(cost):
+        rows, cols = solve(cost)
+        calls.append((cost.copy(), cols))
+        return rows, cols
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    return calls
+
+
+def certificate_problem(report, carrier, p, q):
+    """The cost matrix of the report's exact certificate and the limit potentials of its target atoms."""
+    skeleton = pair_skeleton(carrier, p, q, report.pair)
+    source, target = _scaled_sides(skeleton, report.epsilon)
+    cost = transport._cost_matrix(source, target, CostSpec(p, q))
+    _, g = limit_potentials(carrier.k, p, q)
+    return cost, g[skeleton.cells[report.pair[1] - 1]]
 
 
 class TestMongeCrossPartial:
@@ -556,6 +585,25 @@ class TestLimitScores:
         assert la_keep != la_flip
 
 
+class TestLimitPotentials:
+    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_staircase_potentials_of_the_limit_problem(self, k, p, q):
+        adv = _adversary_index_map(adversary_copula(p, q), k)
+        f, g = limit_potentials(k, p, q)
+        m = (np.arange(k) + 0.5) / k
+        limit = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
+        # Tight on the staircase through the adversary's cells (a, adv[a])
+        # and (a + 1, adv[a]): each potential is its cell's cost minus the
+        # other side's, as the walk computes it.
+        assert f[0] == 0.0 and g[adv[0]] == limit[0, adv[0]]
+        for a in range(1, k):
+            assert f[a] == limit[a, adv[a - 1]] - g[adv[a - 1]]
+            assert g[adv[a]] == limit[a, adv[a]] - f[a]
+        slack = limit - f[:, None] - g[None, :]
+        assert slack.min() >= -1e-15 * limit.max()
+
+
 class TestGapSearch:
     def test_schedule(self):
         sched = default_schedule()
@@ -664,6 +712,34 @@ class TestGapSearch:
         cop = empirical_copula(sample, 8)
         report = gap_search(cop, 1.0, 2.0, carrier_resolution=8)
         assert report.gap > 0
+
+    def test_exact_certificate_solves_the_warm_started_assignment(self, monkeypatch):
+        # The solver must receive cost - g: a silent return to a cold start
+        # keeps every output and only costs time, so this test catches it.
+        calls = spy_on_assignment(monkeypatch)
+        carrier = independence(2, 8)
+        report = gap_search(carrier, 2.0, 1.0)
+        cost, g = certificate_problem(report, carrier, 2.0, 1.0)
+        ((shifted, _),) = calls
+        assert np.ptp(g) > 0
+        assert np.array_equal(shifted, cost - g)
+
+    def test_warm_permutation_is_no_worse_in_exact_arithmetic(self, monkeypatch):
+        # counterexample --p 1 --q 3 --n 3 --k 4: the cold solve returned a
+        # permutation whose exact cost sum, over the float cost matrix, is
+        # above the warm one's.
+        calls = spy_on_assignment(monkeypatch)
+        carrier = independence(3, 4)
+        report = gap_search(carrier, 1.0, 3.0, carrier_resolution=4)
+        cost, _ = certificate_problem(report, carrier, 1.0, 3.0)
+        ((_, warm),) = calls
+        _, cold = linear_sum_assignment(cost)
+        rows = np.arange(len(cost))
+
+        def exact_sum(cols):
+            return sum(map(Fraction, cost[rows, cols].tolist()))
+
+        assert exact_sum(warm) <= exact_sum(cold)
 
     def test_report_serialization(self):
         report = gap_search(independence(2, 8), 1.0, 2.0)

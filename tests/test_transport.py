@@ -98,6 +98,18 @@ class TestPlans:
                 spec = CostSpec(p, q)
                 assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cost_matrix_equals_the_summed_difference_block(self, n):
+        # Bit for bit: below 8 coordinates the per-coordinate matrices are
+        # added left to right, as np.sum adds the block's last axis.
+        rng = np.random.default_rng(n)
+        for a, b in ((1, 3), (17, 29)):
+            X = rng.standard_normal((a, n)) * 10.0 ** rng.integers(-3, 4, (a, n))
+            Y = rng.standard_normal((b, n))
+            for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1.5), (1.5, 3)):
+                block = (np.abs(X[:, None] - Y[None]) ** q).sum(axis=2) ** (p / q)
+                assert np.array_equal(transport._cost_matrix(X, Y, CostSpec(p, q)), block)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):
             make_plan([[0.0]], [[1.0]], [0.5])
@@ -314,6 +326,8 @@ class TestSolveTransport:
     def test_weight_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_transport(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="potentials"):
+            solve_transport(np.full(2, 0.5), np.full(2, 0.5), np.zeros((2, 2)), np.zeros(3))
 
     def test_only_uniform_equal_size_weights_skip_the_lp(self, monkeypatch):
         calls = []
@@ -463,6 +477,29 @@ class TestAssignmentPath:
         objective, _ = lp_reference(mu.weights, rho.weights, cost)
         assert abs(result.value - objective) <= 1e-12 * max(1.0, abs(objective))
         assert validate_plan(result.plan, mu, rho)
+        # The LP ignores column potentials: its vertex stays the cold one.
+        P = solve_transport(mu.weights, rho.weights, cost)
+        assert np.array_equal(solve_transport(mu.weights, rho.weights, cost, np.array([5.0, -1.0, 1e3])), P)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", [2, 3, 8, 31, 64])
+    def test_column_potentials_change_no_output(self, size, n):
+        # Every permutation's cost moves by the same sum of g.  Random
+        # distinct atoms leave a unique optimum whose margin over the next
+        # permutation is far above the rounding of cost - g, so the warm
+        # solve must return the cold plan row for row and the same value.
+        # In one dimension |x - y| is not strictly convex and ties
+        # matchings, so there p = 1 is left out.
+        rng = np.random.default_rng(100 * size + n)
+        mu, rho = (make_measure(rng.random((size, n)), np.ones(size)) for _ in range(2))
+        specs = [CostSpec(2, 1), CostSpec(2, 2), CostSpec(3, 1.5)] + ([CostSpec(1, 2)] if n > 1 else [])
+        for spec in specs:
+            cold = exact_ot(mu, rho, spec)
+            for g in (rng.random(size), 1e6 * rng.standard_normal(size), -1e3 - rng.random(size)):
+                warm = exact_ot(mu, rho, spec, col_potentials=g)
+                assert warm.value.hex() == cold.value.hex()
+                for rows in ("i", "j", "w"):
+                    assert np.array_equal(getattr(warm.plan, rows), getattr(cold.plan, rows))
 
 
 @st.composite

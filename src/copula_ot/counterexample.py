@@ -42,7 +42,6 @@ from .measures import MultivariateMeasure, _read_only, exact_sum, measures_close
 from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
-    PairCountCapExceeded,
     TransportPlan,
     _check_atoms,
     _row_cost_sum,
@@ -430,25 +429,71 @@ def limit_scores(
 
 
 def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dual potentials (f, g) of the epsilon -> 0 limit problem on the k midpoints.
+    """Strictly complementary dual potentials (f, g) of the epsilon -> 0 limit problem.
 
-    The limit problem couples two uniform laws on the midpoints m_a under
+    The limit problem couples two uniform laws on the k midpoints m_a under
     L[a, b] = (m_a^q + m_b^q)^{p/q}, and the adversary's permutation adv
     (:func:`adversary_copula`) is its optimal coupling
     (:func:`find_violating_pair`).  Reordering the target by adv makes L a
     Monge array with adv on its north-west-corner staircase of cumulative
     weights (1..k)/k, so that staircase's potentials (Hoffman 1963) are dual
-    feasible: f[a] + g[b] = L[a, b] on the cells (a, adv[a]) and
-    (a + 1, adv[a]), and f[a] + g[b] <= L[a, b] elsewhere up to rounding.
+    feasible.  The down-first walk is tight on the cells (a, adv[a]) and
+    (a + 1, adv[a]); the right-first walk, the same walk on the transposed
+    array with f and g swapped, on (a, adv[a]) and (a, adv[a + 1]).  Their
+    average is tight only on the adversary's cells, up to rounding, and
+    every other cell keeps strictly positive slack, because L is strictly
+    Monge on distinct midpoints.
     """
     adv = _adversary_index_map(adversary_copula(p, q), k)
     mids = (np.arange(k) + 0.5) / k
-    limit = (mids[:, None] ** q + mids[None, :] ** q) ** (p / q)
+    ordered = ((mids[:, None] ** q + mids[None, :] ** q) ** (p / q))[:, adv]
     cum = [(t + 1) / k for t in range(k)]
-    f, g_adv = _staircase_potentials(cum, cum, limit[:, adv].tolist())
+    f_down, g_down = _staircase_potentials(cum, cum, ordered.tolist())
+    g_right, f_right = _staircase_potentials(cum, cum, ordered.T.tolist())
     g = np.empty(k)
-    g[adv] = g_adv
-    return f, g
+    g[adv] = (g_down + g_right) / 2
+    return (f_down + f_right) / 2, g
+
+
+def certificate_potentials(skeleton: PairSkeleton, p: float, q: float, epsilon: float) -> np.ndarray:
+    """Column potentials of the exact certificate at ``epsilon``, one per target atom.
+
+    Two levels.  The first is :func:`limit_potentials`: as epsilon -> 0 the
+    source's i-cell a is sent to the target's j-cell adv[a], so it splits
+    the assignment into k blocks.  Block a pairs the source's j-cell b with
+    the target's i-cell c, among the target atoms whose j-cell is adv[a],
+    at the cost B_a[b, c'] = (|m_a - eps m_c|^q + |eps m_b - m_adv[a]|^q)^{p/q}
+    of the two kept coordinates, with the columns in the order c = adv[c'].
+    At n = 2 these are the cost matrix's own floats.  The block's optimal
+    coupling is its diagonal, c = adv[b], and with uniform weights the
+    down-first and right-first staircase walks along it are cumulative sums
+    of B[t, t] - B[t, t - 1] and of B[t - 1, t] - B[t - 1, t - 1].  The
+    second level is their average, centred in each block and computed for
+    all blocks at once.  Target atom t, with j-cell d and i-cell c, gets
+    g[d] + h[adv[d], adv[c]]; both adversary maps are involutions.  At
+    n >= 3 the blocks leave out the other coordinates' eps^q terms, so there
+    the potentials only approximate a dual; they warm-start the solve either
+    way and move no output.
+    """
+    mids, cells = skeleton.midpoints, skeleton.cells
+    k = len(mids)
+    adv = _adversary_index_map(adversary_copula(p, q), k)
+    _, g = limit_potentials(k, p, q)
+    eps_mids = mids * epsilon
+    # kept_i[a, t] = |m_a - eps m_adv[t]|^q and kept_j[a, t] = |eps m_t - m_adv[a]|^q,
+    # so B_a[b, c'] = (kept_i[a, c'] + kept_j[a, b])^{p/q}.
+    kept_i = np.abs(np.subtract.outer(mids, eps_mids[adv])) ** q
+    kept_j = np.abs(np.subtract.outer(mids[adv], eps_mids)) ** q
+    diagonal = (kept_i + kept_j) ** (p / q)
+    below = (kept_i[:, :-1] + kept_j[:, 1:]) ** (p / q)
+    above = (kept_i[:, 1:] + kept_j[:, :-1]) ** (p / q)
+    h = np.zeros((k, k))
+    np.cumsum((diagonal[:, 1:] - below) + (above - diagonal[:, :-1]), axis=1, out=h[:, 1:])
+    h *= 0.5
+    h -= h.mean(axis=1, keepdims=True)
+    i, j = skeleton.pair
+    d = cells[j - 1]
+    return g[d] + h[adv[d], adv[cells[i - 1]]]
 
 
 def default_schedule() -> tuple[float, ...]:
@@ -486,8 +531,12 @@ def gap_search(
     so no plan is built at any epsilon.  The exact
     certificate at the accepted epsilon solves between the two scaled
     measures: the scaled atoms of each side with the law's weights.  Its
-    assignment is warm-started from :func:`limit_potentials`, the duals of
-    the problem it tends to as epsilon -> 0; they move no output.  Raises a
+    assignment is warm-started from :func:`certificate_potentials`: the
+    duals of the problem it tends to as epsilon -> 0
+    (:func:`limit_potentials`), refined inside each of that problem's k
+    blocks at the accepted epsilon; they move no output.  When the
+    support-pair count exceeds ``pair_cap`` neither the measures nor the
+    potentials are built and ``exact_cost`` is None.  Raises a
     ``ValueError`` when the copula has fewer than two coordinates, since the
     construction needs a pair;
     :class:`NoViolatingPair` when no pair of the carrier is violating (see
@@ -531,18 +580,14 @@ def gap_search(
         )
     accepted = min(significant, key=lambda pt: pt.epsilon)
     exact_cost = None
-    if attach_exact:
+    # exact_ot would raise PairCountCapExceeded above the cap: build nothing for it.
+    if attach_exact and len(skeleton.law) ** 2 <= pair_cap:
         source, target = _scaled_sides(skeleton, accepted.epsilon)
         weights = skeleton.law.weights
         mu = MultivariateMeasure(atoms=source, weights=weights)
         rho = MultivariateMeasure(atoms=target, weights=weights)
-        # The target keeps coordinate j, so at small epsilon target atom t
-        # sits near midpoint cells[j - 1][t] of the limit problem.
-        _, g = limit_potentials(carrier.k, p, q)
-        try:
-            exact_cost = exact_ot(mu, rho, spec, pair_cap, g[skeleton.cells[j - 1]]).value
-        except PairCountCapExceeded:
-            exact_cost = None
+        g = certificate_potentials(skeleton, p, q, accepted.epsilon)
+        exact_cost = exact_ot(mu, rho, spec, pair_cap, g).value
     if exact_cost is not None and exact_cost > accepted.alt_cost + 1e-9 * max(1.0, accepted.alt_cost):
         raise RuntimeError(
             "gap_search: exact optimal cost exceeds the competitor plan cost; "

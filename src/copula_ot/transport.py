@@ -509,16 +509,16 @@ def exact_ot(
     X = mu.atoms
     Y = rho.atoms
     P = solve_transport(mu.weights, rho.weights, _cost_matrix(X, Y, spec), col_potentials)
-    keep = P > 1e-15
-    for side, measure, covered in (("mu", mu, keep.any(axis=1)), ("rho", rho, keep.any(axis=0))):
+    ri, ci = np.nonzero(P > 1e-15)
+    for side, measure, index in (("mu", mu, ri), ("rho", rho, ci)):
+        covered = np.bincount(index, minlength=len(measure)) > 0
         if not covered.all():
             t = int(np.flatnonzero(~covered)[0])
             raise ValueError(
                 f"exact_ot: atom {measure.atoms[t].tolist()} of {side} has weight "
                 f"{float(measure.weights[t])!r}, below the 1e-15 that the LP resolves"
             )
-    ri, ci = np.nonzero(keep)
-    plan = plan_from_indices(X, Y, ri, ci, P[keep])
+    plan = plan_from_indices(X, Y, ri, ci, P[ri, ci])
     return OTResult(value=plan_cost(plan, spec), plan=plan)
 
 

@@ -20,6 +20,7 @@ from copula_ot.counterexample import (
     _adversary_index_map,
     _scaled_sides,
     adversary_copula,
+    certificate_potentials,
     default_schedule,
     find_violating_pair,
     gap_search,
@@ -100,12 +101,25 @@ def spy_on_assignment(monkeypatch) -> list:
 
 
 def certificate_problem(report, carrier, p, q):
-    """The cost matrix of the report's exact certificate and the limit potentials of its target atoms."""
+    """The cost matrix of the report's exact certificate and the two-level potentials of its target atoms."""
     skeleton = pair_skeleton(carrier, p, q, report.pair)
     source, target = _scaled_sides(skeleton, report.epsilon)
     cost = transport._cost_matrix(source, target, CostSpec(p, q))
-    _, g = limit_potentials(carrier.k, p, q)
-    return cost, g[skeleton.cells[report.pair[1] - 1]]
+    return cost, certificate_potentials(skeleton, p, q, report.epsilon)
+
+
+def assert_warm_no_worse_than_cold(cost, warm):
+    """The warm permutation's exact cost sum over the float matrix is at most the cold one's."""
+    _, cold = linear_sum_assignment(cost)
+    rows = np.arange(len(cost))
+
+    def exact_sum(cols):
+        return sum(map(Fraction, cost[rows, cols].tolist()))
+
+    assert exact_sum(warm) <= exact_sum(cold)
+
+
+EXPONENT_PAIRS = [(2.0, 1.0), (1.0, 2.0), (3.0, 1.5), (1.0, 3.0)]
 
 
 class TestMongeCrossPartial:
@@ -586,22 +600,54 @@ class TestLimitScores:
 
 
 class TestLimitPotentials:
-    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
+    @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
     @pytest.mark.parametrize("k", range(1, 17))
     def test_staircase_potentials_of_the_limit_problem(self, k, p, q):
+        # The average of the down-first and the right-first walk is tight on
+        # the adversary's cells (a, adv[a]) only: each walk alone is also
+        # tight on a neighbouring diagonal, and the strictly Monge L leaves
+        # every other cell strictly positive slack.
         adv = _adversary_index_map(adversary_copula(p, q), k)
         f, g = limit_potentials(k, p, q)
         m = (np.arange(k) + 0.5) / k
         limit = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
-        # Tight on the staircase through the adversary's cells (a, adv[a])
-        # and (a + 1, adv[a]): each potential is its cell's cost minus the
-        # other side's, as the walk computes it.
-        assert f[0] == 0.0 and g[adv[0]] == limit[0, adv[0]]
-        for a in range(1, k):
-            assert f[a] == limit[a, adv[a - 1]] - g[adv[a - 1]]
-            assert g[adv[a]] == limit[a, adv[a]] - f[a]
         slack = limit - f[:, None] - g[None, :]
-        assert slack.min() >= -1e-15 * limit.max()
+        on_adversary = np.zeros((k, k), dtype=bool)
+        on_adversary[np.arange(k), adv] = True
+        assert np.abs(slack[on_adversary]).max() <= 4 * np.spacing(limit.max())
+        assert (slack[~on_adversary] > 0).all()
+
+
+class TestCertificatePotentials:
+    @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("epsilon", [0.1, 2.0**-16])
+    def test_blocks_match_staircase_walks_on_the_cost_matrix(self, k, p, q, epsilon):
+        # Reference: on each block of the n = 2 cost matrix, rows by the
+        # source's j-cell b and columns by the target's i-cell c = adv[c'],
+        # run both staircase walks one cell at a time, average them and
+        # centre; the vectorised second level must agree up to the rounding
+        # of the two summation orders.
+        carrier = independence(2, k)
+        skeleton = pair_skeleton(carrier, p, q, (1, 2))
+        adv = _adversary_index_map(adversary_copula(p, q), k)
+        _, g = limit_potentials(k, p, q)
+        source, target = _scaled_sides(skeleton, epsilon)
+        cost = transport._cost_matrix(source, target, CostSpec(p, q))
+        G = certificate_potentials(skeleton, p, q, epsilon)
+        # Both sides hold the law's atoms: cell_i and cell_j index either.
+        cell_i, cell_j = skeleton.cells
+        cum = [(t + 1) / k for t in range(k)]
+        for a in range(k):
+            rows = np.flatnonzero(cell_i == a)[np.argsort(cell_j[cell_i == a])]
+            in_block = np.flatnonzero(cell_j == adv[a])
+            cols = in_block[np.argsort(adv[cell_i[in_block]])]
+            block = cost[np.ix_(rows, cols)]
+            _, down = transport._staircase_potentials(cum, cum, block.tolist())
+            right, _ = transport._staircase_potentials(cum, cum, block.T.tolist())
+            h = (down + right) / 2
+            h -= h.mean()
+            np.testing.assert_allclose(G[cols] - g[adv[a]], h, rtol=0, atol=4 * k * np.spacing(block.max()))
 
 
 class TestGapSearch:
@@ -724,6 +770,37 @@ class TestGapSearch:
         assert np.ptp(g) > 0
         assert np.array_equal(shifted, cost - g)
 
+    def test_builds_no_certificate_above_the_pair_cap(self, monkeypatch):
+        # 64 atoms a side: 4096 pairs.  Above the cap exact_ot would only
+        # raise, so neither it nor the potentials run.
+        built = []
+        for name in ("certificate_potentials", "exact_ot"):
+            def counted(*args, _name=name, _fn=getattr(counterexample, name), **kwargs):
+                built.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(counterexample, name, counted)
+        report = gap_search(independence(2, 8), 2.0, 1.0, pair_cap=4095)
+        assert report.exact_cost is None and built == []
+        report = gap_search(independence(2, 8), 2.0, 1.0, pair_cap=4096)
+        assert report.exact_cost is not None
+        assert built == ["certificate_potentials", "exact_ot"]
+
+    @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_potentials_give_the_assignment(self, monkeypatch, k, p, q):
+        # On independence(2, k) the two-level potentials are strictly
+        # complementary: each row's cheapest column of cost - G is its
+        # optimal column, so the solver reads its answer off them.
+        calls = spy_on_assignment(monkeypatch)
+        carrier = independence(2, k)
+        report = gap_search(carrier, p, q, carrier_resolution=k)
+        cost, g = certificate_problem(report, carrier, p, q)
+        ((_, cols),) = calls
+        cheapest = np.argmin(cost - g, axis=1)
+        assert np.array_equal(np.sort(cheapest), np.arange(len(cost)))
+        assert np.array_equal(cheapest, cols)
+
     def test_warm_permutation_is_no_worse_in_exact_arithmetic(self, monkeypatch):
         # counterexample --p 1 --q 3 --n 3 --k 4: the cold solve returned a
         # permutation whose exact cost sum, over the float cost matrix, is
@@ -733,13 +810,30 @@ class TestGapSearch:
         report = gap_search(carrier, 1.0, 3.0, carrier_resolution=4)
         cost, _ = certificate_problem(report, carrier, 1.0, 3.0)
         ((_, warm),) = calls
-        _, cold = linear_sum_assignment(cost)
-        rows = np.arange(len(cost))
+        assert_warm_no_worse_than_cold(cost, warm)
 
-        def exact_sum(cols):
-            return sum(map(Fraction, cost[rows, cols].tolist()))
-
-        assert exact_sum(warm) <= exact_sum(cold)
+    @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_warm_permutation_is_no_worse_on_random_carriers(self, monkeypatch, n, k, p, q):
+        # Every seeded random carrier among the first 40 whose certificate
+        # takes the assignment path, that is whose cells all weigh the same.
+        calls = spy_on_assignment(monkeypatch)
+        solved = 0
+        for seed in range(40):
+            carrier = random_copula(np.random.default_rng([seed, n, k]), n, k)
+            calls.clear()
+            try:
+                report = gap_search(carrier, p, q, carrier_resolution=k)
+            except NoViolatingPair:
+                continue
+            if not calls:
+                continue
+            cost, _ = certificate_problem(report, carrier, p, q)
+            ((_, warm),) = calls
+            assert_warm_no_worse_than_cold(cost, warm)
+            solved += 1
+        assert solved >= 5
 
     def test_report_serialization(self):
         report = gap_search(independence(2, 8), 1.0, 2.0)

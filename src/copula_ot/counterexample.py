@@ -43,6 +43,7 @@ from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     TransportPlan,
+    _assignment_shaped,
     _check_atoms,
     _row_cost_sum,
     _staircase_potentials,
@@ -530,11 +531,16 @@ def gap_search(
     distance tables, gathered by row codes found once (:func:`_cost_sweep`),
     so no plan is built at any epsilon.  The exact
     certificate at the accepted epsilon solves between the two scaled
-    measures: the scaled atoms of each side with the law's weights.  Its
-    assignment is warm-started from :func:`certificate_potentials`: the
-    duals of the problem it tends to as epsilon -> 0
-    (:func:`limit_potentials`), refined inside each of that problem's k
-    blocks at the accepted epsilon; they move no output.  When the
+    measures: the scaled atoms of each side with the law's weights.  When
+    those weights are all the same float the problem is an assignment, and
+    :func:`exact_ot` gets :func:`certificate_potentials`: the duals of the
+    problem it tends to as epsilon -> 0 (:func:`limit_potentials`), refined
+    inside each of that problem's k blocks at the accepted epsilon.  If each
+    row's cheapest column of the reduced costs is strict and distinct, those
+    columns are the optimal permutation and no solver runs (on
+    ``independence(2, k)`` they are); otherwise the potentials warm-start
+    the assignment.  They move no output.  Unequal weights take the LP,
+    which reads no potentials, so none are built.  When the
     support-pair count exceeds ``pair_cap`` neither the measures nor the
     potentials are built and ``exact_cost`` is None.  Raises a
     ``ValueError`` when the copula has fewer than two coordinates, since the
@@ -586,7 +592,9 @@ def gap_search(
         weights = skeleton.law.weights
         mu = MultivariateMeasure(atoms=source, weights=weights)
         rho = MultivariateMeasure(atoms=target, weights=weights)
-        g = certificate_potentials(skeleton, p, q, accepted.epsilon)
+        g = None  # the LP reads no potentials
+        if _assignment_shaped(weights, weights):
+            g = certificate_potentials(skeleton, p, q, accepted.epsilon)
         exact_cost = exact_ot(mu, rho, spec, pair_cap, g).value
     if exact_cost is not None and exact_cost > accepted.alt_cost + 1e-9 * max(1.0, accepted.alt_cost):
         raise RuntimeError(

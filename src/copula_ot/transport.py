@@ -11,19 +11,21 @@ distance; callers that want the distance itself take the 1/p root.
 vertex of the transport polytope.  When both measures have the same number of
 atoms and every weight of both is the same float, the polytope is a scaled
 Birkhoff polytope whose vertices are permutations, and the problem is solved
-as a linear assignment (Jonker-Volgenant, ``linear_sum_assignment``).  Any
-other input is solved as a linear program with the HiGHS dual simplex (tight
+as a linear assignment (Jonker-Volgenant, ``linear_sum_assignment``), unless
+column potentials passed in already prove an assignment optimal.  Any other
+input is solved as a linear program with the HiGHS dual simplex (tight
 feasibility tolerances).  ``diamond`` builds the quantile coupling induced by
 a shared copula.  For p = q the verification campaign certifies it with no
 solver: ``separable_dual_bound`` reads dual potentials off each coordinate's
 north-west-corner staircase, and their objective meets the plan's cost.
 
 scipy is imported by the first ``solve_transport`` call, not at import, so the
-``p = q`` certificate, ``diamond``, ``plan_cost`` and a gap sweep without its
-exact certificate never pay its start-up time and memory.  ``linprog`` and
-``linear_sum_assignment`` stay module attributes (the module ``__getattr__``
-loads them on first access) and ``solve_transport`` calls them by their global
-names, so a tracer that rebinds them here still sees every call.
+``p = q`` certificate, ``diamond``, ``plan_cost``, a gap sweep and an
+``exact_ot`` whose potentials certify its assignment never pay its start-up
+time and memory.  ``linprog`` and ``linear_sum_assignment`` stay module
+attributes (the module ``__getattr__`` loads them on first access) and
+``solve_transport`` calls them by their global names, so a tracer that
+rebinds them here still sees every call.
 """
 
 from __future__ import annotations
@@ -395,6 +397,19 @@ class OTResult(NamedTuple):
     plan: TransportPlan
 
 
+def _assignment_shaped(row_weights: np.ndarray, col_weights: np.ndarray) -> bool:
+    """Whether the two weight vectors have one length and every entry of both is the same float.
+
+    The transport polytope is then that weight times the Birkhoff polytope,
+    whose vertices are the permutation matrices (Birkhoff-von Neumann).
+    """
+    return (
+        len(row_weights) == len(col_weights) > 0
+        and bool(np.all(row_weights == row_weights[0]))
+        and bool(np.all(col_weights == row_weights[0]))
+    )
+
+
 def solve_transport(
     row_weights: np.ndarray,
     col_weights: np.ndarray,
@@ -404,10 +419,10 @@ def solve_transport(
     """Minimize <P, cost> over couplings of the two weight vectors.
 
     Returns an optimal vertex (a x b matrix).  If a == b and every entry of
-    both weight vectors equals the same float exactly, the vertices are that
-    weight times permutation matrices (Birkhoff-von Neumann), so an optimal
-    assignment is the optimal vertex.  Otherwise it comes from the HiGHS
-    simplex.
+    both weight vectors equals the same float exactly
+    (:func:`_assignment_shaped`), the vertices are that weight times
+    permutation matrices, so an optimal assignment is the optimal vertex.
+    Otherwise it comes from the HiGHS simplex.
 
     ``col_potentials`` (length b) warm-start the assignment, which then
     solves ``cost - col_potentials``.  That moves every permutation's cost
@@ -416,7 +431,8 @@ def solve_transport(
     cheapest columns apart, where ``cost`` alone may give every row the same
     cheapest column: the worst case of an augmenting-path solver.  The LP
     ignores them, because a shifted LP cost moves HiGHS's vertex inside its
-    tolerances.
+    tolerances.  :func:`exact_ot` calls this only when its potentials do not
+    already prove an assignment optimal (:func:`_certified_columns`).
     """
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
@@ -424,7 +440,7 @@ def solve_transport(
     if col_potentials is not None and np.shape(col_potentials) != (b,):
         raise ValueError("solve_transport: column potentials do not match the cost matrix")
     _load_scipy()
-    if a == b > 0 and np.all(row_weights == row_weights[0]) and np.all(col_weights == row_weights[0]):
+    if _assignment_shaped(row_weights, col_weights):
         shifted = cost_matrix if col_potentials is None else cost_matrix - col_potentials
         rows, cols = linear_sum_assignment(shifted)
         plan = np.zeros((a, b))
@@ -449,6 +465,33 @@ def solve_transport(
     if res.status != 0:
         raise RuntimeError(f"solve_transport: LP solver failed with status {res.status}: {res.message}")
     return res.x.reshape(a, b)
+
+
+def _certified_columns(cost: np.ndarray, col_potentials: np.ndarray) -> np.ndarray | None:
+    """Each row's cheapest column of ``cost - col_potentials``, if that proves them an optimal assignment.
+
+    With f_s = min_t (cost - g)[s, t], the potentials (f, g) are dual
+    feasible for the assignment on ``cost``, and tight on each row's
+    cheapest cell.  When those cells' columns are pairwise distinct they
+    form a permutation, which is then optimal by complementary slackness.
+    Every row's minimum must also be strict: the permutation is then the
+    only optimum of the float matrix ``cost - g``, so it is also the one
+    that the solver returns.  Returns None otherwise, also on a nan.  This
+    float certificate is exactly as rigorous as the float assignment it
+    replaces.
+    """
+    n = len(cost)
+    if np.shape(col_potentials) != (n,):
+        raise ValueError("exact_ot: column potentials do not match the atoms of rho")
+    reduced = cost - col_potentials
+    cols = reduced.argmin(axis=1)
+    if np.bincount(cols, minlength=n).max() > 1:
+        return None
+    rows = np.arange(n)
+    least = reduced[rows, cols]
+    reduced[rows, cols] = np.inf
+    # nan compares false, so a nan minimum (argmin returns it) fails here.
+    return cols if bool((reduced.min(axis=1) > least).all()) else None
 
 
 def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
@@ -495,9 +538,16 @@ def exact_ot(
     cap keeps accidental huge LPs from running away.  Both checks run before
     the cost matrix is built.  Solver entries at or below 1e-15 are dropped
     before the plan is canonicalized; an atom left with no entry would
-    silently lose its mass, so that raises.  ``col_potentials``, one per
-    atom of ``rho``, only warm-start an assignment (:func:`solve_transport`);
-    the plan and its value never see them.
+    silently lose its mass, so that raises.
+
+    ``col_potentials`` g, one per atom of ``rho``, serve the assignment path
+    only (:func:`_assignment_shaped`); the plan and its value never see
+    them.  There the reduced costs ``cost - g`` are formed once, and when
+    each row's cheapest column is strict and the columns are pairwise
+    distinct, they are an optimal permutation by complementary slackness
+    (:func:`_certified_columns`): the plan is built from them and no solver
+    runs, so scipy is not loaded.  Otherwise g warm-start the assignment
+    (:func:`solve_transport`).
     """
     if mu.dimension != rho.dimension:
         raise ValueError(f"exact_ot: dimension mismatch, {mu.dimension} vs {rho.dimension}")
@@ -508,7 +558,14 @@ def exact_ot(
         )
     X = mu.atoms
     Y = rho.atoms
-    P = solve_transport(mu.weights, rho.weights, _cost_matrix(X, Y, spec), col_potentials)
+    cost = _cost_matrix(X, Y, spec)
+    if col_potentials is not None and _assignment_shaped(mu.weights, rho.weights):
+        cols = _certified_columns(cost, col_potentials)
+        if cols is not None:
+            rows = np.arange(len(cols))
+            plan = plan_from_indices(X, Y, rows, cols, np.full(len(cols), mu.weights[0]))
+            return OTResult(value=plan_cost(plan, spec), plan=plan)
+    P = solve_transport(mu.weights, rho.weights, cost, col_potentials)
     ri, ci = np.nonzero(P > 1e-15)
     for side, measure, index in (("mu", mu, ri), ("rho", rho, ci)):
         covered = np.bincount(index, minlength=len(measure)) > 0

@@ -161,6 +161,33 @@ def lp_reference(row_weights, col_weights, cost) -> tuple[float, float]:
     a = np.asarray(row_weights, dtype=float)
     b = np.asarray(col_weights, dtype=float)
     cost = np.asarray(cost, dtype=float)
+    res = _highs_transport(a, b, cost)
+    u, v = res.eqlin.marginals[: len(a)], res.eqlin.marginals[len(a) :]
+    slack = np.minimum(0.0, (cost - u[:, None] - v[None, :]).min(axis=1))
+    return float(res.fun), float(a @ u + b @ v + a @ slack)
+
+
+def lp_column_potentials(row_weights, col_weights, cost, margin: float = 1e-7) -> np.ndarray:
+    """Column duals v of :func:`lp_reference`'s LP, lowered so that only its vertex is tight.
+
+    A basic dual of an N x N assignment is tight on 2N - 1 cells: the
+    optimal permutation and N - 1 degenerate cells, each of which ties with
+    the permutation in its row.  So the LP is solved a second time with
+    every cell off the first vertex's support made ``margin`` cheaper.  Its
+    vertex must be the first one again; its duals are then feasible for the
+    lowered cost, so on ``cost`` every cell off the vertex keeps at least
+    ``margin`` of reduced cost, less HiGHS's dual tolerance.
+    """
+    a = np.asarray(row_weights, dtype=float)
+    b = np.asarray(col_weights, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    vertex = _highs_transport(a, b, cost).x.reshape(cost.shape) > 1e-15
+    res = _highs_transport(a, b, np.where(vertex, cost, cost - margin))
+    assert np.array_equal(res.x.reshape(cost.shape) > 1e-15, vertex), "margin moved the vertex"
+    return res.eqlin.marginals[len(a) :]
+
+
+def _highs_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     m, k = cost.shape
     constraints = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
     res = optimize.linprog(
@@ -172,10 +199,7 @@ def lp_reference(row_weights, col_weights, cost) -> tuple[float, float]:
         options=LP_TOLERANCES,
     )
     assert res.status == 0, res.message
-    u = res.eqlin.marginals[:m]
-    v = res.eqlin.marginals[m:]
-    slack = np.minimum(0.0, (cost - u[:, None] - v[None, :]).min(axis=1))
-    return float(res.fun), float(a @ u + b @ v + a @ slack)
+    return res
 
 
 def rank_bin_copula(measure, k: int) -> np.ndarray:

@@ -100,12 +100,40 @@ def spy_on_assignment(monkeypatch) -> list:
     return calls
 
 
+def spy_on_exact(monkeypatch) -> list:
+    """Record each exact solve of gap_search: its column potentials and its plan's rows."""
+    calls = []
+    solve = counterexample.exact_ot
+
+    def spy(*args):
+        result = solve(*args)
+        calls.append((args[4], result.plan))
+        return result
+
+    monkeypatch.setattr(counterexample, "exact_ot", spy)
+    return calls
+
+
 def certificate_problem(report, carrier, p, q):
     """The cost matrix of the report's exact certificate and the two-level potentials of its target atoms."""
     skeleton = pair_skeleton(carrier, p, q, report.pair)
     source, target = _scaled_sides(skeleton, report.epsilon)
     cost = transport._cost_matrix(source, target, CostSpec(p, q))
     return cost, certificate_potentials(skeleton, p, q, report.epsilon)
+
+
+def assignment_columns(plan: TransportPlan) -> np.ndarray:
+    """The permutation of an assignment plan: row s of the source goes to column cols[s]."""
+    rows = np.arange(len(plan.source))
+    assert np.array_equal(plan.i, rows) and np.array_equal(np.sort(plan.j), rows)
+    return np.asarray(plan.j)
+
+
+def assert_certified(cost, g, cols):
+    """``cols`` are each row's cheapest column of cost - g and the solver's answer on cost - g."""
+    reduced = cost - g
+    assert np.array_equal(cols, reduced.argmin(axis=1))
+    assert np.array_equal(cols, linear_sum_assignment(reduced)[1])
 
 
 def assert_warm_no_worse_than_cold(cost, warm):
@@ -760,12 +788,14 @@ class TestGapSearch:
         assert report.gap > 0
 
     def test_exact_certificate_solves_the_warm_started_assignment(self, monkeypatch):
-        # The solver must receive cost - g: a silent return to a cold start
-        # keeps every output and only costs time, so this test catches it.
+        # counterexample --p 1 --q 3 --n 3 --k 4: the potentials leave the
+        # n = 3 blocks' other coordinates out and certify no permutation, so
+        # the solver runs.  It must receive cost - g: a silent return to a
+        # cold start keeps every output and only costs time.
         calls = spy_on_assignment(monkeypatch)
-        carrier = independence(2, 8)
-        report = gap_search(carrier, 2.0, 1.0)
-        cost, g = certificate_problem(report, carrier, 2.0, 1.0)
+        carrier = independence(3, 4)
+        report = gap_search(carrier, 1.0, 3.0, carrier_resolution=4)
+        cost, g = certificate_problem(report, carrier, 1.0, 3.0)
         ((shifted, _),) = calls
         assert np.ptp(g) > 0
         assert np.array_equal(shifted, cost - g)
@@ -791,25 +821,32 @@ class TestGapSearch:
     def test_potentials_give_the_assignment(self, monkeypatch, k, p, q):
         # On independence(2, k) the two-level potentials are strictly
         # complementary: each row's cheapest column of cost - G is its
-        # optimal column, so the solver reads its answer off them.
-        calls = spy_on_assignment(monkeypatch)
+        # optimal column, so the certificate reads the permutation off them
+        # and no solver runs.
+        solver_calls = spy_on_assignment(monkeypatch)
+        exact_calls = spy_on_exact(monkeypatch)
         carrier = independence(2, k)
         report = gap_search(carrier, p, q, carrier_resolution=k)
         cost, g = certificate_problem(report, carrier, p, q)
-        ((_, cols),) = calls
-        cheapest = np.argmin(cost - g, axis=1)
-        assert np.array_equal(np.sort(cheapest), np.arange(len(cost)))
-        assert np.array_equal(cheapest, cols)
+        ((used, plan),) = exact_calls
+        assert solver_calls == []
+        assert np.array_equal(used, g)
+        assert_certified(cost, g, assignment_columns(plan))
 
     def test_warm_permutation_is_no_worse_in_exact_arithmetic(self, monkeypatch):
         # counterexample --p 1 --q 3 --n 3 --k 4: the cold solve returned a
         # permutation whose exact cost sum, over the float cost matrix, is
-        # above the warm one's.
-        calls = spy_on_assignment(monkeypatch)
+        # above the warm one's.  Here the potentials certify nothing and the
+        # warm-started solver chooses the permutation.
+        solver_calls = spy_on_assignment(monkeypatch)
+        exact_calls = spy_on_exact(monkeypatch)
         carrier = independence(3, 4)
         report = gap_search(carrier, 1.0, 3.0, carrier_resolution=4)
         cost, _ = certificate_problem(report, carrier, 1.0, 3.0)
-        ((_, warm),) = calls
+        ((_, plan),) = exact_calls
+        ((_, solved),) = solver_calls
+        warm = assignment_columns(plan)
+        assert np.array_equal(warm, solved)
         assert_warm_no_worse_than_cold(cost, warm)
 
     @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
@@ -818,19 +855,34 @@ class TestGapSearch:
     def test_warm_permutation_is_no_worse_on_random_carriers(self, monkeypatch, n, k, p, q):
         # Every seeded random carrier among the first 40 whose certificate
         # takes the assignment path, that is whose cells all weigh the same.
-        calls = spy_on_assignment(monkeypatch)
+        # A search either certifies its permutation with no solver, or hands
+        # cost - g to the solver and takes its columns; either way the
+        # permutation's exact cost is no worse than the cold solve's.
+        solver_calls = spy_on_assignment(monkeypatch)
+        exact_calls = spy_on_exact(monkeypatch)
         solved = 0
         for seed in range(40):
             carrier = random_copula(np.random.default_rng([seed, n, k]), n, k)
-            calls.clear()
+            solver_calls.clear()
+            exact_calls.clear()
             try:
                 report = gap_search(carrier, p, q, carrier_resolution=k)
             except NoViolatingPair:
                 continue
-            if not calls:
+            ((g, plan),) = exact_calls
+            weights = pair_skeleton(carrier, p, q, report.pair).law.weights
+            if not (weights == weights[0]).all():
+                assert g is None and solver_calls == []
                 continue
-            cost, _ = certificate_problem(report, carrier, p, q)
-            ((_, warm),) = calls
+            cost, potentials = certificate_problem(report, carrier, p, q)
+            assert np.array_equal(g, potentials)
+            warm = assignment_columns(plan)
+            if solver_calls:
+                ((shifted, cols),) = solver_calls
+                assert np.array_equal(shifted, cost - g)
+                assert np.array_equal(warm, cols)
+            else:
+                assert_certified(cost, g, warm)
             assert_warm_no_worse_than_cold(cost, warm)
             solved += 1
         assert solved >= 5

@@ -1,7 +1,9 @@
-"""scipy is loaded only by an exact solve.
+"""scipy is loaded only by an exact solve that runs a solver.
 
 ``tests/helpers.py`` imports scipy, so every check runs in a fresh
 interpreter (the session fixture in conftest puts ``src/`` on its path).
+The default gap certificate proves its assignment from its potentials and
+runs no solver, so it needs no scipy at all.
 """
 
 import json
@@ -138,3 +140,68 @@ def test_solver_names_are_scipys_after_the_first_solve(fresh_run):
 
 def test_rebound_solver_name_is_called_and_other_names_stay_missing():
     assert run_python(REBIND_BEFORE_SOLVE) == "ok"
+
+
+# Each prints whether scipy is loaded after its last line.
+EXACT_RUNS = {
+    "certified gap_search (2, 1)": (
+        "from copula_ot.copulas import independence\n"
+        "from copula_ot.counterexample import gap_search\n"
+        "assert gap_search(independence(2, 16), 2.0, 1.0).exact_cost is not None\n",
+        False,
+    ),
+    "certified gap_search (1, 2)": (
+        "from copula_ot.copulas import independence\n"
+        "from copula_ot.counterexample import gap_search\n"
+        "assert gap_search(independence(2, 16), 1.0, 2.0).exact_cost is not None\n",
+        False,
+    ),
+    "counterexample command": (
+        "from copula_ot import cli\n"
+        "assert cli.main(['counterexample', '--p', '1', '--q', '2', '--out', sys.argv[1] + '/r.json']) == 0\n",
+        False,
+    ),
+    # Unequal cell masses take the LP, which loads scipy.
+    "gap_search on unequal masses": (
+        "import numpy as np\n"
+        "from copula_ot.counterexample import gap_search\n"
+        "from copula_ot.instances import random_copula\n"
+        "carrier = random_copula(np.random.default_rng(0), 2, 3)\n"
+        "assert len(set(carrier.masses[carrier.masses > 0].tolist())) > 1\n"
+        "assert gap_search(carrier, 2.0, 1.0, carrier_resolution=3).exact_cost is not None\n",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_RUNS))
+def test_exact_certificate_loads_scipy_only_for_a_solver(tmp_path, name):
+    code, loads = EXACT_RUNS[name]
+    out = run_python("import sys\n" + code + "print('scipy' in sys.modules)\n", str(tmp_path))
+    assert out == str(loads)
+
+
+NO_SCIPY_COUNTEREXAMPLE = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from copula_ot import cli
+sys.exit(cli.main(["counterexample", "--p", "2", "--q", "1", "--out", sys.argv[1]]))
+"""
+
+
+def test_counterexample_without_scipy_writes_the_same_bytes(tmp_path, capsys):
+    # test_golden pins the bytes of the in-process run.
+    from copula_ot.cli import main
+
+    assert main(["counterexample", "--p", "2", "--q", "1", "--out", str(tmp_path / "with.json")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_COUNTEREXAMPLE, str(tmp_path / "without.json")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for suffix in (".json", ".csv"):
+        with_scipy = (tmp_path / "with").with_suffix(suffix).read_bytes()
+        assert (tmp_path / "without").with_suffix(suffix).read_bytes() == with_scipy

@@ -30,6 +30,7 @@ from copula_ot.transport import (
     wasserstein_1d,
 )
 
+import copula_ot.counterexample as counterexample
 import copula_ot.transport as transport
 from helpers import (
     as_1d,
@@ -38,6 +39,7 @@ from helpers import (
     fsum_plan_cost,
     grid_pushforward,
     inner_product_score,
+    lp_column_potentials,
     lp_reference,
     make_plan,
     map_coordinates,
@@ -500,6 +502,117 @@ class TestAssignmentPath:
                 assert warm.value.hex() == cold.value.hex()
                 for rows in ("i", "j", "w"):
                     assert np.array_equal(getattr(warm.plan, rows), getattr(cold.plan, rows))
+
+
+def spy_on_solvers(monkeypatch) -> list:
+    """Record each solver call: ("assignment", the matrix it receives) or ("lp", None)."""
+    calls = []
+    assignment, lp = transport.linear_sum_assignment, transport.linprog
+
+    def assignment_spy(matrix):
+        calls.append(("assignment", matrix.copy()))
+        return assignment(matrix)
+
+    def lp_spy(*args, **kwargs):
+        calls.append(("lp", None))
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", assignment_spy)
+    monkeypatch.setattr(transport, "linprog", lp_spy)
+    return calls
+
+
+def assert_same_result(warm, cold):
+    assert warm.value.hex() == cold.value.hex()
+    for rows in ("i", "j", "w"):
+        assert np.array_equal(getattr(warm.plan, rows), getattr(cold.plan, rows))
+
+
+# Two atoms a side at 0 and 1, p = q = 1: every reduced cost is an exact float.
+UNIT_PAIR = make_measure([[0.0], [1.0]], [0.5, 0.5])
+
+
+class TestCertifiedAssignment:
+    """exact_ot skips the solver when its column potentials prove each row's cheapest column optimal."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 2, 5, 17, 30])
+    def test_lp_duals_certify_with_no_solver_and_the_cold_result(self, monkeypatch, size, n):
+        # Random atoms leave a unique optimal permutation; in one dimension
+        # |x - y| ties matchings, so there p = 1 is left out.
+        rng = np.random.default_rng([size, n])
+        mu, rho = (make_measure(rng.random((size, n)), np.ones(size)) for _ in range(2))
+        specs = [CostSpec(2, 1), CostSpec(2, 2), CostSpec(3, 1.5)] + ([CostSpec(1, 2)] if n > 1 else [])
+        for spec in specs:
+            cost = transport._cost_matrix(mu.atoms, rho.atoms, spec)
+            g = lp_column_potentials(mu.weights, rho.weights, cost)
+            cold = exact_ot(mu, rho, spec)
+            calls = spy_on_solvers(monkeypatch)
+            warm = exact_ot(mu, rho, spec, col_potentials=g)
+            assert calls == []
+            assert_same_result(warm, cold)
+            monkeypatch.undo()
+
+    def test_a_tied_row_minimum_falls_back_to_the_solver(self, monkeypatch):
+        # cost - g = [[0, 0], [1, -1]]: the cheapest columns 0 and 1 are
+        # distinct, but row 0's minimum is tied, so the solver decides.
+        g = np.array([0.0, 1.0])
+        cold = exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1))
+        calls = spy_on_solvers(monkeypatch)
+        warm = exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1), col_potentials=g)
+        assert [kind for kind, _ in calls] == ["assignment"]
+        assert calls[0][1].tolist() == [[0.0, 0.0], [1.0, -1.0]]
+        assert_same_result(warm, cold)
+
+    def test_rows_sharing_their_cheapest_column_fall_back_to_the_solver(self, monkeypatch):
+        # cost - g = [[0, 6], [1, 5]]: both rows' strict minimum is column 0.
+        g = np.array([0.0, -5.0])
+        cold = exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1))
+        calls = spy_on_solvers(monkeypatch)
+        warm = exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1), col_potentials=g)
+        assert [kind for kind, _ in calls] == ["assignment"]
+        assert calls[0][1].tolist() == [[0.0, 6.0], [1.0, 5.0]]
+        assert_same_result(warm, cold)
+
+    def test_no_potentials_solve_as_before(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        mu, rho = (make_measure(rng.random((6, 2)), np.ones(6)) for _ in range(2))
+        spec = CostSpec(2, 1)
+        cost = transport._cost_matrix(mu.atoms, rho.atoms, spec)
+        P = solve_transport(mu.weights, rho.weights, cost)
+        calls = spy_on_solvers(monkeypatch)
+        result = exact_ot(mu, rho, spec)
+        assert [kind for kind, _ in calls] == ["assignment"]
+        assert np.array_equal(calls[0][1], cost)
+        rows, cols = np.nonzero(P)
+        assert np.array_equal(result.plan.i, rows) and np.array_equal(result.plan.j, cols)
+
+    def test_potentials_of_the_wrong_length_raise(self):
+        with pytest.raises(ValueError, match="potentials"):
+            exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1), col_potentials=np.zeros(1))
+
+    def test_unequal_weights_ignore_the_potentials(self, monkeypatch):
+        mu = make_measure([[0.0], [1.0]], [0.25, 0.75])
+        calls = spy_on_solvers(monkeypatch)
+        exact_ot(mu, UNIT_PAIR, CostSpec(1, 1), col_potentials=np.array([0.0, 1.0]))
+        assert [kind for kind, _ in calls] == ["lp"]
+
+    def test_gap_search_with_zero_potentials_falls_back(self, monkeypatch):
+        # With g = 0 every row's cheapest column is the same one, so the
+        # search must hand cost - g to the solver and still find the optimum.
+        carrier = independence(2, 4)
+        expected = counterexample.gap_search(carrier, 2.0, 1.0).exact_cost
+        monkeypatch.setattr(
+            counterexample, "certificate_potentials", lambda skeleton, p, q, eps: np.zeros(len(skeleton.law))
+        )
+        calls = spy_on_solvers(monkeypatch)
+        report = counterexample.gap_search(carrier, 2.0, 1.0)
+        skeleton = counterexample.pair_skeleton(carrier, 2.0, 1.0, report.pair)
+        source, target = counterexample._scaled_sides(skeleton, report.epsilon)
+        cost = transport._cost_matrix(source, target, CostSpec(2.0, 1.0))
+        assert [kind for kind, _ in calls] == ["assignment"]
+        assert np.array_equal(calls[0][1], cost - np.zeros(len(cost)))
+        assert report.exact_cost == expected
 
 
 @st.composite

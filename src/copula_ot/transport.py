@@ -8,24 +8,25 @@ with no sort and no merge.  Costs are always reported as the raw integral of
 distance; callers that want the distance itself take the 1/p root.
 
 ``exact_ot`` solves the discrete problem exactly and returns an optimal
-vertex of the transport polytope.  When both measures have the same number of
-atoms and every weight of both is the same float, the polytope is a scaled
-Birkhoff polytope whose vertices are permutations, and the problem is solved
-as a linear assignment (Jonker-Volgenant, ``linear_sum_assignment``), unless
-column potentials passed in already prove an assignment optimal.  Any other
-input is solved as a linear program with the HiGHS dual simplex (tight
-feasibility tolerances).  ``diamond`` builds the quantile coupling induced by
-a shared copula.  For p = q the verification campaign certifies it with no
-solver: ``separable_dual_bound`` reads dual potentials off each coordinate's
+vertex of the transport polytope; it alone picks how.  When both measures
+have the same number of atoms and every weight of both is the same float,
+the polytope is a scaled Birkhoff polytope whose vertices are permutations,
+and the problem is solved as a linear assignment (Jonker-Volgenant,
+``linear_sum_assignment``), unless column potentials passed in already prove
+an assignment optimal.  Any other input goes to ``solve_transport``, the
+linear program solved by the HiGHS dual simplex (tight feasibility
+tolerances).  ``diamond`` builds the quantile coupling induced by a shared
+copula.  For p = q the verification campaign certifies it with no solver:
+``separable_dual_bound`` reads dual potentials off each coordinate's
 north-west-corner staircase, and their objective meets the plan's cost.
 
-scipy is imported by the first ``solve_transport`` call, not at import, so the
-``p = q`` certificate, ``diamond``, ``plan_cost``, a gap sweep and an
-``exact_ot`` whose potentials certify its assignment never pay its start-up
-time and memory.  ``linprog`` and ``linear_sum_assignment`` stay module
-attributes (the module ``__getattr__`` loads them on first access) and
-``solve_transport`` calls them by their global names, so a tracer that
-rebinds them here still sees every call.
+scipy is imported by the first solver call, not at import, so the ``p = q``
+certificate, ``diamond``, ``plan_cost``, a gap sweep and an ``exact_ot``
+whose potentials certify its assignment never pay its start-up time and
+memory.  ``linprog`` and ``linear_sum_assignment`` stay module attributes
+(the module ``__getattr__`` loads them on first access) and are called by
+their global names, so a tracer that rebinds them here still sees every
+call.
 """
 
 from __future__ import annotations
@@ -410,42 +411,18 @@ def _assignment_shaped(row_weights: np.ndarray, col_weights: np.ndarray) -> bool
     )
 
 
-def solve_transport(
-    row_weights: np.ndarray,
-    col_weights: np.ndarray,
-    cost_matrix: np.ndarray,
-    col_potentials: np.ndarray | None = None,
-) -> np.ndarray:
-    """Minimize <P, cost> over couplings of the two weight vectors.
+def solve_transport(row_weights: np.ndarray, col_weights: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
+    """Minimize <P, cost> over couplings of the two weight vectors with the HiGHS LP.
 
-    Returns an optimal vertex (a x b matrix).  If a == b and every entry of
-    both weight vectors equals the same float exactly
-    (:func:`_assignment_shaped`), the vertices are that weight times
-    permutation matrices, so an optimal assignment is the optimal vertex.
-    Otherwise it comes from the HiGHS simplex.
-
-    ``col_potentials`` (length b) warm-start the assignment, which then
-    solves ``cost - col_potentials``.  That moves every permutation's cost
-    by the same sum, so in exact arithmetic the optimal permutations stay
-    those of ``cost``.  Potentials close to an optimal dual spread the rows'
-    cheapest columns apart, where ``cost`` alone may give every row the same
-    cheapest column: the worst case of an augmenting-path solver.  The LP
-    ignores them, because a shifted LP cost moves HiGHS's vertex inside its
-    tolerances.  :func:`exact_ot` calls this only when its potentials do not
-    already prove an assignment optimal (:func:`_certified_columns`).
+    Returns an optimal vertex (a x b matrix) of the transport polytope, from
+    the HiGHS simplex at tight feasibility tolerances, whatever the weights.
+    :func:`exact_ot` calls it only for weights that are not assignment-shaped
+    (:func:`_assignment_shaped`); those it solves as an assignment.
     """
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
         raise ValueError("solve_transport: weight vectors do not match the cost matrix")
-    if col_potentials is not None and np.shape(col_potentials) != (b,):
-        raise ValueError("solve_transport: column potentials do not match the cost matrix")
     _load_scipy()
-    if _assignment_shaped(row_weights, col_weights):
-        shifted = cost_matrix if col_potentials is None else cost_matrix - col_potentials
-        rows, cols = linear_sum_assignment(shifted)
-        plan = np.zeros((a, b))
-        plan[rows, cols] = row_weights[0]
-        return plan
     # Variable v is entry (v // b, v % b) of the plan: it enters the mass
     # constraint of row v // b and that of column v % b.
     v = np.arange(a * b)
@@ -467,31 +444,37 @@ def solve_transport(
     return res.x.reshape(a, b)
 
 
-def _certified_columns(cost: np.ndarray, col_potentials: np.ndarray) -> np.ndarray | None:
-    """Each row's cheapest column of ``cost - col_potentials``, if that proves them an optimal assignment.
+def _assignment_columns(cost: np.ndarray, col_potentials: np.ndarray | None) -> np.ndarray:
+    """An optimal permutation of the assignment on ``cost``: row s goes to column ``cols[s]``.
 
+    With no potentials this is ``linear_sum_assignment(cost)``.  Potentials
+    g move every permutation's cost by the same sum, so in exact arithmetic
+    the optimal permutations of ``cost - g`` are those of ``cost``; close to
+    an optimal dual they spread the rows' cheapest columns apart, where
+    ``cost`` alone may give every row the same one: the worst case of an
+    augmenting-path solver.  The reduced costs ``cost - g`` are formed once.
     With f_s = min_t (cost - g)[s, t], the potentials (f, g) are dual
-    feasible for the assignment on ``cost``, and tight on each row's
-    cheapest cell.  When those cells' columns are pairwise distinct they
-    form a permutation, which is then optimal by complementary slackness.
-    Every row's minimum must also be strict: the permutation is then the
-    only optimum of the float matrix ``cost - g``, so it is also the one
-    that the solver returns.  Returns None otherwise, also on a nan.  This
-    float certificate is exactly as rigorous as the float assignment it
-    replaces.
+    feasible and tight on each row's cheapest cell, so when those cells'
+    columns are pairwise distinct they are an optimal permutation by
+    complementary slackness, and they are returned with no solver.  Every
+    row's minimum must also be strict: the permutation is then the only
+    optimum of the float matrix ``cost - g``, so it is also the one that the
+    solver returns.  This float certificate is exactly as rigorous as the
+    float assignment it replaces.  Otherwise the solver gets ``cost - g``.
     """
-    n = len(cost)
-    if np.shape(col_potentials) != (n,):
-        raise ValueError("exact_ot: column potentials do not match the atoms of rho")
-    reduced = cost - col_potentials
-    cols = reduced.argmin(axis=1)
-    if np.bincount(cols, minlength=n).max() > 1:
-        return None
-    rows = np.arange(n)
-    least = reduced[rows, cols]
-    reduced[rows, cols] = np.inf
-    # nan compares false, so a nan minimum (argmin returns it) fails here.
-    return cols if bool((reduced.min(axis=1) > least).all()) else None
+    reduced = cost
+    if col_potentials is not None:
+        reduced = cost - col_potentials
+        cols = reduced.argmin(axis=1)
+        if np.bincount(cols, minlength=len(cols)).max() == 1:
+            rows = np.arange(len(cols))
+            least = reduced[rows, cols]
+            reduced[rows, cols] = np.inf
+            if (reduced.min(axis=1) > least).all():
+                return cols
+            reduced[rows, cols] = least
+    _load_scipy()
+    return linear_sum_assignment(reduced)[1]
 
 
 def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
@@ -535,19 +518,22 @@ def exact_ot(
     """Exact optimal transport cost and an optimal vertex plan.
 
     Raises PairCountCapExceeded when |supp mu| * |supp rho| > pair_cap; the
-    cap keeps accidental huge LPs from running away.  Both checks run before
-    the cost matrix is built.  Solver entries at or below 1e-15 are dropped
-    before the plan is canonicalized; an atom left with no entry would
+    cap keeps accidental huge LPs from running away.  Both checks, and that
+    of the potentials, run before the cost matrix is built.
+
+    This is the one place that picks the solve.  Assignment-shaped weights
+    (:func:`_assignment_shaped`) are solved as an assignment
+    (:func:`_assignment_columns`), and the plan is built from its
+    permutation.  Any other input goes to the HiGHS LP
+    (:func:`solve_transport`); its entries at or below 1e-15 are dropped
+    before the plan is canonicalized, and an atom left with no entry would
     silently lose its mass, so that raises.
 
-    ``col_potentials`` g, one per atom of ``rho``, serve the assignment path
-    only (:func:`_assignment_shaped`); the plan and its value never see
-    them.  There the reduced costs ``cost - g`` are formed once, and when
-    each row's cheapest column is strict and the columns are pairwise
-    distinct, they are an optimal permutation by complementary slackness
-    (:func:`_certified_columns`): the plan is built from them and no solver
-    runs, so scipy is not loaded.  Otherwise g warm-start the assignment
-    (:func:`solve_transport`).
+    ``col_potentials`` g, one finite value per atom of ``rho``, serve the
+    assignment only: they can prove its permutation with no solver, so that
+    scipy is not loaded, or warm-start the solver.  The LP ignores them,
+    because a shifted LP cost moves HiGHS's vertex inside its tolerances.
+    The plan and its value never see them.
     """
     if mu.dimension != rho.dimension:
         raise ValueError(f"exact_ot: dimension mismatch, {mu.dimension} vs {rho.dimension}")
@@ -556,16 +542,18 @@ def exact_ot(
         raise PairCountCapExceeded(
             f"exact_ot: {len(mu)} x {len(rho)} = {pairs} atom pairs exceed the cap {pair_cap}"
         )
+    if col_potentials is not None:
+        col_potentials = np.asarray(col_potentials, dtype=float)
+        if col_potentials.shape != (len(rho),) or not np.isfinite(col_potentials).all():
+            raise ValueError(f"exact_ot: column potentials must be {len(rho)} finite values, one per atom of rho")
     X = mu.atoms
     Y = rho.atoms
     cost = _cost_matrix(X, Y, spec)
-    if col_potentials is not None and _assignment_shaped(mu.weights, rho.weights):
-        cols = _certified_columns(cost, col_potentials)
-        if cols is not None:
-            rows = np.arange(len(cols))
-            plan = plan_from_indices(X, Y, rows, cols, np.full(len(cols), mu.weights[0]))
-            return OTResult(value=plan_cost(plan, spec), plan=plan)
-    P = solve_transport(mu.weights, rho.weights, cost, col_potentials)
+    if _assignment_shaped(mu.weights, rho.weights):
+        cols = _assignment_columns(cost, col_potentials)
+        plan = plan_from_indices(X, Y, np.arange(len(cols)), cols, np.full(len(cols), mu.weights[0]))
+        return OTResult(value=plan_cost(plan, spec), plan=plan)
+    P = solve_transport(mu.weights, rho.weights, cost)
     ri, ci = np.nonzero(P > 1e-15)
     for side, measure, index in (("mu", mu, ri), ("rho", rho, ci)):
         covered = np.bincount(index, minlength=len(measure)) > 0

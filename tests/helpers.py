@@ -361,9 +361,10 @@ def inner_product_score(plan: TransportPlan) -> float:
 def max_inner_product(mu: MultivariateMeasure, rho: MultivariateMeasure) -> OTResult:
     """Maximize the integral of <x, y> over the transport polytope.
 
-    Minimizes -<x, y> with the library's ``solve_transport``, so uniform
-    equal-size supports take its assignment path and the rest its LP.
-    Entries at or below 1e-15 are dropped, as ``exact_ot`` does.
+    Minimizes -<x, y> with the library's ``solve_transport``, the HiGHS LP,
+    on every input, so uniform equal-size supports are solved as the LP that
+    ``exact_ot`` replaces by an assignment.  Entries at or below 1e-15 are
+    dropped, as ``exact_ot`` does.
     """
     X = mu.atoms
     Y = rho.atoms

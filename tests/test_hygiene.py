@@ -101,7 +101,7 @@ def import_time_modules(tree: ast.AST) -> set[str]:
 
 def test_the_package_does_not_import_scipy_at_module_level():
     # Only an exact solve needs scipy, and its import is most of the package's
-    # start-up time and memory; transport.solve_transport loads it on first use.
+    # start-up time and memory; transport loads it on the first solver call.
     offenders = [
         path.name
         for path in sorted((ROOT / "src" / "copula_ot").glob("*.py"))

@@ -15,7 +15,7 @@ from copula_ot.copulas import (
     sklar_compose,
 )
 from copula_ot.instances import VerifyConfig, iter_campaign, random_marginal, random_shared_pair
-from copula_ot.measures import EXACT_SUM_CUTOVER, group_rows, make_measure, make_measure_1d
+from copula_ot.measures import EXACT_SUM_CUTOVER, MultivariateMeasure, group_rows, make_measure, make_measure_1d
 from copula_ot.transport import (
     CostSpec,
     PairCountCapExceeded,
@@ -328,30 +328,15 @@ class TestSolveTransport:
     def test_weight_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_transport(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="potentials"):
-            solve_transport(np.full(2, 0.5), np.full(2, 0.5), np.zeros((2, 2)), np.zeros(3))
 
-    def test_only_uniform_equal_size_weights_skip_the_lp(self, monkeypatch):
-        calls = []
-        linprog = transport.linprog
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "linprog", counting_linprog)
+    def test_uniform_equal_size_weights_take_the_lp(self, monkeypatch):
+        # solve_transport is the HiGHS LP alone; exact_ot owns the assignment.
+        calls = spy_on_solvers(monkeypatch)
         cost = np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 1.0]])
         third = np.full(3, 1 / 3)
         P = solve_transport(third, third, cost)
-        assert calls == []
+        assert [kind for kind, _ in calls] == ["lp"]
         assert P.tolist() == [[0, 1 / 3, 0], [1 / 3, 0, 0], [0, 0, 1 / 3]]
-        # one ulp off, or uniform at two sizes: not a scaled permutation polytope
-        near = third.copy()
-        near[0] = np.nextafter(near[0], 1.0)
-        near[1] = 1.0 - near[0] - near[2]
-        solve_transport(near, third, cost)
-        solve_transport(np.full(2, 0.5), np.full(3, 1 / 3), cost[:2])
-        assert calls == [1, 1]
 
 
 class TestExactOT:
@@ -390,6 +375,27 @@ class TestExactOT:
                     mu.to_multivariate(), rho.to_multivariate(), CostSpec(p, p)
                 ).value
                 assert abs(direct - lp) <= 1e-10 * max(1.0, abs(direct))
+
+    def test_only_uniform_equal_size_weights_skip_the_lp(self, monkeypatch):
+        calls = spy_on_solvers(monkeypatch)
+        atoms = np.array([[0.0], [1.0], [2.0]])
+        third = np.full(3, 1 / 3)
+        uniform = MultivariateMeasure(atoms=atoms, weights=third)
+        result = exact_ot(uniform, MultivariateMeasure(atoms=atoms + 0.5, weights=third), CostSpec(2, 2))
+        assert [kind for kind, _ in calls] == ["assignment"]
+        assert (result.plan.i.tolist(), result.plan.j.tolist(), result.plan.w.tolist()) == (
+            [0, 1, 2],
+            [0, 1, 2],
+            [1 / 3] * 3,
+        )
+        # one ulp off, or uniform at two sizes: not a scaled permutation polytope
+        near = third.copy()
+        near[0] = np.nextafter(near[0], 1.0)
+        near[1] = 1.0 - near[0] - near[2]
+        for rho in (MultivariateMeasure(atoms=atoms, weights=near), make_measure([[0.5], [1.5]], [1, 1])):
+            calls.clear()
+            exact_ot(uniform, rho, CostSpec(2, 2))
+            assert [kind for kind, _ in calls] == ["lp"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -480,8 +486,7 @@ class TestAssignmentPath:
         assert abs(result.value - objective) <= 1e-12 * max(1.0, abs(objective))
         assert validate_plan(result.plan, mu, rho)
         # The LP ignores column potentials: its vertex stays the cold one.
-        P = solve_transport(mu.weights, rho.weights, cost)
-        assert np.array_equal(solve_transport(mu.weights, rho.weights, cost, np.array([5.0, -1.0, 1e3])), P)
+        assert_same_result(exact_ot(mu, rho, spec, col_potentials=np.array([5.0, -1.0, 1e3])), result)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("size", [2, 3, 8, 31, 64])
@@ -590,6 +595,15 @@ class TestCertifiedAssignment:
     def test_potentials_of_the_wrong_length_raise(self):
         with pytest.raises(ValueError, match="potentials"):
             exact_ot(UNIT_PAIR, UNIT_PAIR, CostSpec(1, 1), col_potentials=np.zeros(1))
+
+    @pytest.mark.parametrize("shape", ["assignment", "lp"])
+    @pytest.mark.parametrize("g", [[np.inf, 0.0], [0.0, np.nan], [-np.inf, np.inf], [0.0, 0.0, 0.0]])
+    def test_invalid_potentials_raise_before_any_solver(self, monkeypatch, shape, g):
+        mu = UNIT_PAIR if shape == "assignment" else make_measure([[0.0], [1.0]], [0.25, 0.75])
+        calls = spy_on_solvers(monkeypatch)
+        with pytest.raises(ValueError, match="exact_ot: column potentials"):
+            exact_ot(mu, UNIT_PAIR, CostSpec(1, 1), col_potentials=g)
+        assert calls == []
 
     def test_unequal_weights_ignore_the_potentials(self, monkeypatch):
         mu = make_measure([[0.0], [1.0]], [0.25, 0.75])

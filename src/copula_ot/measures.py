@@ -103,20 +103,64 @@ def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
         sums.append(float(work.sum()))
         p -= work
         if len(sums) == 1 and n <= _DECIDE_MAX_LEN and exponent - 106 >= _MIN_NORMAL_EXP:
-            bound = math.ldexp(n * n, exponent - 106)
-            s1, r = sums[0], float(p.sum())
-            s = s1 + r
-            r_part = s - s1
-            e = (s1 - (s - r_part)) + (r - r_part)  # TwoSum: s + e == s1 + r exactly
-            up = math.nextafter(s, math.inf) - s
-            down = s - math.nextafter(s, -math.inf)
-            if e + bound < up / 2 and bound - e < down / 2:
+            s = _decided_sum(sums[0], float(p.sum()), n, exponent)
+            if s is not None:
                 return s
         top = max(p.max(), -p.min())
         if not top:
             return math.fsum(sums)
     # Levels and remainders still add up to the input exactly.
     return math.fsum(sums + p.tolist())
+
+
+def _decided_sum(s1: float, r: float, n: int, exponent: int) -> float | None:
+    """The first level's rounding decision (:func:`_exact_sum_in_place`): s, or None if it is undecided.
+
+    ``s1`` is the exact level sum, ``r`` a float sum of the n remainders and
+    2**exponent the level's sigma.
+    """
+    bound = math.ldexp(n * n, exponent - 106)
+    s = s1 + r
+    r_part = s - s1
+    e = (s1 - (s - r_part)) + (r - r_part)  # TwoSum: s + e == s1 + r exactly
+    up = math.nextafter(s, math.inf) - s
+    down = s - math.nextafter(s, -math.inf)
+    return s if e + bound < up / 2 and bound - e < down / 2 else None
+
+
+def _exact_sums_in_place(p: np.ndarray, work: np.ndarray) -> list[float]:
+    """:func:`exact_sum` of each row of the C-contiguous (b, n) array ``p``, overwriting ``p`` and ``work``.
+
+    ``work`` has b rows, each a contiguous float buffer at least n long.
+    Several rows share one first level: each row gets its own sigma, from
+    its own largest magnitude, exactly as :func:`_exact_sum_in_place` would
+    choose it, so each row's level sum is exact and its remainders' float
+    sum, in whatever order ``np.sum`` adds a row, is within the same bound.
+    A row that the decision leaves open is rounded by ``math.fsum`` of its
+    level sum and its remainders, which add up to it exactly.  Every row
+    thus gets its correctly rounded sum, the float ``math.fsum`` returns.
+    A single row, or a block in which some row is all zero, non-finite,
+    too large or too small for a first-level decision, goes row by row
+    to :func:`_exact_sum_in_place`.
+    """
+    b, n = p.shape
+    if b > 1 and n <= _DECIDE_MAX_LEN:
+        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        exponent = np.frexp(top)[1] + (n + 1).bit_length()
+        # nan fails both comparisons.
+        if ((0.0 < top) & (top < _EXACT_SUM_LIMIT)).all() and exponent.min() - 106 >= _MIN_NORMAL_EXP:
+            sigma = np.ldexp(1.0, exponent)[:, None]
+            work = work[:, :n]
+            np.add(p, sigma, out=work)
+            work -= sigma
+            level = work.sum(axis=1)
+            p -= work
+            sums = []
+            for s1, r, values, e in zip(level.tolist(), p.sum(axis=1).tolist(), p, exponent.tolist()):
+                s = _decided_sum(s1, r, n, e)
+                sums.append(math.fsum([s1] + values.tolist()) if s is None else s)
+            return sums
+    return [_exact_sum_in_place(values, buffer) for values, buffer in zip(p, work)]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,19 @@ def spy_on_exact(monkeypatch) -> list:
 
     monkeypatch.setattr(counterexample, "exact_ot", spy)
     return calls
+
+
+def spy_on_sweep_blocks(monkeypatch) -> list:
+    """Record the number of epsilons in each block of row costs that the gap sweep sums."""
+    blocks = []
+    real = counterexample._row_cost_sums
+
+    def spy(per_row, *args):
+        blocks.append(len(per_row))
+        return real(per_row, *args)
+
+    monkeypatch.setattr(counterexample, "_row_cost_sums", spy)
+    return blocks
 
 
 def certificate_problem(report, carrier, p, q):
@@ -463,7 +477,7 @@ class TestPairSkeleton:
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
         costs = counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0))
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
-            costs(5e-324)
+            costs([5e-324])
 
 
 # Uniform margins with columns of unequal cell counts.
@@ -490,21 +504,31 @@ class TestCostSweep:
     # q = 1.5 has no numpy fast path: the tables and plan_cost raise
     # different arrays to it.
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0), (3.0, 2.0), (1.5, 1.0), (1.0, 1.5)])
-    def test_costs_equal_plan_cost_of_the_built_plans(self, carrier, pair, p, q):
+    def test_costs_equal_plan_cost_of_the_built_plans(self, monkeypatch, carrier, pair, p, q):
         # Bit for bit, at every epsilon: the sweep gathers per-coordinate
         # distance tables, the reference plans sit on the scaled atoms and
         # plan_cost subtracts the rows' points.
         spec = CostSpec(p, q)
         skeleton = pair_skeleton(carrier, p, q, pair)
-        costs = counterexample._cost_sweep(skeleton, spec)
-        for eps in default_schedule():
+        schedule = default_schedule()
+        expected = []
+        for eps in schedule:
             built = construction_at(skeleton, eps)
-            expected = (plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec))
-            assert costs(eps) == expected, eps
-            assert expected == (
+            expected.append((plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec)))
+            assert expected[-1] == (
                 fsum_plan_cost(built.diamond_plan, spec),
                 fsum_plan_cost(built.alt_plan, spec),
             ), eps
+        assert counterexample._cost_sweep(skeleton, spec)(schedule) == expected
+        # Blocks of 1, 3 and 8 epsilons on 13 epsilons, which 3 and 8 do not
+        # divide; from 8 coordinates on every block holds one epsilon.
+        blocks = spy_on_sweep_blocks(monkeypatch)
+        for block in (1, 3, 8):
+            monkeypatch.setattr(counterexample, "_SWEEP_BLOCK_VALUES", block * len(skeleton.alt_plan))
+            blocks.clear()
+            assert counterexample._cost_sweep(skeleton, spec)(schedule[:13]) == expected[:13], block
+            sizes = [1] * 13 if carrier.n >= 8 else [min(block, 13 - start) for start in range(0, 13, block)]
+            assert blocks == [size for size in sizes for _plan in range(2)]
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
     def test_gap_sweep_plans_need_no_fsum_fallback(self, monkeypatch, p, q):
@@ -515,13 +539,19 @@ class TestCostSweep:
         spec = CostSpec(p, q)
         costs = counterexample._cost_sweep(pair_skeleton(independence(2, 48), p, q, (1, 2)), spec)
         lengths = fsum_lengths(monkeypatch)
-        for eps in default_schedule():
-            costs(eps)
+        costs(default_schedule())
         assert lengths == []
 
     def test_epsilon_that_merges_atoms_is_named(self):
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
             gap_search(independence(2, 4), 2.0, 1.0, carrier_resolution=4, schedule=[0.5, 5e-324])
+
+    @pytest.mark.parametrize("schedule, named", [([0.5, 5e-324, 1e-323], "5e-324"), ([0.5, 1e-323, 5e-324], "1e-323")])
+    def test_first_epsilon_that_merges_atoms_in_a_block_is_named(self, schedule, named):
+        # At k = 4 the whole schedule is one block; the first epsilon that
+        # merges atoms is named, as when epsilons were costed one at a time.
+        with pytest.raises(ValueError, match=rf"epsilon={named} is too small"):
+            gap_search(independence(2, 4), 2.0, 1.0, carrier_resolution=4, schedule=schedule)
 
     def test_merged_column_falls_back_to_the_full_atom_check(self, monkeypatch):
         # At 3e-323 the 16 scaled midpoints of the comonotone carrier keep 7
@@ -542,9 +572,9 @@ class TestCostSweep:
         skeleton = pair_skeleton(discretize(comonotone(2), 16), 2.0, 1.0, (1, 2))
         costs = counterexample._cost_sweep(skeleton, spec)
         monkeypatch.setattr(counterexample, "_check_atoms", counted)
-        costs(0.5)
+        costs([0.5])
         assert checked == []
-        got = costs(3e-323)
+        (got,) = costs([3e-323])
         monkeypatch.undo()
         built = construction_at(skeleton, 3e-323)
         assert len(checked) == 2
@@ -832,6 +862,27 @@ class TestGapSearch:
         assert solver_calls == []
         assert np.array_equal(used, g)
         assert_certified(cost, g, assignment_columns(plan))
+
+    def test_certificate_cost_matrix_is_one_buffer(self):
+        # The k = 16 certificate at (2, 1) on its N = 256 scaled grid atoms
+        # a side: the N x N cost matrix is spread from per-axis tables into
+        # one fresh buffer and cost - g is formed in it, so the solve's
+        # traced peak stays below one and a half such buffers.
+        p, q = 2.0, 1.0
+        carrier = independence(2, 16)
+        report = gap_search(carrier, p, q)
+        skeleton = pair_skeleton(carrier, p, q, report.pair)
+        built = construction_at(skeleton, report.epsilon)
+        g = certificate_potentials(skeleton, p, q, report.epsilon)
+        size = len(skeleton.law) ** 2 * 8
+        tracemalloc.start()
+        try:
+            result = exact_ot(built.mu, built.rho, CostSpec(p, q), col_potentials=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.value == report.exact_cost
+        assert size <= peak < 1.5 * size
 
     def test_warm_permutation_is_no_worse_in_exact_arithmetic(self, monkeypatch):
         # counterexample --p 1 --q 3 --n 3 --k 4: the cold solve returned a

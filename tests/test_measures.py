@@ -9,6 +9,7 @@ from copula_ot.measures import (
     EXACT_SUM_CUTOVER,
     _EXACT_SUM_MAX_LEVELS,
     MultivariateMeasure,
+    _exact_sums_in_place,
     exact_sum,
     make_measure,
     make_measure_1d,
@@ -357,6 +358,21 @@ summands = st.one_of(
 )
 
 
+# Each case of first_level_case, and whether the first level decides its total.
+FIRST_LEVEL_CASES = [
+    ("midpoint, ties down", False),
+    ("midpoint, ties up", False),
+    ("power of two from below", True),
+    ("power of two from below, within the bound", False),
+    ("within the bound below the upper midpoint", False),
+    ("within the bound above the lower midpoint", False),
+    ("twice the bound below the upper midpoint", True),
+    ("power of two from below, at 2**960", True),
+    ("values near 2**960", True),
+    ("exact cancellation", False),
+]
+
+
 def first_level_case(n: int, case: str) -> np.ndarray:
     """n values whose first extraction level leaves an exactly known remainder sum.
 
@@ -467,21 +483,7 @@ class TestExactSum:
             assert calls == levels
 
     @pytest.mark.parametrize("n", [EXACT_SUM_CUTOVER, 110_592])
-    @pytest.mark.parametrize(
-        "case, decided",
-        [
-            ("midpoint, ties down", False),
-            ("midpoint, ties up", False),
-            ("power of two from below", True),
-            ("power of two from below, within the bound", False),
-            ("within the bound below the upper midpoint", False),
-            ("within the bound above the lower midpoint", False),
-            ("twice the bound below the upper midpoint", True),
-            ("power of two from below, at 2**960", True),
-            ("values near 2**960", True),
-            ("exact cancellation", False),
-        ],
-    )
+    @pytest.mark.parametrize("case, decided", FIRST_LEVEL_CASES)
     def test_first_level_decision(self, monkeypatch, n, case, decided):
         # A decided total makes no fsum call; one that falls through makes
         # one fsum call of its level sums.  Both give fsum's float.
@@ -493,6 +495,37 @@ class TestExactSum:
             assert calls == []
         else:
             assert len(calls) == 1 and 2 <= calls[0] <= _EXACT_SUM_MAX_LEVELS
+
+    @pytest.mark.parametrize("n", [EXACT_SUM_CUTOVER, 3000])
+    def test_rows_of_a_block_share_one_first_level(self, monkeypatch, n):
+        # Every row gets its own sigma and its own decision: a decided row
+        # makes no fsum call, an undecided one a single call of its level
+        # sum and its n remainders, and each row gives fsum's float.
+        rows = np.array([first_level_case(n, case) for case, _ in FIRST_LEVEL_CASES])
+        expected = [math.fsum(row.tolist()).hex() for row in rows]
+        calls = fsum_lengths(monkeypatch)
+        sums = _exact_sums_in_place(rows.copy(), np.empty_like(rows))
+        assert [total.hex() for total in sums] == expected
+        assert calls == [n + 1] * sum(not decided for _, decided in FIRST_LEVEL_CASES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 4).flatmap(
+            lambda b: st.lists(st.lists(summands, min_size=1, max_size=8), min_size=b, max_size=b)
+        ),
+        length=st.sampled_from([1, 5, EXACT_SUM_CUTOVER - 1, EXACT_SUM_CUTOVER + 3]),
+    )
+    def test_block_rows_equal_fsum(self, rows, length):
+        # Rows of one length, each its own base repeated; a block with an
+        # all-zero, non-finite, huge or subnormal row is summed row by row.
+        block = np.array([np.resize(np.array(row), length) for row in rows])
+        expected = [sum_outcome(math.fsum, row.tolist()) for row in block]
+        raised = [outcome for outcome in expected if isinstance(outcome, tuple)]
+        try:
+            outcome = [total.hex() for total in _exact_sums_in_place(block.copy(), np.empty_like(block))]
+        except (ValueError, OverflowError) as exc:
+            outcome = (type(exc), str(exc))
+        assert outcome == (raised[0] if raised else expected)
 
     @pytest.mark.parametrize(
         "values, expected",

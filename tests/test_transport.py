@@ -51,6 +51,21 @@ from helpers import (
 )
 
 
+# Axis sizes of the product grids in the cost-matrix tests, by dimension.
+GRID_AXES = {
+    1: [(1,), (2,), (5,)],
+    2: [(1, 5), (2, 2), (5, 2), (5, 1)],
+    3: [(2, 1, 5), (5, 2, 2), (1, 1, 1)],
+    8: [(1, 2, 5, 1, 1, 2, 1, 1), (2, 1, 1, 5, 1, 1, 2, 1)],
+}
+
+
+def product_grid(rng, sizes) -> np.ndarray:
+    """The product of sorted random axes of the given sizes, in row-major order."""
+    axes = [np.sort(rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4)) for size in sizes]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(sizes))
+
+
 class TestCostSpec:
     @pytest.mark.parametrize("p,q", [(0.5, 2), (2, 0.0), (float("nan"), 1), (1, float("inf"))])
     def test_rejects_bad_exponents(self, p, q):
@@ -103,14 +118,41 @@ class TestPlans:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cost_matrix_equals_the_summed_difference_block(self, n):
         # Bit for bit: below 8 coordinates the per-coordinate matrices are
-        # added left to right, as np.sum adds the block's last axis.
+        # added left to right, as np.sum adds the block's last axis; from a
+        # product-grid source they are spread from per-axis tables.
         rng = np.random.default_rng(n)
+        pairs = []
         for a, b in ((1, 3), (17, 29)):
             X = rng.standard_normal((a, n)) * 10.0 ** rng.integers(-3, 4, (a, n))
-            Y = rng.standard_normal((b, n))
+            pairs.append((X, rng.standard_normal((b, n))))
+        grids = [product_grid(rng, sizes) for sizes in GRID_AXES.get(n, [])]
+        # Every pair of grids, and each grid with a non-grid on either side:
+        # random rows, and the grid's own rows reversed or cut to 3 atoms.
+        pairs += [(G, H) for G in grids for H in grids]
+        for G in grids:
+            for other in (rng.standard_normal((7, n)), G[::-1], G[:3][::-1]):
+                pairs += [(G, other), (other, G)]
+        for X, Y in pairs:
             for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1.5), (1.5, 3)):
                 block = (np.abs(X[:, None] - Y[None]) ** q).sum(axis=2) ** (p / q)
                 assert np.array_equal(transport._cost_matrix(X, Y, CostSpec(p, q)), block)
+
+    @pytest.mark.parametrize("n", sorted(GRID_AXES))
+    def test_only_sorted_distinct_product_rows_are_a_grid(self, n):
+        rng = np.random.default_rng(n)
+        for sizes in GRID_AXES[n]:
+            G = product_grid(rng, sizes)
+            axes = transport._grid_axes(G)
+            assert [len(values) for values in axes] == list(sizes)
+            assert np.array_equal(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(G.shape), G)
+            if len(G) > 1:
+                # Reordered or repeated rows are not the grid.
+                swapped = G[[1, 0, *range(2, len(G))]]
+                for rows in (G[::-1], swapped, np.concatenate([G, G[-1:]]), G[:3][::-1]):
+                    assert transport._grid_axes(rows) is None
+            if sum(size > 1 for size in sizes) >= 2:
+                # Nor is a grid of two or more axes with a row missing.
+                assert transport._grid_axes(np.delete(G, 1, axis=0)) is None
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="sum"):

@@ -210,6 +210,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     if args.p == args.q:
         raise ValueError("counterexample search requires p != q; at p = q the quantile coupling is optimal")
     copula, label = _resolve_copula(args.copula, args.n, args.k, DEFAULT_CARRIER_RESOLUTION)
+    resolution = DEFAULT_CARRIER_RESOLUTION if args.k is None else args.k
     out = Path(args.out)
     curve_path = out.with_suffix(".csv")
     if curve_path == out:
@@ -226,7 +227,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             copula,
             args.p,
             args.q,
-            carrier_resolution=DEFAULT_CARRIER_RESOLUTION if args.k is None else args.k,
+            carrier_resolution=resolution,
             pair_cap=args.max_pairs,
             copula_label=label,
         )
@@ -251,6 +252,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     print(f"gap: {_fmt(report.gap)}")
     if report.exact_cost is not None:
         print(f"exact cost: {_fmt(report.exact_cost)}")
+    else:
+        # gap_search skips the exact solve only above the pair cap.
+        k = copula.k if copula.variant == CHECKERBOARD else resolution
+        print(f"exact cost: skipped at k={k}: more than --max-pairs {args.max_pairs} atom pairs")
     print(f"limit costs: quantile {_fmt(report.limit_diamond)}, competitor {_fmt(report.limit_alt)}")
     print(f"report written to {out}")
     print(f"gap curve written to {curve_path}")

@@ -21,19 +21,17 @@ import numpy as np
 # than accumulated rounding indicates a bug in the caller.
 MASS_TOL = 1e-12
 
-# exact_sum hands shorter inputs to math.fsum, which is faster on them: on
-# uniform random values (x86-64, one thread) the two take equal time at about
-# 768 values, fsum is 1.3x faster at 512 and exact_sum 2.6x at 2304.
+# Blocks of fewer values go to math.fsum, which is faster on them: on uniform
+# random values (x86-64, one thread) fsum and the extraction below take equal
+# time at about 768 values, fsum is 1.3x faster at 512 and extraction 2.6x at
+# 2304.
 EXACT_SUM_CUTOVER = 768
-# Inputs below this cannot overflow any level or partial sum.
+# Rows below this cannot overflow the level or its sums.
 _EXACT_SUM_LIMIT = 2.0**960
-# Each level extracts at least 53 - ceil(log2(n + 2)) bits, 36 on 110k values;
-# inputs that need more levels than this go to math.fsum.
-_EXACT_SUM_MAX_LEVELS = 8
 # The binary exponent of the smallest normal float.
 _MIN_NORMAL_EXP = -1022
 # Up to this length n(n - 1) 2**-53 <= 1, which the first level's rounding
-# decision needs (see _exact_sum_in_place).
+# decision needs (see _exact_sums_in_place).
 _DECIDE_MAX_LEN = 2**26
 
 
@@ -41,80 +39,85 @@ def exact_sum(v: np.ndarray) -> float:
     """``math.fsum`` of a 1-D float array: the correctly rounded exact sum.
 
     Returns the same float as ``math.fsum(v)`` on every input and raises the
-    same exception.  Long inputs are split into levels by error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
-    part I", SIAM J. Sci. Comput. 31(1), 2008): with max|v| < 2**e and
-    sigma = 2**(ceil(log2(n + 2)) + e), ``(v + sigma) - sigma`` rounds every
-    value to a multiple of 2**-53 sigma, so its ``np.sum`` is exact in any
-    order, and the remainder is the exact rounding error.  After the first
-    level the float sum of the remainders usually decides how the total
-    rounds (see :func:`_exact_sum_in_place`).  Otherwise the remainders are
-    extracted again until none is left, and ``math.fsum`` of the level sums
-    rounds the total once.  Inputs shorter than ``EXACT_SUM_CUTOVER``,
-    non-finite, above 2**960, all zero (fsum decides the sign of a zero), or
-    reaching the subnormal range or the level cap go to ``math.fsum``.
+    same exception.  Inputs shorter than ``EXACT_SUM_CUTOVER`` go to
+    ``math.fsum``; longer ones are a one-row :func:`_exact_sums_in_place`,
+    which sums by error-free extraction instead of a Python loop.
     """
     v = np.asarray(v, dtype=float)
     if len(v) < EXACT_SUM_CUTOVER:
         return math.fsum(v.tolist())
-    return _exact_sum_in_place(v.copy(), np.empty(len(v)))
+    return _exact_sums_in_place(v[None].copy(), np.empty(len(v)))[0]
 
 
-def _exact_sum_in_place(p: np.ndarray, work: np.ndarray) -> float:
-    """:func:`exact_sum` of ``p``, overwriting ``p`` and ``work``, a contiguous float array at least as long.
+def _exact_sums_in_place(p: np.ndarray, work: np.ndarray) -> list[float]:
+    """:func:`exact_sum` of each row of the C-contiguous (b, n) array ``p``, overwriting ``p`` and ``work``.
 
-    The first level usually decides the total.  With sigma = 2**E it leaves
-    S1, the exact sum of the extracted values, and n remainders with
-    |r_i| <= 2**(E - 53).  Their float sum R, in any order, is within
-    gamma_(n-1) * n * 2**(E - 53) <= n**2 * 2**(E - 106) = B of their exact
-    sum: gamma_(n-1) = (n-1)u / (1 - (n-1)u) <= n u for u = 2**-53 and
-    n <= 2**26 (Higham, "Accuracy and stability of numerical algorithms",
-    2nd ed., 2002, chapter 4; float addition is exact on underflow).  Let
-    s = fl(S1 + R) and e = S1 + R - s, exact by TwoSum: the total is
-    s + e + d with |d| <= B.  Let up and down be the gaps from s to the next
-    float above and below; they differ when |s| is a power of two.  If
-    e + B < up / 2 and B - e < down / 2, the total lies strictly between the
-    midpoints around s, so it rounds to s with no tie, and s is what
-    ``math.fsum`` returns.
+    ``work`` is a C-contiguous float array of b * m values, m >= n, in any
+    shape; it is read as b rows of m.  A block of fewer than
+    ``EXACT_SUM_CUTOVER`` values goes to ``math.fsum`` row by row.
+    Otherwise all rows share one level of error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31(1), 2008), each row v with its own sigma: with
+    max|v| < 2**e and sigma = 2**E, E = ceil(log2(n + 2)) + e,
+    ``(v + sigma) - sigma`` rounds every value to a multiple of 2**(E - 53),
+    so S1, the ``np.sum`` of those values, is exact in any order, and the
+    n remainders, |r_i| <= 2**(E - 53), are the exact rounding errors.
+
+    Their float sum R, in any order, is within gamma_(n-1) * n * 2**(E - 53)
+    <= n**2 * 2**(E - 106) = B of their exact sum: gamma_(n-1) =
+    (n-1)u / (1 - (n-1)u) <= n u for u = 2**-53 and n <= 2**26 (Higham,
+    "Accuracy and stability of numerical algorithms", 2nd ed., 2002,
+    chapter 4; float addition is exact on underflow).  Let s = fl(S1 + R)
+    and e = S1 + R - s, exact by TwoSum: the row's sum is s + e + d with
+    |d| <= B.  Let up and down be the gaps from s to the next float above
+    and below; they differ when |s| is a power of two.  If e + B < up / 2
+    and B - e < down / 2, the sum lies strictly between the midpoints
+    around s, so it rounds to s with no tie, and s is what ``math.fsum``
+    returns (:func:`_decided_sum`).
 
     The tests are made in floats and imply the real ones.  The gaps are
-    exact (Sterbenz), and so is B, a normal float.  Where a gap is 2**-1074
-    its half rounds to 0, and |e| <= 2**-1075 < B, so that test fails.
-    Elsewhere the half gaps are exact and rounding is monotone, so
-    fl(e + B) < up / 2 implies e + B < up / 2, and likewise for B - e.  When
-    a test fails, the remainders, still in ``p``, are extracted further.
+    exact (Sterbenz), and so is B, a normal float.  Where a gap is
+    2**-1074 its half rounds to 0, and |e| <= 2**-1075 < B, so that test
+    fails.  Elsewhere the half gaps are exact and rounding is monotone, so
+    fl(e + B) < up / 2 implies e + B < up / 2, and likewise for B - e.  A
+    row whose test fails is rounded by ``math.fsum`` of S1 and its
+    remainders, which add up to it exactly.  A row that is all zero (fsum
+    decides the sign of a zero), non-finite, at or above 2**960, or too
+    small for B to be a normal float, goes to ``math.fsum`` of the row
+    itself before the level overwrites it, as does every row longer than
+    2**26.  Every row thus gets the float ``math.fsum`` returns, and the
+    first row on which ``math.fsum`` raises raises the same exception.
     """
-    if len(p) < EXACT_SUM_CUTOVER:
-        return math.fsum(p.tolist())
-    work = work.ravel("K")[: len(p)]  # a view, in memory order
-    top = max(p.max(), -p.min())
-    if not 0.0 < top < _EXACT_SUM_LIMIT:  # nan fails both comparisons
-        return math.fsum(p.tolist())
-    n = len(p)
+    b, n = p.shape
+    if b * n < EXACT_SUM_CUTOVER:
+        return [math.fsum(row) for row in p.tolist()]
     bits = (n + 1).bit_length()  # ceil(log2(n + 2))
-    sums = []
-    for _ in range(_EXACT_SUM_MAX_LEVELS):
+    direct, exponents = {}, []
+    for i, top in enumerate(np.maximum(p.max(axis=1), -p.min(axis=1)).tolist()):
         exponent = math.frexp(top)[1] + bits
-        if exponent - 53 < _MIN_NORMAL_EXP:
-            break
-        sigma = math.ldexp(1.0, exponent)
-        np.add(p, sigma, out=work)
-        work -= sigma
-        sums.append(float(work.sum()))
-        p -= work
-        if len(sums) == 1 and n <= _DECIDE_MAX_LEN and exponent - 106 >= _MIN_NORMAL_EXP:
-            s = _decided_sum(sums[0], float(p.sum()), n, exponent)
-            if s is not None:
-                return s
-        top = max(p.max(), -p.min())
-        if not top:
-            return math.fsum(sums)
-    # Levels and remainders still add up to the input exactly.
-    return math.fsum(sums + p.tolist())
+        # nan fails both comparisons.
+        if 0.0 < top < _EXACT_SUM_LIMIT and exponent - 106 >= _MIN_NORMAL_EXP and n <= _DECIDE_MAX_LEN:
+            exponents.append(exponent)
+        else:
+            direct[i] = math.fsum(p[i].tolist())
+            # Zeroed, with sigma 1, the row passes through the level with no float warning.
+            p[i] = 0.0
+            exponents.append(0)
+    sigma = np.ldexp(1.0, exponents)[:, None]
+    work = work.reshape(b, -1)[:, :n]
+    np.add(p, sigma, out=work)
+    work -= sigma
+    level = work.sum(axis=1).tolist()
+    p -= work
+    sums = []
+    for i, (s1, r, exponent) in enumerate(zip(level, p.sum(axis=1).tolist(), exponents)):
+        s = direct[i] if i in direct else _decided_sum(s1, r, n, exponent)
+        sums.append(math.fsum([s1] + p[i].tolist()) if s is None else s)
+    return sums
 
 
 def _decided_sum(s1: float, r: float, n: int, exponent: int) -> float | None:
-    """The first level's rounding decision (:func:`_exact_sum_in_place`): s, or None if it is undecided.
+    """The first level's rounding decision (:func:`_exact_sums_in_place`): s, or None if it is undecided.
 
     ``s1`` is the exact level sum, ``r`` a float sum of the n remainders and
     2**exponent the level's sigma.
@@ -126,41 +129,6 @@ def _decided_sum(s1: float, r: float, n: int, exponent: int) -> float | None:
     up = math.nextafter(s, math.inf) - s
     down = s - math.nextafter(s, -math.inf)
     return s if e + bound < up / 2 and bound - e < down / 2 else None
-
-
-def _exact_sums_in_place(p: np.ndarray, work: np.ndarray) -> list[float]:
-    """:func:`exact_sum` of each row of the C-contiguous (b, n) array ``p``, overwriting ``p`` and ``work``.
-
-    ``work`` has b rows, each a contiguous float buffer at least n long.
-    Several rows share one first level: each row gets its own sigma, from
-    its own largest magnitude, exactly as :func:`_exact_sum_in_place` would
-    choose it, so each row's level sum is exact and its remainders' float
-    sum, in whatever order ``np.sum`` adds a row, is within the same bound.
-    A row that the decision leaves open is rounded by ``math.fsum`` of its
-    level sum and its remainders, which add up to it exactly.  Every row
-    thus gets its correctly rounded sum, the float ``math.fsum`` returns.
-    A single row, or a block in which some row is all zero, non-finite,
-    too large or too small for a first-level decision, goes row by row
-    to :func:`_exact_sum_in_place`.
-    """
-    b, n = p.shape
-    if b > 1 and n <= _DECIDE_MAX_LEN:
-        top = np.maximum(p.max(axis=1), -p.min(axis=1))
-        exponent = np.frexp(top)[1] + (n + 1).bit_length()
-        # nan fails both comparisons.
-        if ((0.0 < top) & (top < _EXACT_SUM_LIMIT)).all() and exponent.min() - 106 >= _MIN_NORMAL_EXP:
-            sigma = np.ldexp(1.0, exponent)[:, None]
-            work = work[:, :n]
-            np.add(p, sigma, out=work)
-            work -= sigma
-            level = work.sum(axis=1)
-            p -= work
-            sums = []
-            for s1, r, values, e in zip(level.tolist(), p.sum(axis=1).tolist(), p, exponent.tolist()):
-                s = _decided_sum(s1, r, n, e)
-                sums.append(math.fsum([s1] + values.tolist()) if s is None else s)
-            return sums
-    return [_exact_sum_in_place(values, buffer) for values, buffer in zip(p, work)]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

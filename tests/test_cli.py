@@ -321,6 +321,16 @@ class TestCounterexample:
         assert "violating pair: (1, 2)" in out_text
         assert "gap:" in out_text
 
+    def test_exact_cost_above_the_pair_cap_is_skipped_and_said(self, tmp_path, capsys):
+        # The k = 4 carrier has 16 atoms a side, so 256 atom pairs: above a
+        # cap of 100 the report has no exact cost, the run still exits 0,
+        # and stdout names k and the cap.
+        out = tmp_path / "report.json"
+        argv = ["counterexample", "--p", "2", "--q", "1", "--k", "4", "--max-pairs", "100", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["exact_cost"] is None
+        assert "exact cost: skipped at k=4: more than --max-pairs 100 atom pairs" in capsys.readouterr().out
+
     def test_checkerboard_from_file(self, tmp_path, capsys):
         cop_path = tmp_path / "cop.json"
         cop_path.write_text(json.dumps(copula_to_dict(independence(2, 4))))

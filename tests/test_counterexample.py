@@ -532,10 +532,11 @@ class TestCostSweep:
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
     def test_gap_sweep_plans_need_no_fsum_fallback(self, monkeypatch, p, q):
-        # exact_sum's fallback is an fsum call of the whole row array and a
-        # second level an fsum call of the level sums.  Every row-cost sum of
-        # the sweep is decided after its first level, with no fsum call: each
-        # total sits at least 10**4 error bounds away from a rounding midpoint.
+        # A row that the first level leaves undecided is an fsum call of its
+        # level sum and its remainders, and a row too small or too large for
+        # the level an fsum call of the row.  Every row-cost sum of the sweep
+        # is decided after its first level, with no fsum call: each total
+        # sits at least 10**4 error bounds away from a rounding midpoint.
         spec = CostSpec(p, q)
         costs = counterexample._cost_sweep(pair_skeleton(independence(2, 48), p, q, (1, 2)), spec)
         lengths = fsum_lengths(monkeypatch)

@@ -29,6 +29,18 @@ def test_skip_exact_sweep_writes_the_documented_csv(tmp_path, capsys):
     assert f"curves -> {out}" in capsys.readouterr().out
 
 
+def test_exact_cost_above_the_pair_cap_is_skipped_and_said(tmp_path, capsys):
+    # 22**4 atom pairs fit under the default cap of 250,000 and 23**4 do not:
+    # k = 23 gets no exact cost, a note on stderr, and the run exits 0.
+    out = tmp_path / "gap.csv"
+    assert gap_curve_main(["--p", "2", "--q", "1", "--resolutions", "2", "23", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert sum(row[-1] != "" for row in rows if row[0] == "2") == 1
+    assert all(row[-1] == "" for row in rows if row[0] == "23")
+    assert capsys.readouterr().err == "k=23: exact cost skipped: more than 250000 atom pairs\n"
+
+
 def test_equal_exponents_exit_2(tmp_path, capsys):
     out = tmp_path / "gap.csv"
     assert gap_curve_main(["--p", "1", "--q", "1", "--out", str(out)]) == 2

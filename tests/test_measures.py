@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from copula_ot.measures import (
     EXACT_SUM_CUTOVER,
-    _EXACT_SUM_MAX_LEVELS,
     MultivariateMeasure,
     _exact_sums_in_place,
     exact_sum,
@@ -443,20 +442,20 @@ class TestExactSum:
         assert sum_outcome(exact_sum, values) == sum_outcome(math.fsum, values.tolist())
 
     @pytest.mark.parametrize(
-        "case, levels",
+        "case, outcome",
         [
-            ("one binade", []),
-            ("exact cancellation", "extracted"),
-            ("2**-1000 to 2**900", []),
-            ("2**900 cancels over 2**-1000", "fallback"),
-            ("subnormal", "fallback"),
+            ("one binade", "decided"),
+            ("exact cancellation", "undecided"),
+            ("2**-1000 to 2**900", "decided"),
+            ("2**900 cancels over 2**-1000", "undecided"),
+            ("subnormal", "row"),
         ],
     )
-    def test_sweep_sized_examples(self, monkeypatch, case, levels):
+    def test_sweep_sized_examples(self, monkeypatch, case, outcome):
         # At the 110,592 rows of the k = 48 competitor plan.  A total decided
-        # after the first level makes no fsum call; the sum of the level sums
-        # is one fsum call of a few values; the fallback is one fsum call of
-        # the whole input.
+        # after the first level makes no fsum call; an undecided one makes
+        # one fsum call of its level sum and its n remainders; a row too
+        # small for the decision bound is one fsum call of the row itself.
         n = 110_592
         rng = np.random.default_rng(5)
         if case == "one binade":
@@ -467,7 +466,7 @@ class TestExactSum:
         elif case == "2**-1000 to 2**900":
             values = np.ldexp(rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n)), rng.integers(-1000, 900, n))
         elif case == "2**900 cancels over 2**-1000":
-            # The first level leaves only the small values; the next would reach the subnormal range.
+            # The first level leaves only the small values, far inside its bound.
             values = np.ldexp(1.0 + rng.random(n), -1000)
             values[:2] = [2.0**900, -(2.0**900)]
         else:
@@ -475,26 +474,19 @@ class TestExactSum:
         expected = math.fsum(values.tolist())
         calls = fsum_lengths(monkeypatch)
         assert exact_sum(values).hex() == expected.hex()
-        if levels == "fallback":
-            assert max(calls) >= n
-        elif levels == "extracted":
-            assert expected == 0.0 and max(calls) <= _EXACT_SUM_MAX_LEVELS
-        else:
-            assert calls == levels
+        assert calls == {"decided": [], "undecided": [n + 1], "row": [n]}[outcome]
 
     @pytest.mark.parametrize("n", [EXACT_SUM_CUTOVER, 110_592])
     @pytest.mark.parametrize("case, decided", FIRST_LEVEL_CASES)
     def test_first_level_decision(self, monkeypatch, n, case, decided):
         # A decided total makes no fsum call; one that falls through makes
-        # one fsum call of its level sums.  Both give fsum's float.
+        # one fsum call of its level sum and its n remainders.  Both give
+        # fsum's float.
         values = first_level_case(n, case)
         expected = math.fsum(values.tolist())
         calls = fsum_lengths(monkeypatch)
         assert exact_sum(values).hex() == expected.hex()
-        if decided:
-            assert calls == []
-        else:
-            assert len(calls) == 1 and 2 <= calls[0] <= _EXACT_SUM_MAX_LEVELS
+        assert calls == ([] if decided else [n + 1])
 
     @pytest.mark.parametrize("n", [EXACT_SUM_CUTOVER, 3000])
     def test_rows_of_a_block_share_one_first_level(self, monkeypatch, n):
@@ -516,8 +508,9 @@ class TestExactSum:
         length=st.sampled_from([1, 5, EXACT_SUM_CUTOVER - 1, EXACT_SUM_CUTOVER + 3]),
     )
     def test_block_rows_equal_fsum(self, rows, length):
-        # Rows of one length, each its own base repeated; a block with an
-        # all-zero, non-finite, huge or subnormal row is summed row by row.
+        # Rows of one length, each its own base repeated.  An all-zero,
+        # non-finite, huge or subnormal row goes to fsum of the row itself,
+        # beside rows that share the level; the first fsum that raises wins.
         block = np.array([np.resize(np.array(row), length) for row in rows])
         expected = [sum_outcome(math.fsum, row.tolist()) for row in block]
         raised = [outcome for outcome in expected if isinstance(outcome, tuple)]
@@ -529,7 +522,12 @@ class TestExactSum:
 
     @pytest.mark.parametrize(
         "values, expected",
-        [([1.0, 2.0**-53], 1.0), ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51)],
+        [
+            ([1.0, 2.0**-53], 1.0),
+            ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+            # The law weights that pair_skeleton sums at k = 48 add up to 1 - 2**-54.
+            ([1 / 2304] * 2304, 1.0),
+        ],
     )
     def test_ties_round_to_even(self, values, expected):
         # The exact sums lie halfway between two floats; zero padding sends

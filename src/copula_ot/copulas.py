@@ -67,11 +67,13 @@ def checkerboard(n: int, k: int, masses) -> Copula:
     """
     if n < 1:
         raise ValueError(f"checkerboard: dimension must be >= 1, got {n}")
+    if n > 64:
+        raise ValueError(f"checkerboard: dimension must be at most 64, numpy's limit on array axes, got {n}")
     if k < 1:
         raise ValueError(f"checkerboard: resolution must be >= 1, got {k}")
     arr = np.asarray(masses, dtype=float)
     if arr.size != k**n:
-        raise ValueError(f"checkerboard: expected {k**n} cell masses, got {arr.size}")
+        raise ValueError(f"checkerboard: expected k**n cell masses for k = {k}, n = {n}, got {arr.size}")
     arr = arr.reshape((k,) * n)
     if not np.all(np.isfinite(arr)):
         raise ValueError("checkerboard: cell masses must be finite")

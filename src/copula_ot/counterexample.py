@@ -45,8 +45,10 @@ from .transport import (
     TransportPlan,
     _assignment_shaped,
     _check_atoms,
+    _distance_powers,
     _row_cost_sums,
     _staircase_potentials,
+    _sum_powers,
     exact_ot,
     plan_from_indices,
     validate_plan,
@@ -399,9 +401,7 @@ def _cost_sweep(
             tables = {}
             for kind in set(scaled):
                 table = np.subtract(column[kind[0]][..., :, None], column[kind[1]][..., None, :])
-                np.abs(table, out=table)
-                table **= spec.q
-                tables[kind] = table.reshape(len(chunk), k * k)
+                tables[kind] = _distance_powers(table, spec.q).reshape(len(chunk), k * k)
             plan_costs = []
             for (codes, w), (per_row, work) in zip(kernels, buffers):
                 per_row, work = per_row[: len(chunk)], work[: len(chunk)]
@@ -426,6 +426,12 @@ def _cost_sweep(
     return costs
 
 
+def _limit_costs(k: int, p: float, q: float) -> np.ndarray:
+    """The limit problem's k x k cost L[a, b] = (m_a^q + m_b^q)^{p/q} on the midpoints m_a = (a + 1/2) / k."""
+    powers = _distance_powers((np.arange(k) + 0.5) / k, q)
+    return _sum_powers(np.add.outer(powers, powers), p, q)
+
+
 def limit_scores(
     carrier: Copula,
     pair: tuple[int, int],
@@ -443,14 +449,10 @@ def limit_scores(
     """
     i, j, adv = _pair_arguments("limit_scores", carrier, pair, p, q, adversary)
     C2 = np.asarray(bivariate_margin(carrier, i, j).masses)
-    mids = (np.arange(carrier.k) + 0.5) / carrier.k
+    cost = _limit_costs(carrier.k, p, q)
     nz = np.nonzero(C2)
-    limit_diamond = math.fsum(
-        C2[nz] * (mids[nz[0]] ** q + mids[nz[1]] ** q) ** (p / q)
-    )
-    rowsum = C2.sum(axis=1)
-    limit_alt = math.fsum(rowsum * (mids**q + mids[adv] ** q) ** (p / q))
-    return float(limit_diamond), float(limit_alt)
+    limit_alt = math.fsum(C2.sum(axis=1) * cost[np.arange(carrier.k), adv])
+    return math.fsum(C2[nz] * cost[nz]), limit_alt
 
 
 def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -470,8 +472,7 @@ def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray
     Monge on distinct midpoints.
     """
     adv = _adversary_index_map(adversary_copula(p, q), k)
-    mids = (np.arange(k) + 0.5) / k
-    ordered = ((mids[:, None] ** q + mids[None, :] ** q) ** (p / q))[:, adv]
+    ordered = _limit_costs(k, p, q)[:, adv]
     cum = [(t + 1) / k for t in range(k)]
     f_down, g_down = _staircase_potentials(cum, cum, ordered.tolist())
     g_right, f_right = _staircase_potentials(cum, cum, ordered.T.tolist())
@@ -507,11 +508,11 @@ def certificate_potentials(skeleton: PairSkeleton, p: float, q: float, epsilon: 
     eps_mids = mids * epsilon
     # kept_i[a, t] = |m_a - eps m_adv[t]|^q and kept_j[a, t] = |eps m_t - m_adv[a]|^q,
     # so B_a[b, c'] = (kept_i[a, c'] + kept_j[a, b])^{p/q}.
-    kept_i = np.abs(np.subtract.outer(mids, eps_mids[adv])) ** q
-    kept_j = np.abs(np.subtract.outer(mids[adv], eps_mids)) ** q
-    diagonal = (kept_i + kept_j) ** (p / q)
-    below = (kept_i[:, :-1] + kept_j[:, 1:]) ** (p / q)
-    above = (kept_i[:, 1:] + kept_j[:, :-1]) ** (p / q)
+    kept_i = _distance_powers(np.subtract.outer(mids, eps_mids[adv]), q)
+    kept_j = _distance_powers(np.subtract.outer(mids[adv], eps_mids), q)
+    diagonal = _sum_powers(kept_i + kept_j, p, q)
+    below = _sum_powers(kept_i[:, :-1] + kept_j[:, 1:], p, q)
+    above = _sum_powers(kept_i[:, 1:] + kept_j[:, :-1], p, q)
     h = np.zeros((k, k))
     np.cumsum((diagonal[:, 1:] - below) + (above - diagonal[:, :-1]), axis=1, out=h[:, 1:])
     h *= 0.5

@@ -228,6 +228,23 @@ def _index_sums(index: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return _read_only(sums)
 
 
+def _distance_powers(dist: np.ndarray, q: float) -> np.ndarray:
+    """|dist|^q in place; returns ``dist``.
+
+    This and :func:`_sum_powers` take every power of a cost in the package,
+    so routines that cost the same distances get the same floats.
+    """
+    np.abs(dist, out=dist)
+    dist **= q
+    return dist
+
+
+def _sum_powers(sums: np.ndarray, p: float, q: float) -> np.ndarray:
+    """sums^(p/q) in place, for sums of coordinate-distance powers; returns ``sums``."""
+    sums **= p / q
+    return sums
+
+
 def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
     """Integral of ||x - y||_q^p against the plan, correctly rounded.
 
@@ -236,10 +253,8 @@ def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
     coordinate distances |x_rd - y_rd|^q are computed and added row by row;
     the rest is :func:`_row_cost_sums`.
     """
-    dist = np.subtract(plan.x, plan.y)
     # In-place steps compute the same floats with no row-length temporaries.
-    np.abs(dist, out=dist)
-    dist **= spec.q
+    dist = _distance_powers(np.subtract(plan.x, plan.y), spec.q)
     per_row = np.empty(len(plan))
     if dist.shape[1] >= 8:
         # np.sum adds row-major rows of 8 or more columns pairwise.
@@ -266,7 +281,7 @@ def _row_cost_sums(per_row: np.ndarray, w: np.ndarray, spec: CostSpec, work: np.
     product for the whole block, so the costs that :func:`plan_cost` and the
     gap sweep compute from the same row sums are the same floats.
     """
-    per_row **= spec.p / spec.q
+    _sum_powers(per_row, spec.p, spec.q)
     per_row *= w
     return _exact_sums_in_place(per_row, work)
 
@@ -370,7 +385,7 @@ def separable_dual_bound(plan: TransportPlan, p: float) -> tuple[float, float]:
         ys, iy = np.unique(plan.y[:, d], return_inverse=True)
         a = np.bincount(ix, weights=plan.w)
         b = np.bincount(iy, weights=plan.w)
-        cost = np.abs(xs[:, None] - ys[None, :]) ** p
+        cost = _distance_powers(xs[:, None] - ys[None, :], p)
         f, g = _staircase_potentials(a.cumsum().tolist(), b.cumsum().tolist(), cost.tolist())
         slack = cost - f[:, None] - g[None, :]
         violation = max(violation, -float(slack.min()))
@@ -522,9 +537,7 @@ def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
     """
     n = X.shape[1]
     if n >= 8:
-        sums = np.abs(X[:, None, :] - Y[None, :, :])
-        sums **= spec.q
-        sums = sums.sum(axis=2)
+        sums = _distance_powers(X[:, None, :] - Y[None, :, :], spec.q).sum(axis=2)
     else:
         axes = _grid_axes(X) if n > 1 else None
         if axes is None:
@@ -536,17 +549,14 @@ def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
         shape = np.broadcast_shapes(*(side.shape for pair in pairs for side in pair))
         sums = None
         for u, v in pairs:
-            dist = np.subtract(u, v)
-            np.abs(dist, out=dist)
-            dist **= spec.q
+            dist = _distance_powers(np.subtract(u, v), spec.q)
             if sums is None:
                 # A grid's first distances are spread into one fresh matrix.
                 sums = dist if dist.shape == shape else np.broadcast_to(dist, shape).copy()
             else:
                 sums += dist
         sums = sums.reshape(len(X), len(Y))
-    sums **= spec.p / spec.q
-    return sums
+    return _sum_powers(sums, spec.p, spec.q)
 
 
 def exact_ot(

@@ -359,6 +359,28 @@ class TestCounterexample:
         assert "--k 8" in err and "k = 4" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "obj, words",
+        [
+            # A (k,) * n tensor cannot have more axes than numpy's 64, and
+            # 2**20000 has more digits than int-to-str formats by default.
+            ({"variant": "checkerboard", "n": 20000, "k": 2, "masses": [1.0]}, ["at most 64", "20000"]),
+            ({"variant": "checkerboard", "n": 65, "k": 1, "masses": [1.0]}, ["at most 64", "65"]),
+            # (10**70)**64 has 4,481 digits: the size error names k and n instead.
+            ({"variant": "checkerboard", "n": 64, "k": 10**70, "masses": [1.0]}, ["cell masses", "n = 64"]),
+        ],
+    )
+    def test_checkerboard_file_of_impossible_size_is_a_usage_error(self, tmp_path, capsys, obj, words):
+        cop_path = tmp_path / "cop.json"
+        cop_path.write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        argv = ["counterexample", "--p", "1", "--q", "2", "--copula", f"checkerboard:{cop_path}", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkerboard:")
+        assert all(word in err for word in words)
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", [16, 17])
     def test_antidiagonal_file_has_no_violating_pair(self, tmp_path, capsys, k):
         cop_path = tmp_path / "anti.json"

@@ -657,6 +657,25 @@ class TestLimitScores:
         assert ld_default == ld2
         assert la_keep != la_flip
 
+    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (1.0, 3.0), (3.0, 1.5), (1.5, 3.0)])
+    @pytest.mark.parametrize(
+        "carrier",
+        [independence(2, 16), random_copula(np.random.default_rng(5), 2, 6)],
+        ids=["independence", "random"],
+    )
+    def test_scores_are_exact_sums_of_the_midpoint_costs(self, carrier, p, q):
+        # Each score is math.fsum of cell mass times the midpoint cost
+        # (m_a^q + m_b^q)^(p/q), bit for bit: the diamond's over every cell,
+        # the competitor's over the adversary's cells (a, adv[a]) with row mass.
+        ld, la = limit_scores(carrier, (1, 2), p, q)
+        k = carrier.k
+        m = (np.arange(k) + 0.5) / k
+        cost = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
+        adv = _adversary_index_map(adversary_copula(p, q), k)
+        masses = carrier.masses
+        assert ld.hex() == math.fsum((masses * cost).ravel()).hex()
+        assert la.hex() == math.fsum(masses.sum(axis=1) * cost[np.arange(k), adv]).hex()
+
 
 class TestLimitPotentials:
     @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)

@@ -108,3 +108,46 @@ def test_the_package_does_not_import_scipy_at_module_level():
         if "scipy" in import_time_modules(ast.parse(path.read_text(), str(path)))
     ]
     assert offenders == []
+
+
+# Every cost power goes through these two, so that the costs several routines
+# compute from the same distances are the same floats, and a change to how
+# cost powers are rounded changes these two bodies alone.
+POWER_PRIMITIVES = {"transport._distance_powers", "transport._sum_powers"}
+# Powers by p or q that are not costs: a derivative of the cost, of which only
+# the sign is read, and the 1/p root of a cost that the CLI prints to 12 digits.
+NON_COST_POWERS = {"counterexample.monge_cross_partial", "cli._report_plan"}
+
+
+def reads_an_exponent(node: ast.AST) -> bool:
+    """Whether the expression reads p or q, as a name or as a .p or .q attribute."""
+    return any(
+        (isinstance(n, ast.Name) and n.id in ("p", "q")) or (isinstance(n, ast.Attribute) and n.attr in ("p", "q"))
+        for n in ast.walk(node)
+    )
+
+
+def exponent_powers() -> dict[str, list[int]]:
+    """Lines of each ``**`` or ``**=`` by p or q in the package, keyed by its top-level function."""
+    found: dict[str, list[int]] = {}
+    for path in sorted((ROOT / "src" / "copula_ot").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                    exponent = node.right
+                elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                    exponent = node.value
+                else:
+                    continue
+                if reads_an_exponent(exponent):
+                    found.setdefault(owner, []).append(node.lineno)
+    return found
+
+
+def test_cost_powers_are_taken_only_by_the_two_primitives():
+    found = exponent_powers()
+    strays = {owner: lines for owner, lines in found.items() if owner not in POWER_PRIMITIVES | NON_COST_POWERS}
+    assert strays == {}
+    # Each primitive takes its power, and each exemption still names one.
+    assert POWER_PRIMITIVES | NON_COST_POWERS <= set(found)

@@ -59,18 +59,26 @@ class Copula:
         return f"{self.variant}(n={self.n})"
 
 
+def _check_carrier_shape(caller: str, n: int, k: int) -> None:
+    """The checks on a k^n carrier's shape, made before any array of its k**n cells exists."""
+    if n < 1:
+        raise ValueError(f"{caller}: dimension n must be >= 1, got {n}")
+    if n > 64:
+        raise ValueError(f"{caller}: dimension n must be at most 64, numpy's limit on array axes, got {n}")
+    if k < 1:
+        raise ValueError(f"{caller}: resolution k must be >= 1, got {k}")
+    # (10**70)**64 has more digits than int-to-str formats by default: name k and n.
+    if k**n > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{caller}: the k**n cell masses for k = {k}, n = {n} are more than numpy can hold")
+
+
 def checkerboard(n: int, k: int, masses) -> Copula:
     """Checkerboard copula from a k^n mass tensor (flat input accepted).
 
     Every 1-D slice sum must equal 1/k within SLICE_TOL, which is exactly the
     condition that all marginals are uniform on (0, 1).
     """
-    if n < 1:
-        raise ValueError(f"checkerboard: dimension must be >= 1, got {n}")
-    if n > 64:
-        raise ValueError(f"checkerboard: dimension must be at most 64, numpy's limit on array axes, got {n}")
-    if k < 1:
-        raise ValueError(f"checkerboard: resolution must be >= 1, got {k}")
+    _check_carrier_shape("checkerboard", n, k)
     arr = np.asarray(masses, dtype=float)
     if arr.size != k**n:
         raise ValueError(f"checkerboard: expected k**n cell masses for k = {k}, n = {n}, got {arr.size}")
@@ -94,8 +102,7 @@ def checkerboard(n: int, k: int, masses) -> Copula:
 
 def independence(n: int, k: int = 1) -> Copula:
     """Product copula on a k^n carrier (all resolutions agree as measures)."""
-    if n < 1 or k < 1:
-        raise ValueError("independence: n and k must be >= 1")
+    _check_carrier_shape("independence", n, k)
     return checkerboard(n, k, np.full((k,) * n, k ** (-float(n))))
 
 
@@ -130,8 +137,7 @@ def discretize(copula: Copula, k: int) -> Copula:
     """Checkerboard carrier at resolution k; checkerboards pass through."""
     if copula.variant == CHECKERBOARD:
         return copula
-    if k < 1:
-        raise ValueError("discretize: resolution must be >= 1")
+    _check_carrier_shape("discretize", copula.n, k)
     tensor = np.zeros((k,) * copula.n)
     idx = np.arange(k)
     if copula.variant == COMONOTONE:

@@ -212,6 +212,8 @@ class PairSkeleton(NamedTuple):
     ``law.atoms``.  At an epsilon only the atoms change
     (:func:`_scaled_sides`), so no plan is built per epsilon:
     :func:`_cost_sweep` costs both plans from their rows' cell indices.
+    ``adversary`` is the index map a -> adv[a] the competitor rewires the
+    pair through.
     """
 
     pair: tuple[int, int]
@@ -220,6 +222,21 @@ class PairSkeleton(NamedTuple):
     alt_plan: TransportPlan
     midpoints: np.ndarray
     cells: np.ndarray
+    adversary: np.ndarray
+
+
+def _full_grid(k: int, n: int, atoms: int) -> bool:
+    """Whether all k^n cells of an n-coordinate carrier are atoms, below 8 coordinates.
+
+    Then the competitor's rows are a product layout: each atom, in the
+    carrier's row-major order, against the k^(n-1) atoms of its target
+    column, in row-major order of their other coordinates, and
+    :func:`pair_skeleton` and :func:`_cost_sweep` work on that layout
+    instead of on row indices.  The cut-off is the one ``plan_cost`` and
+    ``_cost_matrix`` use: from 8 coordinates on, distances are summed
+    pairwise, not left to right.
+    """
+    return n < 8 and atoms == k**n
 
 
 def pair_skeleton(
@@ -243,6 +260,11 @@ def pair_skeleton(
     source cell of row a of the (i, j) margin with every target cell of its
     column adv[a], with weight w_s * (w_t / colsum[adv[a]]); its rows come
     out in (i, j) order, so :func:`plan_from_indices` keeps them as built.
+    On a full grid (:func:`_full_grid`), as ``independence`` carriers are,
+    the target cells of column b are row b of a fixed (k, k^(n-1)) layout
+    of the cell indices, so the rows are broadcast from it instead of found
+    by index arithmetic; each weight is the same product of the same two
+    floats, so the rows are the same bytes either way.
     This target copy rewires the dependence between coordinates i and j
     through the adversary while keeping all conditionals, which leaves its
     law unchanged.  Both plans are validated against (``law``, ``law``), and
@@ -267,19 +289,29 @@ def pair_skeleton(
     # order; the rows run over the source cells in that order too.
     row, col = cells[i - 1], cells[j - 1]
     colsum = bivariate_margin(carrier, i, j).masses.sum(axis=0)
-    col_count = np.bincount(col, minlength=k)
-    col_cells = np.argsort(col, kind="stable")
     target_col = adv[row]
-    fan = col_count[target_col]
-    src = _read_only(np.repeat(rows, fan))
-    # Row r of a source cell whose rows start at row f is the (r - f)-th cell
-    # of its target column, which starts at position col_start in col_cells.
-    col_start = np.cumsum(col_count) - col_count
-    position = np.repeat(col_start[target_col] - (np.cumsum(fan) - fan), fan)
-    position += np.arange(len(src))
-    tgt = col_cells.take(position)
-    alt_w = np.repeat(w, fan)
-    alt_w *= (w / colsum[col]).take(tgt)  # before tgt is read-only: take copies such indices
+    if _full_grid(k, carrier.n, len(w)):
+        # Row b of the layout lists column b's k^(n-1) atoms in cell order:
+        # every source atom gets one row of it, so the rows need no index arithmetic.
+        layout = np.moveaxis(rows.reshape((k,) * carrier.n), j - 1, 0).reshape(k, -1)
+        src = _read_only(np.repeat(rows, layout.shape[1]))
+        tgt = layout[target_col].ravel()
+        alt_w = (w / colsum[col])[layout][target_col]
+        alt_w *= w[:, None]
+        alt_w = alt_w.ravel()
+    else:
+        col_count = np.bincount(col, minlength=k)
+        col_cells = np.argsort(col, kind="stable")
+        fan = col_count[target_col]
+        src = _read_only(np.repeat(rows, fan))
+        # Row r of a source cell whose rows start at row f is the (r - f)-th cell
+        # of its target column, which starts at position col_start in col_cells.
+        col_start = np.cumsum(col_count) - col_count
+        position = np.repeat(col_start[target_col] - (np.cumsum(fan) - fan), fan)
+        position += np.arange(len(src))
+        tgt = col_cells.take(position)
+        alt_w = np.repeat(w, fan)
+        alt_w *= (w / colsum[col]).take(tgt)  # before tgt is read-only: take copies such indices
     alt_plan = plan_from_indices(atoms, atoms, src, _read_only(tgt), _read_only(alt_w))
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
@@ -291,7 +323,13 @@ def pair_skeleton(
         if not validate_plan(plan, law, law):
             raise RuntimeError(f"pair_skeleton: the {label} plan fails marginal validation")
     return PairSkeleton(
-        pair=(i, j), law=law, diamond_plan=diamond_plan, alt_plan=alt_plan, midpoints=mids, cells=cells
+        pair=(i, j),
+        law=law,
+        diamond_plan=diamond_plan,
+        alt_plan=alt_plan,
+        midpoints=mids,
+        cells=cells,
+        adversary=_read_only(adv),
     )
 
 
@@ -324,28 +362,33 @@ def _cost_sweep(
     per epsilon, equal bit for bit to :func:`plan_cost` of each skeleton
     plan's rows (i, j, w) on the scaled atoms of :func:`_scaled_sides`.
     Coordinate d of atom c is the midpoint m[cells[d, c]] times 1 or
-    epsilon, so a row's distance in coordinate d is entry a * k + b of the
+    epsilon, so a row's distance in coordinate d is entry (a, b) of the
     k x k table |s_d m_a - t_d m_b|^q, where (s_d, t_d) are the coordinate's
-    source and target scales; these codes are found once per search.
+    source and target scales.
 
     The epsilons are costed in blocks of up to ``_SWEEP_BLOCK_VALUES // rows``
     (``rows`` the competitor's row count; one epsilon at a time from 8
     coordinates on), so that each numpy call does a block's work: at k = 16
     eight epsilons, at the 110,592 rows of k = 48 one.  A block builds one
     (block, k, k) table per distinct pair of scales by ``plan_cost``'s steps
-    ((s m)[a] == s m[a] elementwise), gathers coordinate 0 along each
-    table's rows straight into (block, rows) row sums and each further
-    coordinate into one reused (block, rows) buffer that it adds, left to
-    right, as ``plan_cost`` does (from 8 coordinates on, into row-major
-    distances that ``np.sum`` adds), and ends with :func:`_row_cost_sums`,
-    which sums each epsilon's row costs exactly on its own.  Below 8
-    coordinates, a further coordinate whose target cell is the same on all
-    rows of each source atom has one code per atom, and ``np.repeat``
-    spreads its distances over the atom's rows instead of a gather; the
-    competitor's coordinate j is one.  On independence(2, 16) a search's 16
-    epsilons took 0.65-0.75 ms in blocks of 8, against 0.95-1.0 ms one at a
-    time (x86-64, one thread).  The blocks' buffers live for one call, so
-    they are freed before the certificate's cost matrix is built.
+    ((s m)[a] == s m[a] elementwise).  Each plan has two (block, rows)
+    buffers, its row sums and the work space of :func:`_row_cost_sums`, which
+    sums each epsilon's row costs exactly on its own.  Coordinate 0's
+    distances are written into the row sums and each further coordinate's
+    added, left to right, as ``plan_cost`` adds them, so every row sum is
+    the same float; from 8 coordinates on the work space holds row-major
+    distances that ``np.sum`` adds, as ``plan_cost`` does.  The blocks'
+    buffers live for one call, so they are freed before the certificate's
+    cost matrix is built.
+
+    On a full grid (:func:`_full_grid`), as the independence carriers of
+    ``copula-ot counterexample`` and ``scripts/gap_curve.py`` are, no row
+    index is built or read: the tables are broadcast onto views of the row
+    sums (:func:`_grid_row_sums`).  On independence(2, 48) a search's 16
+    epsilons took 9.2-9.8 ms this way against 10.8-11.7 ms by row codes,
+    whose setup took another 0.6-1.6 ms (medians, x86-64, one thread).  Other
+    carriers gather each row's distances by codes found once per search
+    (:func:`_row_codes`, :func:`_gathered_row_sums`).
 
     Each epsilon checks the scaled atoms through the scaled midpoints:
     multiplying by a positive float keeps their order, so while they stay
@@ -360,25 +403,9 @@ def _cost_sweep(
     i, j = skeleton.pair
     # Whether coordinate d is scaled on the source and on the target side.
     scaled = [(d != i - 1, d != j - 1) for d in range(n)]
-    kernels = []
-    for plan in (skeleton.diamond_plan, skeleton.alt_plan):
-        rows = len(plan)
-        # The rows are sorted by source atom and cover every atom: atom a's
-        # fan[a] rows start at row starts[a], and plan.i is np.repeat of the
-        # atoms by fan.  np.repeat spreads one value per atom in about half
-        # the time of a gather.
-        starts = np.searchsorted(plan.i, np.arange(len(plan.source)))
-        fan = np.diff(starts, append=rows)
-        codes = []
-        for d, c in enumerate(cells):
-            code = c[plan.j]  # take would copy the read-only indices first
-            if 0 < d < n < 8 and len(starts) < rows and np.array_equal(code, np.repeat(code[starts], fan)):
-                # Each atom's rows share their target cell: one code per atom.
-                codes.append((c * k + code[starts], fan))
-            else:
-                code += np.repeat(c * k, fan)
-                codes.append((code, None))
-        kernels.append((codes, plan.w))
+    grid = _full_grid(k, n, len(skeleton.law))
+    plans = (skeleton.diamond_plan, skeleton.alt_plan)
+    codes = [None if grid else _row_codes(plan, cells, k) for plan in plans]
     block = 1 if n >= 8 else max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan))
 
     def costs(epsilons: Sequence[float]) -> list[tuple[float, float]]:
@@ -386,8 +413,8 @@ def _cost_sweep(
         # Coordinate d's distances are column d of a row-major block from 8
         # coordinates on, summed as plan_cost sums them.
         buffers = [
-            (np.empty((size, len(w))), np.empty((size, len(w), n))) if n >= 8 else np.empty((2, size, len(w)))
-            for _, w in kernels
+            (np.empty((size, len(plan))), np.empty((size, len(plan)) + ((n,) if n >= 8 else ())))
+            for plan in plans
         ]
         results = []
         for start in range(0, len(epsilons), size):
@@ -401,29 +428,107 @@ def _cost_sweep(
             tables = {}
             for kind in set(scaled):
                 table = np.subtract(column[kind[0]][..., :, None], column[kind[1]][..., None, :])
-                tables[kind] = _distance_powers(table, spec.q).reshape(len(chunk), k * k)
+                tables[kind] = _distance_powers(table, spec.q)
+            per_coordinate = [tables[kind] for kind in scaled]
             plan_costs = []
-            for (codes, w), (per_row, work) in zip(kernels, buffers):
+            for plan, plan_codes, (per_row, work), competitor in zip(plans, codes, buffers, (False, True)):
                 per_row, work = per_row[: len(chunk)], work[: len(chunk)]
-                # Every code is in range; "clip" spares the copy that "raise" makes.
-                if n >= 8:
-                    for d, (code, _) in enumerate(codes):
-                        np.take(tables[scaled[d]], code, axis=1, out=work[..., d], mode="clip")
-                    np.sum(work, axis=2, out=per_row)
+                if grid:
+                    _grid_row_sums(per_row, per_coordinate, skeleton, competitor)
                 else:
-                    np.take(tables[scaled[0]], codes[0][0], axis=1, out=per_row, mode="clip")
-                    for d in range(1, n):
-                        (code, fan), table = codes[d], tables[scaled[d]]
-                        if fan is None:
-                            np.take(table, code, axis=1, out=work, mode="clip")
-                            per_row += work
-                        else:
-                            per_row += np.repeat(table.take(code, axis=1), fan, axis=1)
-                plan_costs.append(_row_cost_sums(per_row, w, spec, work))
+                    _gathered_row_sums(per_row, work, per_coordinate, plan_codes)
+                plan_costs.append(_row_cost_sums(per_row, plan.w, spec, work))
             results.extend(zip(*plan_costs))
         return results
 
     return costs
+
+
+def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: PairSkeleton, competitor: bool) -> None:
+    """One plan's row sums on a full grid (:func:`_full_grid`), broadcast from the tables into ``per_row``.
+
+    ``per_row`` is the C-contiguous (block, rows) row-sum buffer and
+    ``tables[d]`` coordinate d's (block, k, k) table of :func:`_cost_sweep`.
+    The quantile plan's rows are the atoms, so its row sums are a
+    (block, k, ..., k) array and coordinate d's distances the tables'
+    diagonals along axis d.  The competitor's rows are source atoms by the
+    cells, other than j, of their target's atoms, so its row sums are a
+    (block,) + (k,) * n + (k,) * (n - 1) array: coordinate d's table goes
+    on its source axis and its target axis, and coordinate j's, read at the
+    target cell adv[a_i], on the source axes of i and j.  Coordinate 0 is
+    copied in and each further coordinate added, left to right.
+    """
+    block, n, k = len(per_row), len(tables), len(skeleton.midpoints)
+    i, j = skeleton.pair
+    if competitor:
+        view = per_row.reshape((block,) + (k,) * (2 * n - 1))
+        # Coordinate j's distance T_j[e, a_j, adv[a_i]], indexed [e, a_i, a_j].
+        rewired = np.swapaxes(tables[j - 1][:, :, skeleton.adversary], 1, 2)
+        terms = [
+            (rewired, (i, j)) if d == j - 1 else (table, (1 + d, n + d + (d < j - 1)))
+            for d, table in enumerate(tables)
+        ]
+    else:
+        view = per_row.reshape((block,) + (k,) * n)
+        terms = [(np.diagonal(table, axis1=1, axis2=2), (1 + d,)) for d, table in enumerate(tables)]
+    for d, (term, axes) in enumerate(terms):
+        # Unit axes only are inserted, so the reshape is a view.
+        term = term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)])
+        if d == 0:
+            np.copyto(view, term)
+        else:
+            view += term
+
+
+def _row_codes(plan: TransportPlan, cells: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per coordinate, the flat k x k table index of each of the plan's rows, with the fan it is spread by.
+
+    Row r's code in coordinate d is a * k + b for its source cell a and its
+    target cell b.  The rows are sorted by source atom and cover every atom:
+    atom a's fan[a] rows start at row starts[a], and plan.i is np.repeat of
+    the atoms by fan.  Below 8 coordinates, a further coordinate whose
+    target cell is the same on all rows of each source atom has one code per
+    atom and ``fan``, since ``np.repeat`` spreads one value per atom in about
+    half the time of a gather; the competitor's coordinate j is one.  Every
+    other coordinate has one code per row and None.
+    """
+    n, rows = len(cells), len(plan)
+    starts = np.searchsorted(plan.i, np.arange(len(plan.source)))
+    fan = np.diff(starts, append=rows)
+    codes = []
+    for d, c in enumerate(cells):
+        code = c[plan.j]  # take would copy the read-only indices first
+        if 0 < d < n < 8 and len(starts) < rows and np.array_equal(code, np.repeat(code[starts], fan)):
+            # Each atom's rows share their target cell: one code per atom.
+            codes.append((c * k + code[starts], fan))
+        else:
+            code += np.repeat(c * k, fan)
+            codes.append((code, None))
+    return codes
+
+
+def _gathered_row_sums(
+    per_row: np.ndarray, work: np.ndarray, tables: list[np.ndarray], codes: list[tuple[np.ndarray, np.ndarray | None]]
+) -> None:
+    """One plan's row sums off the full grid, gathered from the flattened tables by its :func:`_row_codes`.
+
+    From 8 coordinates on, ``work`` is a (block, rows, n) block of row-major
+    distances that ``np.sum`` adds, as ``plan_cost`` does.
+    """
+    flat = [table.reshape(len(table), -1) for table in tables]
+    # Every code is in range; "clip" spares the copy that "raise" makes.
+    if len(flat) >= 8:
+        for d, (code, _) in enumerate(codes):
+            np.take(flat[d], code, axis=1, out=work[..., d], mode="clip")
+        np.sum(work, axis=2, out=per_row)
+        return
+    np.take(flat[0], codes[0][0], axis=1, out=per_row, mode="clip")
+    for (code, fan), table in zip(codes[1:], flat[1:]):
+        if fan is None:
+            np.take(table, code, axis=1, out=work, mode="clip")
+            per_row += work
+        else:
+            per_row += np.repeat(table.take(code, axis=1), fan, axis=1)
 
 
 def _limit_costs(k: int, p: float, q: float) -> np.ndarray:
@@ -553,8 +658,12 @@ def gap_search(
     construction, the carrier's midpoint law and both plans' rows, is built
     and checked once (:func:`pair_skeleton`).  Each epsilon checks the scaled
     atoms through their columns and costs both plans from per-coordinate
-    distance tables, gathered by row codes found once, several epsilons per
-    numpy call (:func:`_cost_sweep`), so no plan is built at any epsilon.
+    distance tables, several epsilons per numpy call (:func:`_cost_sweep`),
+    so no plan is built at any epsilon.  On a carrier whose every cell has
+    mass, as the default independence copula's has, the tables are
+    broadcast onto the plans' product layout; other carriers gather them by
+    row codes found once.  The row sums are added in the same order either
+    way, so the costs are the same floats.
     The exact certificate at the accepted epsilon solves between the two
     scaled measures: the scaled atoms of each side with the law's weights.
     The source's atoms are a product grid on the independence carrier, so

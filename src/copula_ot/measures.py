@@ -40,12 +40,23 @@ def exact_sum(v: np.ndarray) -> float:
 
     Returns the same float as ``math.fsum(v)`` on every input and raises the
     same exception.  Inputs shorter than ``EXACT_SUM_CUTOVER`` go to
-    ``math.fsum``; longer ones are a one-row :func:`_exact_sums_in_place`,
-    which sums by error-free extraction instead of a Python loop.
+    ``math.fsum``.  A longer input whose entries are all one nonzero float
+    sums exactly to ``len(v) * v[0]``, and both a float product and
+    ``math.fsum`` round that to nearest, ties to even: a finite product is
+    returned as is.  Zeros are left to ``math.fsum``, which decides the sign
+    of a zero sum its own way.  The k = 48 carrier's 2,304 equal weights
+    sum to a tie, which the extraction leaves undecided: they took
+    3.5-6.5 us this way against 120-145 us (x86-64, one thread).  Other
+    inputs are a one-row :func:`_exact_sums_in_place`, which sums by
+    error-free extraction instead of a Python loop.
     """
     v = np.asarray(v, dtype=float)
     if len(v) < EXACT_SUM_CUTOVER:
         return math.fsum(v.tolist())
+    if v[0] != 0.0 and (v == v[0]).all():
+        total = len(v) * float(v[0])
+        if math.isfinite(total):
+            return total
     return _exact_sums_in_place(v[None].copy(), np.empty(len(v)))[0]
 
 

@@ -196,6 +196,24 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "copula, n, k, words",
+        [
+            # Checked before any (k,) * n array is made, so numpy's own
+            # "maximum supported dimension" error never surfaces.
+            ("independence", "65", "1", ["error: independence:", "at most 64", "got 65"]),
+            ("comonotone", "65", "16", ["error: discretize:", "at most 64", "got 65"]),
+            ("independence", "30", "16", ["error: independence:", "more than numpy can hold", "n = 30"]),
+        ],
+    )
+    def test_counterexample_carrier_beyond_numpy_is_a_usage_error(self, tmp_path, capsys, copula, n, k, words):
+        out = tmp_path / "report.json"
+        argv = ["counterexample", "--p", "2", "--q", "1", "--copula", copula, "--n", n, "--k", k, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command,obj,field",
         [
             ("exact", {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": {"a": 1}}, "weights"),

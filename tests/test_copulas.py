@@ -68,6 +68,21 @@ class TestConstructors:
         c = independence(3, 2)
         assert np.all(c.masses == 0.125)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: independence(0, 2), "independence: dimension n must be >= 1, got 0"),
+            (lambda: independence(65, 1), "independence: dimension n must be at most 64"),
+            (lambda: independence(2, 0), "independence: resolution k must be >= 1, got 0"),
+            (lambda: independence(64, 2), r"independence: the k\*\*n cell masses for k = 2, n = 64"),
+            (lambda: discretize(comonotone(65), 2), "discretize: dimension n must be at most 64"),
+            (lambda: discretize(comonotone(2), 0), "discretize: resolution k must be >= 1"),
+        ],
+    )
+    def test_carrier_shape_is_checked_before_its_cells_exist(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_comonotone_needs_two_dims(self):
         with pytest.raises(ValueError):
             comonotone(1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -439,6 +440,8 @@ class TestPairSkeleton:
             (random_copula(np.random.default_rng(17), 3, 4), (1, 3), 1.0, 2.0),
             (random_copula(np.random.default_rng(41), 4, 4), (2, 4), 2.0, 1.0),
             (discretize(comonotone(2), 8), (1, 2), 2.0, 1.0),
+            (independence(3, 3), (1, 3), 1.0, 2.0),
+            (independence(4, 2), (2, 4), 2.0, 1.0),
             # Masses are multiples of 1/141: none is dyadic.
             (random_copula(np.random.default_rng(7), 5, 3), (2, 5), 1.0, 2.0),
             (random_copula(np.random.default_rng(7), 5, 3), (3, 4), 2.0, 1.0),
@@ -449,6 +452,21 @@ class TestPairSkeleton:
         reference = block_competitor_plan(carrier, p, q, pair)
         for name in ("i", "j", "w"):
             assert np.array_equal(getattr(alt_plan, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
+    def test_grid_competitor_rows_equal_the_general_construction(self, monkeypatch, n, k, adversary):
+        # A full grid's competitor is broadcast from its product layout; the
+        # index construction that other carriers take gives the same bytes.
+        carrier = independence(n, k)
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            grid = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
+            with monkeypatch.context() as patched:
+                patched.setattr(counterexample, "_full_grid", lambda *args: False)
+                general = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
+            for name in ("i", "j", "w"):
+                built, reference = getattr(grid.alt_plan, name), getattr(general.alt_plan, name)
+                assert built.dtype == reference.dtype and built.tobytes() == reference.tobytes(), (pair, name)
 
     @pytest.mark.parametrize(
         "carrier, pair",
@@ -496,6 +514,13 @@ class TestCostSweep:
             # have 1 or 2 rows each, which np.repeat spreads unevenly.
             (checkerboard(2, 3, RAGGED), (1, 2)),
             (checkerboard(3, 3, np.multiply.outer(RAGGED, np.full(3, 1 / 3))), (1, 2)),
+            # Full grids below 8 coordinates: the rows are a product layout.
+            (independence(3, 4), (1, 3)),
+            (independence(3, 4), (2, 3)),
+            (independence(4, 3), (1, 3)),
+            (independence(4, 3), (2, 3)),
+            (independence(4, 3), (2, 4)),
+            (independence(7, 2), (3, 6)),
             # From 8 columns on the sweep gathers into row-major distances.
             (independence(8, 2), (1, 2)),
             (random_copula(np.random.default_rng(5), 8, 2), (3, 7)),
@@ -529,6 +554,65 @@ class TestCostSweep:
             assert counterexample._cost_sweep(skeleton, spec)(schedule[:13]) == expected[:13], block
             sizes = [1] * 13 if carrier.n >= 8 else [min(block, 13 - start) for start in range(0, 13, block)]
             assert blocks == [size for size in sizes for _plan in range(2)]
+
+    @pytest.mark.parametrize(
+        "carrier, pair, grid",
+        [
+            (independence(2, 16), (1, 2), True),
+            (independence(3, 4), (2, 3), True),
+            (independence(7, 2), (3, 6), True),
+            (checkerboard(2, 3, RAGGED), (1, 2), False),
+            (random_copula(np.random.default_rng(17), 3, 4), (1, 3), False),
+            (independence(8, 2), (1, 2), False),
+        ],
+    )
+    def test_only_full_grids_below_8_coordinates_take_the_grid_path(self, monkeypatch, carrier, pair, grid):
+        # A full grid builds no row codes and gathers nothing; every other
+        # carrier, and a full grid from 8 coordinates on, gathers by codes.
+        calls = []
+        for name in ("_grid_row_sums", "_row_codes", "_gathered_row_sums"):
+
+            def spy(*args, _name=name, _fn=getattr(counterexample, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(counterexample, name, spy)
+        skeleton = pair_skeleton(carrier, 2.0, 1.0, pair)
+        counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0))([0.5, 0.25])
+        assert set(calls) == ({"_grid_row_sums"} if grid else {"_row_codes", "_gathered_row_sums"})
+
+    @pytest.mark.parametrize("carrier", [independence(2, 8), independence(3, 3), checkerboard(2, 3, RAGGED)])
+    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
+    def test_control_skeleton_at_equal_exponents_sweeps(self, carrier, adversary):
+        # At p = q there is no default adversary: the sweep reads the one the
+        # skeleton was built with.
+        spec = CostSpec(2.0, 2.0)
+        skeleton = pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=adversary)
+        schedule = (0.5, 0.25, 2.0**-10)
+        expected = []
+        for eps in schedule:
+            built = construction_at(skeleton, eps)
+            expected.append((plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec)))
+        assert counterexample._cost_sweep(skeleton, spec)(schedule) == expected
+
+    def test_gap_sweep_peak_allocation(self):
+        # On independence(2, 48) the sweep's setup allocates nothing of the
+        # competitor's length, and a search's 16 epsilons hold its two
+        # (1, rows) buffers, the quantile plan's and the tables at their peak.
+        p, q = 2.0, 1.0
+        skeleton = pair_skeleton(independence(2, 48), p, q, (1, 2))
+        size = len(skeleton.alt_plan) * 8
+        tracemalloc.start()
+        try:
+            costs = counterexample._cost_sweep(skeleton, CostSpec(p, q))
+            setup_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            costs(default_schedule())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert setup_peak < size
+        assert 2 * size <= peak < 2.5 * size
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
     def test_gap_sweep_plans_need_no_fsum_fallback(self, monkeypatch, p, q):

@@ -441,6 +441,35 @@ class TestExactSum:
                 values = np.concatenate([values, -values[::-1] * cancel])
         assert sum_outcome(exact_sum, values) == sum_outcome(math.fsum, values.tolist())
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=st.one_of(
+            summands,
+            # Signed zeros, a tie (2304 * fl(1/2304) is 1 - 2**-54), subnormals,
+            # and values whose product is near or past the largest float.
+            st.sampled_from([0.0, -0.0, 1 / 2304, -1 / 2304, 5e-324, 2.0**-1060, 2.0**1010, 1e300]),
+        ),
+        length=st.one_of(
+            st.integers(EXACT_SUM_CUTOVER, EXACT_SUM_CUTOVER + 40),
+            st.sampled_from([2304, 110_592]),
+            st.integers(EXACT_SUM_CUTOVER, 10**5),
+        ),
+    )
+    def test_equal_values_equal_fsum(self, value, length):
+        # One float repeated sums to length * value exactly; the product and
+        # fsum round it alike, and an overflowing or non-finite product
+        # raises or returns what fsum does.
+        values = np.full(length, value)
+        assert sum_outcome(exact_sum, values) == sum_outcome(math.fsum, values.tolist())
+
+    @pytest.mark.parametrize("value, length", [(1 / 2304, 2304), (-5e-324, 1000), (5e-324, 10**5), (1 / 3, 110_592)])
+    def test_equal_values_make_no_fsum_call(self, monkeypatch, value, length):
+        values = np.full(length, value)
+        expected = math.fsum(values.tolist())
+        calls = fsum_lengths(monkeypatch)
+        assert exact_sum(values).hex() == expected.hex()
+        assert calls == []
+
     @pytest.mark.parametrize(
         "case, outcome",
         [

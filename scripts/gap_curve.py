@@ -40,7 +40,7 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def _error(k: int, exc: Exception, code: int) -> int:
+def _error(k: int, exc: Exception | str, code: int) -> int:
     print(f"error: k={k}: {exc}", file=sys.stderr)
     return code
 
@@ -68,6 +68,8 @@ def main(argv=None) -> int:
             return _error(k, exc, EXIT_EXHAUSTED)
         except ValueError as exc:
             return _error(k, exc, EXIT_USAGE)
+        except MemoryError as exc:
+            return _error(k, f"out of memory. {exc}".rstrip(), EXIT_USAGE)
         rows.extend([k, *pt.csv_row()] for pt in report.curve)
         limit_gap = report.limit_diamond - report.limit_alt
         print(f"{k:>4} {report.epsilon:>13.6e} {report.gap:>12.6f} {limit_gap:>12.6f}")

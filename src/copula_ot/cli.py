@@ -11,8 +11,9 @@ root.  All file output is deterministic for a fixed seed and config: floats
 are serialized with repr round-tripping and rows keep generation order.
 
 Exit codes: 0 success; 1 verification found optimality violations; 2 bad
-usage or unparseable input; 3 exact solve over the pair cap; 4 no violating
-coordinate pair; 5 epsilon schedule exhausted without a significant gap.
+usage, unparseable input or an input too large for memory; 3 exact solve
+over the pair cap; 4 no violating coordinate pair; 5 epsilon schedule
+exhausted without a significant gap.
 """
 
 from __future__ import annotations
@@ -352,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PAIR_CAP
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # Too large an input; numpy's message names the array it could not allocate.
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -43,8 +43,10 @@ from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     TransportPlan,
+    _LazyTerms,
     _assignment_shaped,
     _check_atoms,
+    _coordinate_sums,
     _distance_powers,
     _row_cost_sums,
     _staircase_potentials,
@@ -226,17 +228,17 @@ class PairSkeleton(NamedTuple):
 
 
 def _full_grid(k: int, n: int, atoms: int) -> bool:
-    """Whether all k^n cells of an n-coordinate carrier are atoms, below 8 coordinates.
+    """Whether all k^n cells of an n-coordinate carrier are atoms, and there are at least two.
 
     Then the competitor's rows are a product layout: each atom, in the
     carrier's row-major order, against the k^(n-1) atoms of its target
     column, in row-major order of their other coordinates, and
     :func:`pair_skeleton` and :func:`_cost_sweep` work on that layout
-    instead of on row indices.  The cut-off is the one ``plan_cost`` and
-    ``_cost_matrix`` use: from 8 coordinates on, distances are summed
-    pairwise, not left to right.
+    instead of on row indices.  The competitor's view of that layout has
+    2n axes, and numpy allows 64; only a k = 1 carrier could have more, so
+    its single atom stays off the layout.
     """
-    return n < 8 and atoms == k**n
+    return atoms == k**n > 1
 
 
 def pair_skeleton(
@@ -367,28 +369,23 @@ def _cost_sweep(
     source and target scales.
 
     The epsilons are costed in blocks of up to ``_SWEEP_BLOCK_VALUES // rows``
-    (``rows`` the competitor's row count; one epsilon at a time from 8
-    coordinates on), so that each numpy call does a block's work: at k = 16
-    eight epsilons, at the 110,592 rows of k = 48 one.  A block builds one
-    (block, k, k) table per distinct pair of scales by ``plan_cost``'s steps
-    ((s m)[a] == s m[a] elementwise).  Each plan has two (block, rows)
-    buffers, its row sums and the work space of :func:`_row_cost_sums`, which
-    sums each epsilon's row costs exactly on its own.  Coordinate 0's
-    distances are written into the row sums and each further coordinate's
-    added, left to right, as ``plan_cost`` adds them, so every row sum is
-    the same float; from 8 coordinates on the work space holds row-major
-    distances that ``np.sum`` adds, as ``plan_cost`` does.  The blocks'
-    buffers live for one call, so they are freed before the certificate's
-    cost matrix is built.
+    (``rows`` the competitor's row count), so that each numpy call does a
+    block's work: at k = 16 eight epsilons, at the 110,592 rows of k = 48
+    one.  A block builds one (block, k, k) table per distinct pair of
+    scales by ``plan_cost``'s steps ((s m)[a] == s m[a] elementwise).  Each
+    plan has two (block, rows) buffers, its row sums and the work space of
+    :func:`_row_cost_sums`, which sums each epsilon's row costs exactly on
+    its own.  The row sums add the coordinates' distances by
+    :func:`_coordinate_sums`, as ``plan_cost`` adds them, so every row sum
+    is the same float.  The blocks' buffers live for one call, so they are
+    freed before the certificate's cost matrix is built.
 
     On a full grid (:func:`_full_grid`), as the independence carriers of
     ``copula-ot counterexample`` and ``scripts/gap_curve.py`` are, no row
     index is built or read: the tables are broadcast onto views of the row
-    sums (:func:`_grid_row_sums`).  On independence(2, 48) a search's 16
-    epsilons took 9.2-9.8 ms this way against 10.8-11.7 ms by row codes,
-    whose setup took another 0.6-1.6 ms (medians, x86-64, one thread).  Other
-    carriers gather each row's distances by codes found once per search
-    (:func:`_row_codes`, :func:`_gathered_row_sums`).
+    sums (:func:`_grid_row_sums`).  Other carriers gather each row's
+    distances by codes found once per search (:func:`_row_codes`,
+    :func:`_gathered_row_sums`).
 
     Each epsilon checks the scaled atoms through the scaled midpoints:
     multiplying by a positive float keeps their order, so while they stay
@@ -406,16 +403,11 @@ def _cost_sweep(
     grid = _full_grid(k, n, len(skeleton.law))
     plans = (skeleton.diamond_plan, skeleton.alt_plan)
     codes = [None if grid else _row_codes(plan, cells, k) for plan in plans]
-    block = 1 if n >= 8 else max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan))
+    block = max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan))
 
     def costs(epsilons: Sequence[float]) -> list[tuple[float, float]]:
         size = min(block, max(1, len(epsilons)))
-        # Coordinate d's distances are column d of a row-major block from 8
-        # coordinates on, summed as plan_cost sums them.
-        buffers = [
-            (np.empty((size, len(plan))), np.empty((size, len(plan)) + ((n,) if n >= 8 else ())))
-            for plan in plans
-        ]
+        buffers = [(np.empty((size, len(plan))), np.empty((size, len(plan)))) for plan in plans]
         results = []
         for start in range(0, len(epsilons), size):
             chunk = epsilons[start : start + size]
@@ -455,8 +447,7 @@ def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: Pair
     cells, other than j, of their target's atoms, so its row sums are a
     (block,) + (k,) * n + (k,) * (n - 1) array: coordinate d's table goes
     on its source axis and its target axis, and coordinate j's, read at the
-    target cell adv[a_i], on the source axes of i and j.  Coordinate 0 is
-    copied in and each further coordinate added, left to right.
+    target cell adv[a_i], on the source axes of i and j.
     """
     block, n, k = len(per_row), len(tables), len(skeleton.midpoints)
     i, j = skeleton.pair
@@ -471,64 +462,30 @@ def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: Pair
     else:
         view = per_row.reshape((block,) + (k,) * n)
         terms = [(np.diagonal(table, axis1=1, axis2=2), (1 + d,)) for d, table in enumerate(tables)]
-    for d, (term, axes) in enumerate(terms):
-        # Unit axes only are inserted, so the reshape is a view.
-        term = term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)])
-        if d == 0:
-            np.copyto(view, term)
-        else:
-            view += term
+    # Unit axes only are inserted, so each reshape is a view.
+    _coordinate_sums(
+        view, [term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)]) for term, axes in terms]
+    )
 
 
-def _row_codes(plan: TransportPlan, cells: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per coordinate, the flat k x k table index of each of the plan's rows, with the fan it is spread by.
-
-    Row r's code in coordinate d is a * k + b for its source cell a and its
-    target cell b.  The rows are sorted by source atom and cover every atom:
-    atom a's fan[a] rows start at row starts[a], and plan.i is np.repeat of
-    the atoms by fan.  Below 8 coordinates, a further coordinate whose
-    target cell is the same on all rows of each source atom has one code per
-    atom and ``fan``, since ``np.repeat`` spreads one value per atom in about
-    half the time of a gather; the competitor's coordinate j is one.  Every
-    other coordinate has one code per row and None.
-    """
-    n, rows = len(cells), len(plan)
-    starts = np.searchsorted(plan.i, np.arange(len(plan.source)))
-    fan = np.diff(starts, append=rows)
-    codes = []
-    for d, c in enumerate(cells):
-        code = c[plan.j]  # take would copy the read-only indices first
-        if 0 < d < n < 8 and len(starts) < rows and np.array_equal(code, np.repeat(code[starts], fan)):
-            # Each atom's rows share their target cell: one code per atom.
-            codes.append((c * k + code[starts], fan))
-        else:
-            code += np.repeat(c * k, fan)
-            codes.append((code, None))
-    return codes
+def _row_codes(plan: TransportPlan, cells: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per coordinate, each plan row's flat k x k table index a * k + b, for its source cell a and target cell b."""
+    return [c[plan.i] * k + c[plan.j] for c in cells]
 
 
 def _gathered_row_sums(
-    per_row: np.ndarray, work: np.ndarray, tables: list[np.ndarray], codes: list[tuple[np.ndarray, np.ndarray | None]]
+    per_row: np.ndarray, work: np.ndarray, tables: list[np.ndarray], codes: list[np.ndarray]
 ) -> None:
     """One plan's row sums off the full grid, gathered from the flattened tables by its :func:`_row_codes`.
 
-    From 8 coordinates on, ``work`` is a (block, rows, n) block of row-major
-    distances that ``np.sum`` adds, as ``plan_cost`` does.
+    Each coordinate's distances are gathered into ``work`` as
+    :func:`_coordinate_sums` reads them, so one (block, rows) buffer serves them all.
     """
     flat = [table.reshape(len(table), -1) for table in tables]
     # Every code is in range; "clip" spares the copy that "raise" makes.
-    if len(flat) >= 8:
-        for d, (code, _) in enumerate(codes):
-            np.take(flat[d], code, axis=1, out=work[..., d], mode="clip")
-        np.sum(work, axis=2, out=per_row)
-        return
-    np.take(flat[0], codes[0][0], axis=1, out=per_row, mode="clip")
-    for (code, fan), table in zip(codes[1:], flat[1:]):
-        if fan is None:
-            np.take(table, code, axis=1, out=work, mode="clip")
-            per_row += work
-        else:
-            per_row += np.repeat(table.take(code, axis=1), fan, axis=1)
+    _coordinate_sums(
+        per_row, _LazyTerms(len(codes), lambda d: np.take(flat[d], codes[d], axis=1, out=work, mode="clip"))
+    )
 
 
 def _limit_costs(k: int, p: float, q: float) -> np.ndarray:

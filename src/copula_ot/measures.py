@@ -22,9 +22,7 @@ import numpy as np
 MASS_TOL = 1e-12
 
 # Blocks of fewer values go to math.fsum, which is faster on them: on uniform
-# random values (x86-64, one thread) fsum and the extraction below take equal
-# time at about 768 values, fsum is 1.3x faster at 512 and extraction 2.6x at
-# 2304.
+# random values fsum and the extraction below take equal time at about 768.
 EXACT_SUM_CUTOVER = 768
 # Rows below this cannot overflow the level or its sums.
 _EXACT_SUM_LIMIT = 2.0**960
@@ -45,8 +43,8 @@ def exact_sum(v: np.ndarray) -> float:
     ``math.fsum`` round that to nearest, ties to even: a finite product is
     returned as is.  Zeros are left to ``math.fsum``, which decides the sign
     of a zero sum its own way.  The k = 48 carrier's 2,304 equal weights
-    sum to a tie, which the extraction leaves undecided: they took
-    3.5-6.5 us this way against 120-145 us (x86-64, one thread).  Other
+    sum to a tie, which the extraction leaves undecided for ``math.fsum``,
+    so this spares that Python loop.  Other
     inputs are a one-row :func:`_exact_sums_in_place`, which sums by
     error-free extraction instead of a Python loop.
     """

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,8 +220,8 @@ def _index_sums(index: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     """``np.bincount(index, weights=w, minlength=size)``, read-only: the same floats, added in row order.
 
     ``np.add.at`` reads read-only inputs in place, where ``np.bincount``
-    copies both: on the 110,592 read-only rows of the gap-sweep competitor,
-    with sorted indices, 0.3 ms against 1.0 ms (x86-64, one thread).
+    copies both, so it is the faster on long read-only rows with sorted
+    indices, such as the gap-sweep competitor's.
     """
     sums = np.zeros(size)
     np.add.at(sums, index, w)
@@ -250,25 +250,54 @@ def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
 
     The row costs w_r ||x_r - y_r||_q^p are summed exactly and rounded once,
     to the float that ``math.fsum`` returns (:func:`exact_sum`).  Each row's
-    coordinate distances |x_rd - y_rd|^q are computed and added row by row;
-    the rest is :func:`_row_cost_sums`.
+    coordinate distances |x_rd - y_rd|^q are added by
+    :func:`_coordinate_sums`; the rest is :func:`_row_cost_sums`.
     """
     # In-place steps compute the same floats with no row-length temporaries.
     dist = _distance_powers(np.subtract(plan.x, plan.y), spec.q)
-    per_row = np.empty(len(plan))
-    if dist.shape[1] >= 8:
-        # np.sum adds row-major rows of 8 or more columns pairwise.
-        np.sum(dist, axis=1, out=per_row)
-    else:
-        # np.sum(axis=1) adds fewer than 8 columns left to right, and so
-        # does this loop, without numpy's slow reduction of short rows: on
-        # the 110,592-row gap-sweep plan it takes 0.24 ms against 2.4 ms
-        # (x86-64, one thread).  numpy does not document that order;
-        # test_transport pins the equality bit for bit at 1 to 9 columns.
-        np.copyto(per_row, dist[:, 0])
-        for d in range(1, dist.shape[1]):
-            per_row += dist[:, d]
+    per_row = _coordinate_sums(np.empty(len(plan)), dist.T)
     return _row_cost_sums(per_row[None], plan.w, spec, dist.reshape(1, -1))[0]
+
+
+def _coordinate_sums(out: np.ndarray, terms: Sequence[np.ndarray] | _LazyTerms) -> np.ndarray:
+    """Fills ``out`` with the sum of the n ``terms``, each broadcast to its shape, in ``np.sum``'s order.
+
+    Every cost sums coordinate distances, and this is the one place that
+    adds them, so routines that sum the same distances get the same floats.
+    ``np.sum`` over the last axis of a C-contiguous block adds fewer than 8
+    columns left to right and 8 or more pairwise.  Below 8 terms the first
+    is copied and the rest added, left to right, with no block and without
+    numpy's slow reduction of short rows; test_transport pins the equality
+    bit for bit at 1 to 9 columns, since numpy does not document that order.
+    From 8 on the terms fill one (..., n) block that ``np.sum`` adds.  The
+    terms are read in order, each once, so a lazy sequence
+    (:class:`_LazyTerms`) may make each one into a buffer that the next
+    reuses.  Returns ``out``.
+    """
+    if len(terms) >= 8:
+        block = np.empty(out.shape + (len(terms),))
+        for d, term in enumerate(terms):
+            block[..., d] = term
+        return np.sum(block, axis=-1, out=out)
+    terms = iter(terms)
+    np.copyto(out, next(terms))
+    for term in terms:
+        out += term
+    return out
+
+
+@dataclass(frozen=True)
+class _LazyTerms:
+    """The terms ``make(0), ..., make(count - 1)`` of a :func:`_coordinate_sums`, each made when it is read."""
+
+    count: int
+    make: Callable[[int], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(self.make, range(self.count))
 
 
 def _row_cost_sums(per_row: np.ndarray, w: np.ndarray, spec: CostSpec, work: np.ndarray) -> list[float]:
@@ -518,44 +547,27 @@ def _axis_shape(d: int, ndim: int) -> list[int]:
 def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
     """The a x b matrix ||X_s - Y_t||_q^p, each entry the float :func:`plan_cost` gives its row.
 
-    Below 8 coordinates the distances |X_sd - Y_td|^q are added one
-    coordinate at a time, left to right, as ``np.sum`` adds fewer than 8
-    contiguous columns: the same floats as an (a, b, n) block summed over
-    its last axis, without that block.  When X is a product grid in
-    row-major order (:func:`_grid_axes`), as the gap certificate's scaled
+    Coordinate d's distances |X_sd - Y_td|^q are made one coordinate at a
+    time and added by :func:`_coordinate_sums`.  When X is a product grid
+    in row-major order (:func:`_grid_axes`), as the gap certificate's scaled
     carrier atoms are, the matrix is an (m_0, ..., m_n-1, b) array and
     coordinate d's distances are a small m_d x b table, the axis's values
-    against Y's column d, broadcast along axes d and n: the first is spread
-    into one fresh buffer and every further one added into it, so no second
-    a x b array is made and the power q runs on the tables alone.  At
-    independence(2, k)'s certificate (a = b = k^2) that took 0.14-0.39 ms
-    against 0.52-0.78 ms at k = 16 and 16-30 ms against 56-72 ms at k = 48
-    (x86-64, one thread).  Other inputs build one a x b distance matrix per
-    coordinate.  From 8 coordinates the block is built and ``np.sum`` adds
-    it pairwise, as ``plan_cost`` does.  The matrix is the caller's to
-    overwrite.
+    against Y's column d, broadcast along axes d and n, so no a x b array
+    other than the matrix is made and the power q runs on the tables alone.
+    Other inputs make one a x b distance matrix per coordinate.  The matrix
+    is the caller's to overwrite.
     """
     n = X.shape[1]
-    if n >= 8:
-        sums = _distance_powers(X[:, None, :] - Y[None, :, :], spec.q).sum(axis=2)
+    sums = np.empty((len(X), len(Y)))
+    # The grid view adds Y's axis to X's n, and numpy allows 64 axes.
+    axes = _grid_axes(X) if 1 < n < 64 else None
+    if axes is None:
+        view, pairs = sums, [(X[:, d, None], Y[None, :, d]) for d in range(n)]
     else:
-        axes = _grid_axes(X) if n > 1 else None
-        if axes is None:
-            pairs = [(X[:, d, None], Y[None, :, d]) for d in range(n)]
-        else:
-            # The matrix seen as an (m_0, ..., m_n-1, b) array: coordinate
-            # d's source values lie along axis d, the target atoms along the last.
-            pairs = [(u.reshape(_axis_shape(d, n + 1)), Y[:, d]) for d, u in enumerate(axes)]
-        shape = np.broadcast_shapes(*(side.shape for pair in pairs for side in pair))
-        sums = None
-        for u, v in pairs:
-            dist = _distance_powers(np.subtract(u, v), spec.q)
-            if sums is None:
-                # A grid's first distances are spread into one fresh matrix.
-                sums = dist if dist.shape == shape else np.broadcast_to(dist, shape).copy()
-            else:
-                sums += dist
-        sums = sums.reshape(len(X), len(Y))
+        # Coordinate d's source values lie along axis d, the target atoms along the last.
+        view = sums.reshape([len(u) for u in axes] + [len(Y)])
+        pairs = [(u.reshape(_axis_shape(d, n + 1)), Y[:, d]) for d, u in enumerate(axes)]
+    _coordinate_sums(view, _LazyTerms(n, lambda d: _distance_powers(np.subtract(*pairs[d]), spec.q)))
     return _sum_powers(sums, spec.p, spec.q)
 
 

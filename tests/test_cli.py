@@ -213,6 +213,21 @@ class TestUsageErrors:
         assert all(word in err for word in words), err
         assert not out.exists()
 
+    def test_counterexample_out_of_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # A carrier too large for memory, as --n 40 --k 2 is, exits 2 with a
+        # message, not 1 ("violations found") with a traceback.  The error is
+        # raised by a stand-in: a real attempt could exhaust the machine.
+        def unallocatable(n, k):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (2,) * 40")
+
+        monkeypatch.setattr(cli, "independence", unallocatable)
+        out = tmp_path / "report.json"
+        argv = ["counterexample", "--p", "2", "--q", "1", "--n", "40", "--k", "2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory. Unable to allocate 8.00 TiB for an array with shape (2,) * 40\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,obj,field",
         [

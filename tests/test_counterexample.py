@@ -514,15 +514,17 @@ class TestCostSweep:
             # have 1 or 2 rows each, which np.repeat spreads unevenly.
             (checkerboard(2, 3, RAGGED), (1, 2)),
             (checkerboard(3, 3, np.multiply.outer(RAGGED, np.full(3, 1 / 3))), (1, 2)),
-            # Full grids below 8 coordinates: the rows are a product layout.
+            # Full grids: the rows are a product layout.
             (independence(3, 4), (1, 3)),
             (independence(3, 4), (2, 3)),
             (independence(4, 3), (1, 3)),
             (independence(4, 3), (2, 3)),
             (independence(4, 3), (2, 4)),
             (independence(7, 2), (3, 6)),
-            # From 8 columns on the sweep gathers into row-major distances.
+            # From 8 coordinates on the row sums are added pairwise, on the
+            # grid and off it.
             (independence(8, 2), (1, 2)),
+            (independence(9, 2), (4, 9)),
             (random_copula(np.random.default_rng(5), 8, 2), (3, 7)),
         ],
     )
@@ -546,13 +548,13 @@ class TestCostSweep:
             ), eps
         assert counterexample._cost_sweep(skeleton, spec)(schedule) == expected
         # Blocks of 1, 3 and 8 epsilons on 13 epsilons, which 3 and 8 do not
-        # divide; from 8 coordinates on every block holds one epsilon.
+        # divide, at every number of coordinates.
         blocks = spy_on_sweep_blocks(monkeypatch)
         for block in (1, 3, 8):
             monkeypatch.setattr(counterexample, "_SWEEP_BLOCK_VALUES", block * len(skeleton.alt_plan))
             blocks.clear()
             assert counterexample._cost_sweep(skeleton, spec)(schedule[:13]) == expected[:13], block
-            sizes = [1] * 13 if carrier.n >= 8 else [min(block, 13 - start) for start in range(0, 13, block)]
+            sizes = [min(block, 13 - start) for start in range(0, 13, block)]
             assert blocks == [size for size in sizes for _plan in range(2)]
 
     @pytest.mark.parametrize(
@@ -561,14 +563,15 @@ class TestCostSweep:
             (independence(2, 16), (1, 2), True),
             (independence(3, 4), (2, 3), True),
             (independence(7, 2), (3, 6), True),
+            (independence(8, 2), (1, 2), True),
             (checkerboard(2, 3, RAGGED), (1, 2), False),
             (random_copula(np.random.default_rng(17), 3, 4), (1, 3), False),
-            (independence(8, 2), (1, 2), False),
+            (random_copula(np.random.default_rng(5), 8, 2), (3, 7), False),
         ],
     )
-    def test_only_full_grids_below_8_coordinates_take_the_grid_path(self, monkeypatch, carrier, pair, grid):
-        # A full grid builds no row codes and gathers nothing; every other
-        # carrier, and a full grid from 8 coordinates on, gathers by codes.
+    def test_only_full_grids_take_the_grid_path(self, monkeypatch, carrier, pair, grid):
+        # A full grid builds no row codes and gathers nothing, at any number
+        # of coordinates; every other carrier gathers by codes.
         calls = []
         for name in ("_grid_row_sums", "_row_codes", "_gathered_row_sums"):
 

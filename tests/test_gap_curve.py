@@ -9,11 +9,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "gap_curve.py"
 
 
-def gap_curve_main(argv) -> int:
+def load_gap_curve():
     spec = importlib.util.spec_from_file_location("gap_curve", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main(argv)
+    return module
+
+
+def gap_curve_main(argv) -> int:
+    return load_gap_curve().main(argv)
 
 
 def test_skip_exact_sweep_writes_the_documented_csv(tmp_path, capsys):
@@ -69,3 +73,17 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     argv = ["--p", "2", "--q", "1", "--resolutions", "2", "--skip-exact", "--out", str(tmp_path)]
     assert gap_curve_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.00 PiB for an array", ""])
+def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, message):
+    # The error is raised by a stand-in: a real attempt could exhaust the machine.
+    def unallocatable(n, k):
+        raise MemoryError(message)
+
+    module = load_gap_curve()
+    monkeypatch.setattr(module, "independence", unallocatable)
+    out = tmp_path / "gap.csv"
+    assert module.main(["--p", "2", "--q", "1", "--resolutions", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: k=2: out of memory. {message}".rstrip() + "\n"
+    assert not out.exists()

@@ -33,6 +33,22 @@ def test_counterexample_report_and_curve(tmp_path, capsys, p, q, json_md5, csv_m
     assert (md5(out), md5(out.with_suffix(".csv"))) == (json_md5, csv_md5)
 
 
+@pytest.mark.parametrize(
+    "n, json_md5, csv_md5",
+    [
+        # From 8 coordinates on, np.sum adds a row's coordinate distances
+        # pairwise; exponents 1 and 2 make these digests independent of the
+        # SIMD level numpy dispatches to.
+        ("8", "0c72d1c59e8f04339c6e191822251eee", "4bfe3e94adabd0312e7a343823976e5a"),
+        ("9", "b95662cebfd0e2d342cd708e30bc1c0b", "3dcdc5335f38e4d34001a4eeba2af9a6"),
+    ],
+)
+def test_counterexample_report_from_8_coordinates(tmp_path, capsys, n, json_md5, csv_md5):
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--p", "2", "--q", "1", "--n", n, "--k", "2", "--out", str(out)]) == 0
+    assert (md5(out), md5(out.with_suffix(".csv"))) == (json_md5, csv_md5)
+
+
 def test_gap_curve_skip_exact_sweep(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("gap_curve", SCRIPT)
     module = importlib.util.module_from_spec(spec)

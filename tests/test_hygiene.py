@@ -151,3 +151,41 @@ def test_cost_powers_are_taken_only_by_the_two_primitives():
     assert strays == {}
     # Each primitive takes its power, and each exemption still names one.
     assert POWER_PRIMITIVES | NON_COST_POWERS <= set(found)
+
+
+# np.sum adds fewer than 8 columns left to right and 8 or more pairwise.  One
+# routine owns that order, so a change to it changes one body alone.
+COORDINATE_SUM = "transport._coordinate_sums"
+
+
+def compares_against_eight() -> dict[str, list[int]]:
+    """Lines of each comparison with the constant 8 in the package, keyed by its top-level function."""
+    found: dict[str, list[int]] = {}
+    for path in sorted((ROOT / "src" / "copula_ot").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value == 8 for side in [node.left, *node.comparators]
+                ):
+                    found.setdefault(owner, []).append(node.lineno)
+    return found
+
+
+def test_only_the_coordinate_sum_compares_against_8():
+    found = compares_against_eight()
+    assert {owner: lines for owner, lines in found.items() if owner != COORDINATE_SUM} == {}
+    assert COORDINATE_SUM in found
+
+
+# A timing belongs in CHANGES.md, next to the machine and the commit it was
+# taken on; a docstring or comment gives the reason alone.
+TIMING = re.compile(r"\d ?(ms|us|µs)\b|x86-64, one thread")
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_the_source_quotes_no_timings(path):
+    lines = path.read_text().splitlines()
+    assert [f"line {n}: {line.strip()}" for n, line in enumerate(lines, 1) if TIMING.search(line)] == []

@@ -117,9 +117,10 @@ class TestPlans:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cost_matrix_equals_the_summed_difference_block(self, n):
-        # Bit for bit: below 8 coordinates the per-coordinate matrices are
-        # added left to right, as np.sum adds the block's last axis; from a
-        # product-grid source they are spread from per-axis tables.
+        # Bit for bit: the per-coordinate matrices are added as np.sum adds
+        # the block's last axis, left to right below 8 coordinates and
+        # pairwise from 8 on; from a product-grid source they are spread
+        # from per-axis tables.
         rng = np.random.default_rng(n)
         pairs = []
         for a, b in ((1, 3), (17, 29)):
@@ -136,6 +137,17 @@ class TestPlans:
             for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1.5), (1.5, 3)):
                 block = (np.abs(X[:, None] - Y[None]) ** q).sum(axis=2) ** (p / q)
                 assert np.array_equal(transport._cost_matrix(X, Y, CostSpec(p, q)), block)
+
+    def test_cost_matrix_of_64_coordinates(self):
+        # One atom, or two that differ in one coordinate, are product grids of
+        # 64 axes; a grid view would need a 65th, past numpy's limit.
+        rng = np.random.default_rng(64)
+        X = np.repeat(rng.standard_normal((1, 64)), 2, axis=0)
+        X[1, 5] += 1.0
+        Y = rng.standard_normal((3, 64))
+        for source in (X[:1], X):
+            block = (np.abs(source[:, None] - Y[None]) ** 1.5).sum(axis=2) ** (2 / 1.5)
+            assert np.array_equal(transport._cost_matrix(source, Y, CostSpec(2, 1.5)), block)
 
     @pytest.mark.parametrize("n", sorted(GRID_AXES))
     def test_only_sorted_distinct_product_rows_are_a_grid(self, n):

@@ -347,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # 0 allows no atom pair: it is how counterexample skips its exact cost.
+        if getattr(args, "max_pairs", 0) < 0:
+            raise ValueError(f"--max-pairs must be at least 0, got {args.max_pairs}")
         return args.handler(args)
     except PairCountCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,6 @@ from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     TransportPlan,
-    _LazyTerms,
     _assignment_shaped,
     _check_atoms,
     _coordinate_sums,
@@ -233,10 +232,10 @@ def _full_grid(k: int, n: int, atoms: int) -> bool:
     Then the competitor's rows are a product layout: each atom, in the
     carrier's row-major order, against the k^(n-1) atoms of its target
     column, in row-major order of their other coordinates, and
-    :func:`pair_skeleton` and :func:`_cost_sweep` work on that layout
-    instead of on row indices.  The competitor's view of that layout has
-    2n axes, and numpy allows 64; only a k = 1 carrier could have more, so
-    its single atom stays off the layout.
+    :func:`_cost_sweep` works on that layout instead of on row indices.
+    The competitor's view of that layout has 2n axes, and numpy allows 64;
+    only a k = 1 carrier could have more, so its single atom stays off the
+    layout.
     """
     return atoms == k**n > 1
 
@@ -262,11 +261,12 @@ def pair_skeleton(
     source cell of row a of the (i, j) margin with every target cell of its
     column adv[a], with weight w_s * (w_t / colsum[adv[a]]); its rows come
     out in (i, j) order, so :func:`plan_from_indices` keeps them as built.
-    On a full grid (:func:`_full_grid`), as ``independence`` carriers are,
-    the target cells of column b are row b of a fixed (k, k^(n-1)) layout
-    of the cell indices, so the rows are broadcast from it instead of found
-    by index arithmetic; each weight is the same product of the same two
-    floats, so the rows are the same bytes either way.
+    They are broadcast from one (k, width) layout of the cell indices: row b
+    lists column b's cells in cell order, padded to the fullest column, and
+    each source cell takes the row of its target column.  The padding is
+    dropped only when some column is short; on a full grid
+    (:func:`_full_grid`), as ``independence`` carriers are, every column
+    holds k^(n-1) cells and there is none.
     This target copy rewires the dependence between coordinates i and j
     through the adversary while keeping all conditionals, which leaves its
     law unchanged.  Both plans are validated against (``law``, ``law``), and
@@ -292,29 +292,19 @@ def pair_skeleton(
     row, col = cells[i - 1], cells[j - 1]
     colsum = bivariate_margin(carrier, i, j).masses.sum(axis=0)
     target_col = adv[row]
-    if _full_grid(k, carrier.n, len(w)):
-        # Row b of the layout lists column b's k^(n-1) atoms in cell order:
-        # every source atom gets one row of it, so the rows need no index arithmetic.
-        layout = np.moveaxis(rows.reshape((k,) * carrier.n), j - 1, 0).reshape(k, -1)
-        src = _read_only(np.repeat(rows, layout.shape[1]))
-        tgt = layout[target_col].ravel()
-        alt_w = (w / colsum[col])[layout][target_col]
-        alt_w *= w[:, None]
-        alt_w = alt_w.ravel()
-    else:
-        col_count = np.bincount(col, minlength=k)
-        col_cells = np.argsort(col, kind="stable")
-        fan = col_count[target_col]
-        src = _read_only(np.repeat(rows, fan))
-        # Row r of a source cell whose rows start at row f is the (r - f)-th cell
-        # of its target column, which starts at position col_start in col_cells.
-        col_start = np.cumsum(col_count) - col_count
-        position = np.repeat(col_start[target_col] - (np.cumsum(fan) - fan), fan)
-        position += np.arange(len(src))
-        tgt = col_cells.take(position)
-        alt_w = np.repeat(w, fan)
-        alt_w *= (w / colsum[col]).take(tgt)  # before tgt is read-only: take copies such indices
-    alt_plan = plan_from_indices(atoms, atoms, src, _read_only(tgt), _read_only(alt_w))
+    # Row b of the layout lists column b's cells in cell order, padded to the
+    # fullest column; each source cell takes the row of its target column.
+    count = np.bincount(col, minlength=k)
+    filled = np.arange(count.max()) < count[:, None]
+    layout = np.zeros(filled.shape, dtype=np.intp)
+    layout[filled] = np.argsort(col, kind="stable")
+    tgt = layout[target_col]
+    alt_w = (w / colsum[col])[layout][target_col]
+    alt_w *= w[:, None]
+    competitor = [np.broadcast_to(rows[:, None], tgt.shape), tgt, alt_w]
+    if not filled.all():  # drop the padding
+        competitor = [part[filled[target_col]] for part in competitor]
+    alt_plan = plan_from_indices(atoms, atoms, *(_read_only(part.ravel()) for part in competitor))
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
         raise RuntimeError(
@@ -463,9 +453,8 @@ def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: Pair
         view = per_row.reshape((block,) + (k,) * n)
         terms = [(np.diagonal(table, axis1=1, axis2=2), (1 + d,)) for d, table in enumerate(tables)]
     # Unit axes only are inserted, so each reshape is a view.
-    _coordinate_sums(
-        view, [term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)]) for term, axes in terms]
-    )
+    terms = [term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)]) for term, axes in terms]
+    _coordinate_sums(view, n, terms.__getitem__)
 
 
 def _row_codes(plan: TransportPlan, cells: np.ndarray, k: int) -> list[np.ndarray]:
@@ -483,9 +472,7 @@ def _gathered_row_sums(
     """
     flat = [table.reshape(len(table), -1) for table in tables]
     # Every code is in range; "clip" spares the copy that "raise" makes.
-    _coordinate_sums(
-        per_row, _LazyTerms(len(codes), lambda d: np.take(flat[d], codes[d], axis=1, out=work, mode="clip"))
-    )
+    _coordinate_sums(per_row, len(codes), lambda d: np.take(flat[d], codes[d], axis=1, out=work, mode="clip"))
 
 
 def _limit_costs(k: int, p: float, q: float) -> np.ndarray:
@@ -517,23 +504,26 @@ def limit_scores(
     return math.fsum(C2[nz] * cost[nz]), limit_alt
 
 
-def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly complementary dual potentials (f, g) of the epsilon -> 0 limit problem.
+def limit_potentials(adv: np.ndarray, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dual potentials (f, g) of the epsilon -> 0 limit problem, walked along the permutation ``adv``.
 
-    The limit problem couples two uniform laws on the k midpoints m_a under
-    L[a, b] = (m_a^q + m_b^q)^{p/q}, and the adversary's permutation adv
-    (:func:`adversary_copula`) is its optimal coupling
-    (:func:`find_violating_pair`).  Reordering the target by adv makes L a
-    Monge array with adv on its north-west-corner staircase of cumulative
-    weights (1..k)/k, so that staircase's potentials (Hoffman 1963) are dual
-    feasible.  The down-first walk is tight on the cells (a, adv[a]) and
-    (a + 1, adv[a]); the right-first walk, the same walk on the transposed
-    array with f and g swapped, on (a, adv[a]) and (a, adv[a + 1]).  Their
-    average is tight only on the adversary's cells, up to rounding, and
+    The limit problem couples two uniform laws on the k = len(adv) midpoints
+    m_a under L[a, b] = (m_a^q + m_b^q)^{p/q}.  ``adv`` is the index map of
+    the adversary that a skeleton rewires its pair through.  Any map gets
+    the walks below; their potentials are strictly complementary when adv is
+    the default adversary's (:func:`adversary_copula`), the limit problem's
+    optimal coupling (:func:`find_violating_pair`), and otherwise, as on a
+    control skeleton, only a warm start.  Reordering the target by that adv
+    makes L a Monge array with adv on its north-west-corner staircase of
+    cumulative weights (1..k)/k, so that staircase's potentials (Hoffman
+    1963) are dual feasible.  The down-first walk is tight on the cells
+    (a, adv[a]) and (a + 1, adv[a]); the right-first walk, the same walk on
+    the transposed array with f and g swapped, on (a, adv[a]) and
+    (a, adv[a + 1]).  Their average is tight only on the adversary's cells, up to rounding, and
     every other cell keeps strictly positive slack, because L is strictly
     Monge on distinct midpoints.
     """
-    adv = _adversary_index_map(adversary_copula(p, q), k)
+    k = len(adv)
     ordered = _limit_costs(k, p, q)[:, adv]
     cum = [(t + 1) / k for t in range(k)]
     f_down, g_down = _staircase_potentials(cum, cum, ordered.tolist())
@@ -546,7 +536,9 @@ def limit_potentials(k: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray
 def certificate_potentials(skeleton: PairSkeleton, p: float, q: float, epsilon: float) -> np.ndarray:
     """Column potentials of the exact certificate at ``epsilon``, one per target atom.
 
-    Two levels.  The first is :func:`limit_potentials`: as epsilon -> 0 the
+    Both levels follow the skeleton's own adversary map adv, so a control
+    skeleton, built at p = q or with another adversary, gets potentials too.
+    The first level is :func:`limit_potentials`: as epsilon -> 0 the
     source's i-cell a is sent to the target's j-cell adv[a], so it splits
     the assignment into k blocks.  Block a pairs the source's j-cell b with
     the target's i-cell c, among the target atoms whose j-cell is adv[a],
@@ -565,8 +557,8 @@ def certificate_potentials(skeleton: PairSkeleton, p: float, q: float, epsilon: 
     """
     mids, cells = skeleton.midpoints, skeleton.cells
     k = len(mids)
-    adv = _adversary_index_map(adversary_copula(p, q), k)
-    _, g = limit_potentials(k, p, q)
+    adv = skeleton.adversary
+    _, g = limit_potentials(adv, p, q)
     eps_mids = mids * epsilon
     # kept_i[a, t] = |m_a - eps m_adv[t]|^q and kept_j[a, t] = |eps m_t - m_adv[a]|^q,
     # so B_a[b, c'] = (kept_i[a, c'] + kept_j[a, b])^{p/q}.

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,12 +255,12 @@ def plan_cost(plan: TransportPlan, spec: CostSpec) -> float:
     """
     # In-place steps compute the same floats with no row-length temporaries.
     dist = _distance_powers(np.subtract(plan.x, plan.y), spec.q)
-    per_row = _coordinate_sums(np.empty(len(plan)), dist.T)
+    per_row = _coordinate_sums(np.empty(len(plan)), plan.dimension, lambda d: dist[:, d])
     return _row_cost_sums(per_row[None], plan.w, spec, dist.reshape(1, -1))[0]
 
 
-def _coordinate_sums(out: np.ndarray, terms: Sequence[np.ndarray] | _LazyTerms) -> np.ndarray:
-    """Fills ``out`` with the sum of the n ``terms``, each broadcast to its shape, in ``np.sum``'s order.
+def _coordinate_sums(out: np.ndarray, n: int, term: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Fills ``out`` with ``term(0) + ... + term(n - 1)``, each broadcast to its shape, in ``np.sum``'s order.
 
     Every cost sums coordinate distances, and this is the one place that
     adds them, so routines that sum the same distances get the same floats.
@@ -269,35 +269,20 @@ def _coordinate_sums(out: np.ndarray, terms: Sequence[np.ndarray] | _LazyTerms) 
     is copied and the rest added, left to right, with no block and without
     numpy's slow reduction of short rows; test_transport pins the equality
     bit for bit at 1 to 9 columns, since numpy does not document that order.
-    From 8 on the terms fill one (..., n) block that ``np.sum`` adds.  The
-    terms are read in order, each once, so a lazy sequence
-    (:class:`_LazyTerms`) may make each one into a buffer that the next
-    reuses.  Returns ``out``.
+    From 8 on the terms fill one (..., n) block that ``np.sum`` adds.  Each
+    term is made once, in order, and read before the next is made, so
+    ``term`` may write each one into a buffer that the next reuses.  Returns
+    ``out``.
     """
-    if len(terms) >= 8:
-        block = np.empty(out.shape + (len(terms),))
-        for d, term in enumerate(terms):
-            block[..., d] = term
+    if n >= 8:
+        block = np.empty(out.shape + (n,))
+        for d in range(n):
+            block[..., d] = term(d)
         return np.sum(block, axis=-1, out=out)
-    terms = iter(terms)
-    np.copyto(out, next(terms))
-    for term in terms:
-        out += term
+    np.copyto(out, term(0))
+    for d in range(1, n):
+        out += term(d)
     return out
-
-
-@dataclass(frozen=True)
-class _LazyTerms:
-    """The terms ``make(0), ..., make(count - 1)`` of a :func:`_coordinate_sums`, each made when it is read."""
-
-    count: int
-    make: Callable[[int], np.ndarray]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return map(self.make, range(self.count))
 
 
 def _row_cost_sums(per_row: np.ndarray, w: np.ndarray, spec: CostSpec, work: np.ndarray) -> list[float]:
@@ -567,7 +552,7 @@ def _cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
         # Coordinate d's source values lie along axis d, the target atoms along the last.
         view = sums.reshape([len(u) for u in axes] + [len(Y)])
         pairs = [(u.reshape(_axis_shape(d, n + 1)), Y[:, d]) for d, u in enumerate(axes)]
-    _coordinate_sums(view, _LazyTerms(n, lambda d: _distance_powers(np.subtract(*pairs[d]), spec.q)))
+    _coordinate_sums(view, n, lambda d: _distance_powers(np.subtract(*pairs[d]), spec.q))
     return _sum_powers(sums, spec.p, spec.q)
 
 

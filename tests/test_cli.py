@@ -261,6 +261,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("command", ["exact", "verify", "counterexample"])
+    def test_negative_pair_cap_is_a_usage_error(self, line_pair, tmp_path, capsys, command):
+        mu, rho = line_pair
+        out = tmp_path / "out.json"
+        argv = {
+            "exact": ["exact", "--mu", mu, "--rho", rho],
+            "verify": ["verify", "--out", str(out)],
+            "counterexample": ["counterexample", "--p", "1", "--q", "2", "--k", "4", "--out", str(out)],
+        }[command]
+        assert main(argv + ["--max-pairs", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --max-pairs must be at least 0, got -1\n"
+        assert not out.exists()
+        # A cap of 0 stays valid: it is how counterexample skips its exact cost.
+        if command == "counterexample":
+            assert main(argv + ["--max-pairs", "0"]) == 0
+            assert json.loads(out.read_text())["exact_cost"] is None
+
 
 class TestVerify:
     def test_small_campaign_passes_and_is_deterministic(self, tmp_path, capsys):

@@ -455,18 +455,16 @@ class TestPairSkeleton:
 
     @pytest.mark.parametrize("n, k", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3)])
     @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
-    def test_grid_competitor_rows_equal_the_general_construction(self, monkeypatch, n, k, adversary):
-        # A full grid's competitor is broadcast from its product layout; the
-        # index construction that other carriers take gives the same bytes.
+    def test_grid_competitor_rows_equal_the_block_loop(self, n, k, adversary):
+        # A full grid's layout has no padding; its rows are the block loop's
+        # bytes, dtypes included.
         carrier = independence(n, k)
         for pair in itertools.combinations(range(1, n + 1), 2):
-            grid = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
-            with monkeypatch.context() as patched:
-                patched.setattr(counterexample, "_full_grid", lambda *args: False)
-                general = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
+            alt_plan = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary).alt_plan
+            reference = block_competitor_plan(carrier, 2.0, 1.0, pair, adversary)
             for name in ("i", "j", "w"):
-                built, reference = getattr(grid.alt_plan, name), getattr(general.alt_plan, name)
-                assert built.dtype == reference.dtype and built.tobytes() == reference.tobytes(), (pair, name)
+                built, expected = getattr(alt_plan, name), getattr(reference, name)
+                assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes(), (pair, name)
 
     @pytest.mark.parametrize(
         "carrier, pair",
@@ -773,7 +771,7 @@ class TestLimitPotentials:
         # tight on a neighbouring diagonal, and the strictly Monge L leaves
         # every other cell strictly positive slack.
         adv = _adversary_index_map(adversary_copula(p, q), k)
-        f, g = limit_potentials(k, p, q)
+        f, g = limit_potentials(adv, p, q)
         m = (np.arange(k) + 0.5) / k
         limit = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
         slack = limit - f[:, None] - g[None, :]
@@ -783,36 +781,49 @@ class TestLimitPotentials:
         assert (slack[~on_adversary] > 0).all()
 
 
+def assert_blocks_match_staircase_walks(skeleton, p, q, epsilon):
+    """Reference for ``certificate_potentials`` on an n = 2 skeleton, along the skeleton's own adversary.
+
+    On each block of the cost matrix, rows by the source's j-cell b and
+    columns by the target's i-cell c = adv[c'], run both staircase walks one
+    cell at a time, average them and centre; the vectorised second level
+    must agree up to the rounding of the two summation orders.
+    """
+    k, adv = len(skeleton.midpoints), skeleton.adversary
+    _, g = limit_potentials(adv, p, q)
+    source, target = _scaled_sides(skeleton, epsilon)
+    cost = transport._cost_matrix(source, target, CostSpec(p, q))
+    G = certificate_potentials(skeleton, p, q, epsilon)
+    # Both sides hold the law's atoms: cell_i and cell_j index either.
+    cell_i, cell_j = skeleton.cells
+    cum = [(t + 1) / k for t in range(k)]
+    for a in range(k):
+        rows = np.flatnonzero(cell_i == a)[np.argsort(cell_j[cell_i == a])]
+        in_block = np.flatnonzero(cell_j == adv[a])
+        cols = in_block[np.argsort(adv[cell_i[in_block]])]
+        block = cost[np.ix_(rows, cols)]
+        _, down = transport._staircase_potentials(cum, cum, block.tolist())
+        right, _ = transport._staircase_potentials(cum, cum, block.T.tolist())
+        h = (down + right) / 2
+        h -= h.mean()
+        np.testing.assert_allclose(G[cols] - g[adv[a]], h, rtol=0, atol=4 * k * np.spacing(block.max()))
+
+
 class TestCertificatePotentials:
     @pytest.mark.parametrize("p,q", EXPONENT_PAIRS)
     @pytest.mark.parametrize("k", [2, 5, 8])
     @pytest.mark.parametrize("epsilon", [0.1, 2.0**-16])
     def test_blocks_match_staircase_walks_on_the_cost_matrix(self, k, p, q, epsilon):
-        # Reference: on each block of the n = 2 cost matrix, rows by the
-        # source's j-cell b and columns by the target's i-cell c = adv[c'],
-        # run both staircase walks one cell at a time, average them and
-        # centre; the vectorised second level must agree up to the rounding
-        # of the two summation orders.
-        carrier = independence(2, k)
-        skeleton = pair_skeleton(carrier, p, q, (1, 2))
-        adv = _adversary_index_map(adversary_copula(p, q), k)
-        _, g = limit_potentials(k, p, q)
-        source, target = _scaled_sides(skeleton, epsilon)
-        cost = transport._cost_matrix(source, target, CostSpec(p, q))
-        G = certificate_potentials(skeleton, p, q, epsilon)
-        # Both sides hold the law's atoms: cell_i and cell_j index either.
-        cell_i, cell_j = skeleton.cells
-        cum = [(t + 1) / k for t in range(k)]
-        for a in range(k):
-            rows = np.flatnonzero(cell_i == a)[np.argsort(cell_j[cell_i == a])]
-            in_block = np.flatnonzero(cell_j == adv[a])
-            cols = in_block[np.argsort(adv[cell_i[in_block]])]
-            block = cost[np.ix_(rows, cols)]
-            _, down = transport._staircase_potentials(cum, cum, block.tolist())
-            right, _ = transport._staircase_potentials(cum, cum, block.T.tolist())
-            h = (down + right) / 2
-            h -= h.mean()
-            np.testing.assert_allclose(G[cols] - g[adv[a]], h, rtol=0, atol=4 * k * np.spacing(block.max()))
+        skeleton = pair_skeleton(independence(2, k), p, q, (1, 2))
+        assert_blocks_match_staircase_walks(skeleton, p, q, epsilon)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
+    def test_a_control_skeleton_gets_potentials_of_its_own_adversary(self, p, q, adversary):
+        # At p = q there is no default adversary, and away from it the
+        # skeleton's adversary may be the other one: both levels read it.
+        skeleton = pair_skeleton(independence(2, 4), p, q, (1, 2), adversary=adversary)
+        assert_blocks_match_staircase_walks(skeleton, p, q, 0.1)
 
 
 class TestGapSearch:

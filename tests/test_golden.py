@@ -49,6 +49,30 @@ def test_counterexample_report_from_8_coordinates(tmp_path, capsys, n, json_md5,
     assert (md5(out), md5(out.with_suffix(".csv"))) == (json_md5, csv_md5)
 
 
+@pytest.mark.parametrize(
+    "args, json_md5, csv_md5",
+    [
+        # Carriers with empty cells, off the full-grid path: the sweep
+        # gathers their row sums by row codes.  Exponents 1 and 2 make these
+        # digests independent of the SIMD level numpy dispatches to.
+        (
+            ["--p", "1", "--q", "2", "--copula", "countermonotone"],
+            "57bf9ccbe8efbe00b79713192d6fa948",
+            "61b5b49f6813edd1f187a4b4b5ebba55",
+        ),
+        (
+            ["--p", "2", "--q", "1", "--copula", "comonotone", "--n", "3"],
+            "3c94830e46019cf1d6688b84758ef599",
+            "97724a50c52783f23be64a590e29d864",
+        ),
+    ],
+)
+def test_counterexample_report_on_a_carrier_with_empty_cells(tmp_path, capsys, args, json_md5, csv_md5):
+    out = tmp_path / "report.json"
+    assert main(["counterexample", *args, "--out", str(out)]) == 0
+    assert (md5(out), md5(out.with_suffix(".csv"))) == (json_md5, csv_md5)
+
+
 def test_gap_curve_skip_exact_sweep(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("gap_curve", SCRIPT)
     module = importlib.util.module_from_spec(spec)

@@ -179,12 +179,12 @@ def test_only_the_coordinate_sum_compares_against_8():
 
 
 # A timing belongs in CHANGES.md, next to the machine and the commit it was
-# taken on; a docstring or comment gives the reason alone.
-TIMING = re.compile(r"\d ?(ms|us|µs)\b|x86-64, one thread")
+# taken on; a docstring, comment or README paragraph gives the reason alone.
+TIMING = re.compile(r"\d ?(ms|us|µs)\b|\d ?% (faster|slower)|x86-64, one thread")
 
 
 @pytest.mark.parametrize(
-    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+    "path", [*sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md"], ids=lambda p: str(p.relative_to(ROOT))
 )
 def test_the_source_quotes_no_timings(path):
     lines = path.read_text().splitlines()

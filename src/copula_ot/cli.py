@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,6 +95,31 @@ def _resolve_copula(name: str, n: int, k: int | None, default_k: int) -> tuple[C
         f"unknown copula {name!r}; expected independence, comonotone, "
         f"countermonotone, or checkerboard:<path>"
     )
+
+
+def _check_no_input_is_overwritten(args: argparse.Namespace) -> None:
+    """Raise a ``ValueError`` naming both flags when an output file of ``args`` is one of its input files.
+
+    Paths are compared resolved, or by ``os.path.samefile`` when both files
+    exist, so another name of the same file is caught too.  Outputs are
+    ``--emit-plan``, and ``counterexample``'s ``--out`` and its gap curve
+    ``<out>.csv``; inputs are ``--mu``, ``--rho`` and a
+    ``checkerboard:<path>`` copula.
+    """
+    inputs = [(f"--{name}", getattr(args, name)) for name in ("mu", "rho") if hasattr(args, name)]
+    copula = getattr(args, "copula", "")
+    if copula.startswith("checkerboard:"):
+        inputs.append(("--copula", copula.split(":", 1)[1]))
+    outputs = [("--emit-plan", Path(args.emit_plan))] if getattr(args, "emit_plan", None) else []
+    if args.command == "counterexample":
+        out = Path(args.out)
+        outputs += [("--out", out), ("the gap curve of --out", out.with_suffix(".csv"))]
+    for out_flag, out_path in outputs:
+        for in_flag, in_name in inputs:
+            in_path = Path(in_name)
+            both_exist = out_path.exists() and in_path.exists()
+            if os.path.samefile(out_path, in_path) if both_exist else out_path.resolve() == in_path.resolve():
+                raise ValueError(f"{out_flag} {out_path} would overwrite the {in_flag} input file {in_name}")
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -350,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         # 0 allows no atom pair: it is how counterexample skips its exact cost.
         if getattr(args, "max_pairs", 0) < 0:
             raise ValueError(f"--max-pairs must be at least 0, got {args.max_pairs}")
+        _check_no_input_is_overwritten(args)
         return args.handler(args)
     except PairCountCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

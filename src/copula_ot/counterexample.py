@@ -31,7 +31,6 @@ import numpy as np
 from .copulas import (
     CHECKERBOARD,
     COMONOTONE,
-    COUNTERMONOTONE,
     Copula,
     bivariate_margin,
     comonotone,
@@ -165,7 +164,7 @@ def find_violating_pair(carrier: Copula, p: float, q: float) -> tuple[int, int] 
     if carrier.variant != CHECKERBOARD:
         raise ValueError("find_violating_pair: carrier must be a checkerboard; discretize monotone copulas first")
     k = carrier.k
-    adversary_cells = (np.arange(k), _adversary_index_map(adversary_copula(p, q), k))
+    adversary_cells = (np.arange(k), _adversary_index_map(p, q, k))
     for i in range(1, carrier.n + 1):
         for j in range(i + 1, carrier.n + 1):
             off = bivariate_margin(carrier, i, j).masses.copy()
@@ -175,22 +174,21 @@ def find_violating_pair(carrier: Copula, p: float, q: float) -> tuple[int, int] 
     return None
 
 
-def _adversary_index_map(adversary: Copula, k: int) -> np.ndarray:
-    if adversary.variant == COMONOTONE and adversary.n == 2:
+def _adversary_index_map(p: float, q: float, k: int) -> np.ndarray:
+    """The index map a -> adv[a] of :func:`adversary_copula` on k midpoints: the identity or the reversal."""
+    if adversary_copula(p, q).variant == COMONOTONE:
         return np.arange(k)
-    if adversary.variant == COUNTERMONOTONE:
-        return k - 1 - np.arange(k)
-    raise ValueError("adversary must be the bivariate comonotone or countermonotone copula")
+    return k - 1 - np.arange(k)
 
 
 def _pair_arguments(
-    caller: str, carrier: Copula, pair: tuple[int, int], p: float, q: float, adversary: Copula | None
+    caller: str, carrier: Copula, pair: tuple[int, int], p: float, q: float
 ) -> tuple[int, int, np.ndarray]:
     """``(i, j, adv)`` after the argument checks of ``caller``, which its errors name.
 
-    The exponents must be valid, the carrier a checkerboard and the pair
-    1 <= i < j <= n; ``adv`` is the index map of ``adversary``, by default
-    :func:`adversary_copula`, which requires p != q.
+    The exponents must be valid and differ, the carrier must be a
+    checkerboard and the pair 1 <= i < j <= n; ``adv`` is the adversary's
+    index map (:func:`_adversary_index_map`).
     """
     CostSpec(p, q)
     if carrier.variant != CHECKERBOARD:
@@ -198,9 +196,7 @@ def _pair_arguments(
     i, j = pair
     if not (1 <= i < j <= carrier.n):
         raise ValueError(f"{caller}: need 1 <= i < j <= {carrier.n}, got ({i}, {j})")
-    if adversary is None:
-        adversary = adversary_copula(p, q)
-    return i, j, _adversary_index_map(adversary, carrier.k)
+    return i, j, _adversary_index_map(p, q, carrier.k)
 
 
 class PairSkeleton(NamedTuple):
@@ -240,13 +236,7 @@ def _full_grid(k: int, n: int, atoms: int) -> bool:
     return atoms == k**n > 1
 
 
-def pair_skeleton(
-    carrier: Copula,
-    p: float,
-    q: float,
-    pair: tuple[int, int],
-    adversary: Copula | None = None,
-) -> PairSkeleton:
+def pair_skeleton(carrier: Copula, p: float, q: float, pair: tuple[int, int]) -> PairSkeleton:
     """Everything of the construction that does not depend on epsilon, checked once.
 
     The carrier must be a checkerboard (see :func:`discretize`).  Writing
@@ -272,11 +262,9 @@ def pair_skeleton(
     law unchanged.  Both plans are validated against (``law``, ``law``), and
     the rewired target law is checked against ``law`` exactly (same atoms,
     weights within 1e-12); either failure raises a ``RuntimeError``.
-
-    ``adversary`` defaults to :func:`adversary_copula`, which requires
-    p != q; pass it explicitly to build control constructions at p = q.
+    p and q are read only to pick the adversary (:func:`adversary_copula`).
     """
-    i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q, adversary)
+    i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q)
     k = carrier.k
     cells = _read_only(np.array(np.nonzero(carrier.masses)))
     mids = _read_only((np.arange(k) + 0.5) / k)
@@ -325,15 +313,15 @@ def pair_skeleton(
     )
 
 
-def _side_scales(skeleton: PairSkeleton, epsilon: float) -> list[list[float]]:
-    """Column scales of the source and the target: each keeps its coordinate of the pair."""
-    n = skeleton.law.dimension
-    return [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
-
-
 def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> list[np.ndarray]:
-    """The source's and the target's atoms at ``epsilon`` (:func:`_side_scales`), read-only and checked."""
-    sides = [_read_only(skeleton.law.atoms * scale) for scale in _side_scales(skeleton, epsilon)]
+    """The source's and the target's atoms at ``epsilon``, read-only and checked.
+
+    The source keeps coordinate i of the pair and the target coordinate j;
+    every other coordinate of each side is scaled by ``epsilon``.
+    """
+    n = skeleton.law.dimension
+    scales = [[1.0 if d == kept - 1 else float(epsilon) for d in range(n)] for kept in skeleton.pair]
+    sides = [_read_only(skeleton.law.atoms * scale) for scale in scales]
     try:
         for atoms in sides:
             _check_atoms(atoms, "scaled", "gap_search")
@@ -345,6 +333,22 @@ def _scaled_sides(skeleton: PairSkeleton, epsilon: float) -> list[np.ndarray]:
     return sides
 
 
+def _pair_tables(mids: np.ndarray, eps_mids: np.ndarray, q: float, others: bool) -> list[np.ndarray]:
+    """The (block, k, k) distance tables of the construction, one block row per epsilon.
+
+    ``mids`` holds the k midpoints m and ``eps_mids`` their (block, k)
+    scaled copies eps m.  The source keeps coordinate i of the pair and
+    the target coordinate j, and every other coordinate shrinks by eps on
+    both sides, so a row's distance in a coordinate is an entry (a, b) of
+    one of three tables: t_i = |m_a - eps m_b|^q for coordinate i,
+    t_j = |eps m_a - m_b|^q for j and t_o = |eps m_a - eps m_b|^q for the
+    others, by ``plan_cost``'s steps ((eps m)[a] == eps m[a]
+    elementwise).  Returns [t_i, t_j], and t_o after them when ``others``.
+    """
+    sides = [(mids, eps_mids), (eps_mids, mids)] + [(eps_mids, eps_mids)] * others
+    return [_distance_powers(np.subtract(s[..., :, None], t[..., None, :]), q) for s, t in sides]
+
+
 def _cost_sweep(
     skeleton: PairSkeleton, spec: CostSpec
 ) -> Callable[[Sequence[float]], list[tuple[float, float]]]:
@@ -354,28 +358,32 @@ def _cost_sweep(
     per epsilon, equal bit for bit to :func:`plan_cost` of each skeleton
     plan's rows (i, j, w) on the scaled atoms of :func:`_scaled_sides`.
     Coordinate d of atom c is the midpoint m[cells[d, c]] times 1 or
-    epsilon, so a row's distance in coordinate d is entry (a, b) of the
-    k x k table |s_d m_a - t_d m_b|^q, where (s_d, t_d) are the coordinate's
-    source and target scales.
+    epsilon, so a row's distance in coordinate d is an entry (a, b) of a
+    k x k table of :func:`_pair_tables`.
 
     The epsilons are costed in blocks of up to ``_SWEEP_BLOCK_VALUES // rows``
     (``rows`` the competitor's row count), so that each numpy call does a
     block's work: at k = 16 eight epsilons, at the 110,592 rows of k = 48
-    one.  A block builds one (block, k, k) table per distinct pair of
-    scales by ``plan_cost``'s steps ((s m)[a] == s m[a] elementwise).  Each
-    plan has two (block, rows) buffers, its row sums and the work space of
+    one.  A block builds its (block, k, k) tables by :func:`_pair_tables`,
+    t_o only when some coordinate reads it (n > 2).  Each plan has two
+    (block, rows) buffers, its row sums and the work space of
     :func:`_row_cost_sums`, which sums each epsilon's row costs exactly on
     its own.  The row sums add the coordinates' distances by
     :func:`_coordinate_sums`, as ``plan_cost`` adds them, so every row sum
     is the same float.  The blocks' buffers live for one call, so they are
     freed before the certificate's cost matrix is built.
 
+    The quantile plan's row c pairs atom c with itself, so its row sums
+    read only the two coordinates that move, the diagonals of t_i and t_j
+    at the cell's indices on i and j.  Its other distances are
+    |eps m - eps m| = +0, and adding +0 changes no float in either of
+    ``_coordinate_sums``'s orders, so the sum of the two is ``plan_cost``'s.
     On a full grid (:func:`_full_grid`), as the independence carriers of
-    ``copula-ot counterexample`` and ``scripts/gap_curve.py`` are, no row
-    index is built or read: the tables are broadcast onto views of the row
-    sums (:func:`_grid_row_sums`).  Other carriers gather each row's
-    distances by codes found once per search (:func:`_row_codes`,
-    :func:`_gathered_row_sums`).
+    ``copula-ot counterexample`` and ``scripts/gap_curve.py`` are, the
+    competitor builds no row index and reads none: the tables are broadcast
+    onto a view of its row sums (:func:`_grid_row_sums`).  On other carriers
+    it gathers each row's distances by codes found once per search
+    (:func:`_row_codes`, :func:`_gathered_row_sums`).
 
     Each epsilon checks the scaled atoms through the scaled midpoints:
     multiplying by a positive float keeps their order, so while they stay
@@ -388,16 +396,15 @@ def _cost_sweep(
     mids, cells = skeleton.midpoints, skeleton.cells
     k = len(mids)
     i, j = skeleton.pair
-    # Whether coordinate d is scaled on the source and on the target side.
-    scaled = [(d != i - 1, d != j - 1) for d in range(n)]
+    diamond_cells = (cells[i - 1], cells[j - 1])
     grid = _full_grid(k, n, len(skeleton.law))
-    plans = (skeleton.diamond_plan, skeleton.alt_plan)
-    codes = [None if grid else _row_codes(plan, cells, k) for plan in plans]
+    alt_codes = None if grid else _row_codes(skeleton.alt_plan, cells, k)
     block = max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan))
 
     def costs(epsilons: Sequence[float]) -> list[tuple[float, float]]:
         size = min(block, max(1, len(epsilons)))
-        buffers = [(np.empty((size, len(plan))), np.empty((size, len(plan)))) for plan in plans]
+        # Per plan, its row sums and their work space.
+        buffers = [np.empty((size, len(plan))) for plan in (skeleton.diamond_plan, skeleton.alt_plan) for _ in range(2)]
         results = []
         for start in range(0, len(epsilons), size):
             chunk = epsilons[start : start + size]
@@ -406,52 +413,44 @@ def _cost_sweep(
             for epsilon, ok in zip(chunk, kept):
                 if not ok:
                     _scaled_sides(skeleton, epsilon)
-            column = {False: mids, True: eps_mids}
-            tables = {}
-            for kind in set(scaled):
-                table = np.subtract(column[kind[0]][..., :, None], column[kind[1]][..., None, :])
-                tables[kind] = _distance_powers(table, spec.q)
-            per_coordinate = [tables[kind] for kind in scaled]
-            plan_costs = []
-            for plan, plan_codes, (per_row, work), competitor in zip(plans, codes, buffers, (False, True)):
-                per_row, work = per_row[: len(chunk)], work[: len(chunk)]
-                if grid:
-                    _grid_row_sums(per_row, per_coordinate, skeleton, competitor)
-                else:
-                    _gathered_row_sums(per_row, work, per_coordinate, plan_codes)
-                plan_costs.append(_row_cost_sums(per_row, plan.w, spec, work))
-            results.extend(zip(*plan_costs))
+            t_i, t_j, *t_o = _pair_tables(mids, eps_mids, spec.q, n > 2)
+            tables = [t_i if d == i - 1 else t_j if d == j - 1 else t_o[0] for d in range(n)]
+            diamond, diamond_work, alt, alt_work = (buffer[: len(chunk)] for buffer in buffers)
+            moving = [np.diagonal(t, axis1=1, axis2=2) for t in (t_i, t_j)]
+            _coordinate_sums(
+                diamond, 2, lambda m: np.take(moving[m], diamond_cells[m], axis=1, out=diamond_work, mode="clip")
+            )
+            if grid:
+                _grid_row_sums(alt, tables, skeleton)
+            else:
+                _gathered_row_sums(alt, alt_work, tables, alt_codes)
+            diamond_costs = _row_cost_sums(diamond, skeleton.diamond_plan.w, spec, diamond_work)
+            results.extend(zip(diamond_costs, _row_cost_sums(alt, skeleton.alt_plan.w, spec, alt_work)))
         return results
 
     return costs
 
 
-def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: PairSkeleton, competitor: bool) -> None:
-    """One plan's row sums on a full grid (:func:`_full_grid`), broadcast from the tables into ``per_row``.
+def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: PairSkeleton) -> None:
+    """The competitor's row sums on a full grid (:func:`_full_grid`), broadcast from the tables into ``per_row``.
 
     ``per_row`` is the C-contiguous (block, rows) row-sum buffer and
-    ``tables[d]`` coordinate d's (block, k, k) table of :func:`_cost_sweep`.
-    The quantile plan's rows are the atoms, so its row sums are a
-    (block, k, ..., k) array and coordinate d's distances the tables'
-    diagonals along axis d.  The competitor's rows are source atoms by the
-    cells, other than j, of their target's atoms, so its row sums are a
+    ``tables[d]`` coordinate d's (block, k, k) table of :func:`_pair_tables`.
+    The competitor's rows are source atoms by the cells, other than j, of
+    their target's atoms, so its row sums are a
     (block,) + (k,) * n + (k,) * (n - 1) array: coordinate d's table goes
     on its source axis and its target axis, and coordinate j's, read at the
     target cell adv[a_i], on the source axes of i and j.
     """
     block, n, k = len(per_row), len(tables), len(skeleton.midpoints)
     i, j = skeleton.pair
-    if competitor:
-        view = per_row.reshape((block,) + (k,) * (2 * n - 1))
-        # Coordinate j's distance T_j[e, a_j, adv[a_i]], indexed [e, a_i, a_j].
-        rewired = np.swapaxes(tables[j - 1][:, :, skeleton.adversary], 1, 2)
-        terms = [
-            (rewired, (i, j)) if d == j - 1 else (table, (1 + d, n + d + (d < j - 1)))
-            for d, table in enumerate(tables)
-        ]
-    else:
-        view = per_row.reshape((block,) + (k,) * n)
-        terms = [(np.diagonal(table, axis1=1, axis2=2), (1 + d,)) for d, table in enumerate(tables)]
+    view = per_row.reshape((block,) + (k,) * (2 * n - 1))
+    # Coordinate j's distance T_j[e, a_j, adv[a_i]], indexed [e, a_i, a_j].
+    rewired = np.swapaxes(tables[j - 1][:, :, skeleton.adversary], 1, 2)
+    terms = [
+        (rewired, (i, j)) if d == j - 1 else (table, (1 + d, n + d + (d < j - 1)))
+        for d, table in enumerate(tables)
+    ]
     # Unit axes only are inserted, so each reshape is a view.
     terms = [term.reshape([block] + [k if a in axes else 1 for a in range(1, view.ndim)]) for term, axes in terms]
     _coordinate_sums(view, n, terms.__getitem__)
@@ -481,13 +480,7 @@ def _limit_costs(k: int, p: float, q: float) -> np.ndarray:
     return _sum_powers(np.add.outer(powers, powers), p, q)
 
 
-def limit_scores(
-    carrier: Copula,
-    pair: tuple[int, int],
-    p: float,
-    q: float,
-    adversary: Copula | None = None,
-) -> tuple[float, float]:
+def limit_scores(carrier: Copula, pair: tuple[int, int], p: float, q: float) -> tuple[float, float]:
     """Epsilon -> 0 limits of the two plan costs, as exact midpoint sums.
 
     The carrier must be a checkerboard (see :func:`discretize`).  In the
@@ -496,7 +489,7 @@ def limit_scores(
     competitor's to the same functional under the adversary rearrangement of
     that margin.
     """
-    i, j, adv = _pair_arguments("limit_scores", carrier, pair, p, q, adversary)
+    i, j, adv = _pair_arguments("limit_scores", carrier, pair, p, q)
     C2 = np.asarray(bivariate_margin(carrier, i, j).masses)
     cost = _limit_costs(carrier.k, p, q)
     nz = np.nonzero(C2)
@@ -511,12 +504,12 @@ def limit_potentials(adv: np.ndarray, p: float, q: float) -> tuple[np.ndarray, n
     m_a under L[a, b] = (m_a^q + m_b^q)^{p/q}.  ``adv`` is the index map of
     the adversary that a skeleton rewires its pair through.  Any map gets
     the walks below; their potentials are strictly complementary when adv is
-    the default adversary's (:func:`adversary_copula`), the limit problem's
-    optimal coupling (:func:`find_violating_pair`), and otherwise, as on a
-    control skeleton, only a warm start.  Reordering the target by that adv
-    makes L a Monge array with adv on its north-west-corner staircase of
-    cumulative weights (1..k)/k, so that staircase's potentials (Hoffman
-    1963) are dual feasible.  The down-first walk is tight on the cells
+    the map of the adversary of (p, q) (:func:`adversary_copula`), the limit
+    problem's optimal coupling (:func:`find_violating_pair`), and otherwise
+    only a warm start.  Reordering the target by that adv makes L a Monge
+    array with adv on its north-west-corner staircase of cumulative weights
+    (1..k)/k, so that staircase's potentials (Hoffman 1963) are dual
+    feasible.  The down-first walk is tight on the cells
     (a, adv[a]) and (a + 1, adv[a]); the right-first walk, the same walk on
     the transposed array with f and g swapped, on (a, adv[a]) and
     (a, adv[a + 1]).  Their average is tight only on the adversary's cells, up to rounding, and
@@ -536,34 +529,35 @@ def limit_potentials(adv: np.ndarray, p: float, q: float) -> tuple[np.ndarray, n
 def certificate_potentials(skeleton: PairSkeleton, p: float, q: float, epsilon: float) -> np.ndarray:
     """Column potentials of the exact certificate at ``epsilon``, one per target atom.
 
-    Both levels follow the skeleton's own adversary map adv, so a control
-    skeleton, built at p = q or with another adversary, gets potentials too.
-    The first level is :func:`limit_potentials`: as epsilon -> 0 the
-    source's i-cell a is sent to the target's j-cell adv[a], so it splits
-    the assignment into k blocks.  Block a pairs the source's j-cell b with
-    the target's i-cell c, among the target atoms whose j-cell is adv[a],
-    at the cost B_a[b, c'] = (|m_a - eps m_c|^q + |eps m_b - m_adv[a]|^q)^{p/q}
-    of the two kept coordinates, with the columns in the order c = adv[c'].
-    At n = 2 these are the cost matrix's own floats.  The block's optimal
-    coupling is its diagonal, c = adv[b], and with uniform weights the
-    down-first and right-first staircase walks along it are cumulative sums
-    of B[t, t] - B[t, t - 1] and of B[t - 1, t] - B[t - 1, t - 1].  The
-    second level is their average, centred in each block and computed for
-    all blocks at once.  Target atom t, with j-cell d and i-cell c, gets
-    g[d] + h[adv[d], adv[c]]; both adversary maps are involutions.  At
-    n >= 3 the blocks leave out the other coordinates' eps^q terms, so there
-    the potentials only approximate a dual; they warm-start the solve either
-    way and move no output.
+    Both levels follow the skeleton's adversary map adv.  The first level
+    is :func:`limit_potentials`: as epsilon -> 0 the source's i-cell a is
+    sent to the target's j-cell adv[a], so it splits the assignment into k
+    blocks.  Block a pairs the source's j-cell b with the target's i-cell
+    c, among the target atoms whose j-cell is adv[a], at the cost
+    B_a[b, c'] = (|m_a - eps m_c|^q + |eps m_b - m_adv[a]|^q)^{p/q} of the
+    two kept coordinates, with the columns in the order c = adv[c'].  Both
+    terms are read from the tables t_i and t_j of :func:`_pair_tables`,
+    and since fl(u - v) = -fl(v - u), at n = 2 these are the cost matrix's
+    own floats.  The block's optimal coupling is its diagonal, c = adv[b],
+    and with uniform weights the down-first and right-first staircase walks
+    along it are cumulative sums of B[t, t] - B[t, t - 1] and of
+    B[t - 1, t] - B[t - 1, t - 1].  The second level is their average,
+    centred in each block and computed for all blocks at once.  Target atom
+    t, with j-cell d and i-cell c, gets g[d] + h[adv[d], adv[c]]; both
+    adversary maps are involutions.  At n >= 3 the blocks leave out the
+    other coordinates' eps^q terms, so there the potentials only
+    approximate a dual; they warm-start the solve either way and move no
+    output.
     """
     mids, cells = skeleton.midpoints, skeleton.cells
     k = len(mids)
     adv = skeleton.adversary
     _, g = limit_potentials(adv, p, q)
-    eps_mids = mids * epsilon
+    t_i, t_j = (table[0] for table in _pair_tables(mids, (mids * epsilon)[None], q, False))
     # kept_i[a, t] = |m_a - eps m_adv[t]|^q and kept_j[a, t] = |eps m_t - m_adv[a]|^q,
     # so B_a[b, c'] = (kept_i[a, c'] + kept_j[a, b])^{p/q}.
-    kept_i = _distance_powers(np.subtract.outer(mids, eps_mids[adv]), q)
-    kept_j = _distance_powers(np.subtract.outer(mids[adv], eps_mids), q)
+    kept_i = t_i[:, adv]
+    kept_j = t_j[:, adv].T
     diagonal = _sum_powers(kept_i + kept_j, p, q)
     below = _sum_powers(kept_i[:, :-1] + kept_j[:, 1:], p, q)
     above = _sum_powers(kept_i[:, 1:] + kept_j[:, :-1], p, q)

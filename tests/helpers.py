@@ -37,7 +37,6 @@ from copula_ot.counterexample import (
     PairSkeleton,
     _adversary_index_map,
     _scaled_sides,
-    adversary_copula,
 )
 from copula_ot.measures import (
     DiscreteMeasure1D,
@@ -476,20 +475,18 @@ def construction_at(skeleton: PairSkeleton, epsilon: float) -> Construction:
     )
 
 
-def block_competitor_plan(
-    carrier: Copula, p: float, q: float, pair: tuple[int, int], adversary: Copula | None = None
-) -> TransportPlan:
+def block_competitor_plan(carrier: Copula, p: float, q: float, pair: tuple[int, int]) -> TransportPlan:
     """``pair_skeleton``'s competitor plan, built by a loop over the carrier's rows.
 
     Row a of the carrier holds the source cells with pair-i index a, column
     adv[a] the target cells they are coupled with, both in the carrier's cell
     order; each block pairs every source cell with every target cell of its
-    column, with weight w_s * (w_t / colsum).  ``adversary`` defaults to
-    ``adversary_copula(p, q)``, as in ``pair_skeleton``.
+    column, with weight w_s * (w_t / colsum).  (p, q) pick the adversary,
+    as in ``pair_skeleton``.
     """
     n, k = carrier.n, carrier.k
     i, j = pair
-    adv = _adversary_index_map(adversary or adversary_copula(p, q), k)
+    adv = _adversary_index_map(p, q, k)
     order = [i - 1, j - 1] + [d for d in range(n) if d not in (i - 1, j - 1)]
     T = np.transpose(carrier.masses, order)
     colsum = (T.sum(axis=tuple(range(2, n))) if n > 2 else T).sum(axis=0)

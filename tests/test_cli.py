@@ -514,6 +514,48 @@ class TestCounterexample:
         assert list(out.iterdir()) == []
 
 
+class TestOutputNamingAnInput:
+    # Each clash is refused before any work: the solvers are replaced by None,
+    # which a run that got that far would call and fail on with a TypeError.
+    @pytest.mark.parametrize("command, solver", [("exact", "exact_ot"), ("diamond", "diamond")])
+    @pytest.mark.parametrize("flag", ["--mu", "--rho"])
+    def test_emit_plan_naming_a_measure(self, line_pair, capsys, monkeypatch, command, solver, flag):
+        monkeypatch.setattr(cli, solver, None)
+        mu, rho = line_pair
+        target = {"--mu": mu, "--rho": rho}[flag]
+        before = Path(target).read_bytes()
+        assert main([command, "--mu", mu, "--rho", rho, "--emit-plan", target]) == 2
+        err = capsys.readouterr().err
+        assert "--emit-plan" in err and flag in err
+        assert Path(target).read_bytes() == before
+
+    @pytest.mark.parametrize("spelling", ["cb.json", "./cb.json", "{tmp}/cb.json"])
+    def test_out_naming_the_checkerboard_file(self, tmp_path, capsys, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "gap_search", None)
+        cop_path = tmp_path / "cb.json"
+        cop_path.write_text(json.dumps(copula_to_dict(independence(2, 4))))
+        before = cop_path.read_bytes()
+        out = spelling.format(tmp=tmp_path)
+        assert main(["counterexample", "--p", "2", "--q", "1", "--copula", "checkerboard:cb.json", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--copula" in err
+        assert cop_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cop_path]
+
+    def test_gap_curve_landing_on_the_checkerboard_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gap_search", None)
+        cop_path = tmp_path / "cb.csv"
+        cop_path.write_text(json.dumps(copula_to_dict(independence(2, 4))))
+        before = cop_path.read_bytes()
+        argv = ["counterexample", "--p", "2", "--q", "1", "--copula", f"checkerboard:{cop_path}"]
+        assert main([*argv, "--out", str(tmp_path / "cb.json")]) == 2
+        err = capsys.readouterr().err
+        assert "gap curve of --out" in err and "--copula" in err
+        assert cop_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cop_path]
+
+
 def test_module_entrypoint_help():
     proc = subprocess.run(
         [sys.executable, "-m", "copula_ot", "--help"],

@@ -163,6 +163,9 @@ def assert_warm_no_worse_than_cold(cost, warm):
 
 
 EXPONENT_PAIRS = [(2.0, 1.0), (1.0, 2.0), (3.0, 1.5), (1.0, 3.0)]
+# A skeleton built at one of these pairs rewires its pair through the named
+# adversary, and may be costed at any exponents, p = q included.
+PICKS = pytest.mark.parametrize("pick", [(1.0, 2.0), (2.0, 1.0)], ids=["comonotone", "countermonotone"])
 
 
 class TestMongeCrossPartial:
@@ -337,10 +340,11 @@ class TestConstructionAtEpsilon:
         assert np.allclose(rank_bin_copula(built.rho, 4), carrier.masses, atol=1e-12)
 
     def test_control_at_equal_exponents_never_beats_quantile_plan(self):
+        # Built at (1, 2), the skeleton rewires through the comonotone adversary.
         carrier = independence(2, 8)
         spec = CostSpec(2.0, 2.0)
         for eps in (0.5, 0.25, 0.125):
-            built = construction_at(pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=comonotone(2)), eps)
+            built = construction_at(pair_skeleton(carrier, 1.0, 2.0, (1, 2)), eps)
             dc = plan_cost(built.diamond_plan, spec)
             ac = plan_cost(built.alt_plan, spec)
             exact = exact_ot(built.mu, built.rho, spec).value
@@ -356,11 +360,11 @@ class TestPairSkeleton:
             (random_copula(np.random.default_rng(31), 3, 4), (1, 3)),
         ],
     )
-    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
-    def test_plans_equal_the_point_built_plans(self, carrier, pair, adversary):
+    @PICKS
+    def test_plans_equal_the_point_built_plans(self, carrier, pair, pick):
         # The rows built once on the unscaled midpoints are, at every epsilon,
         # the canonical plan of the scaled points, array for array.
-        skeleton = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary)
+        skeleton = pair_skeleton(carrier, *pick, pair)
         for eps in (0.5, 2.0**-8, 0.3):
             built = construction_at(skeleton, eps)
             for plan in (built.diamond_plan, built.alt_plan):
@@ -371,6 +375,27 @@ class TestPairSkeleton:
                 assert plan.second_marginal().weights.tolist() == canonical.second_marginal().weights.tolist()
                 spec = CostSpec(2.0, 1.0)
                 assert plan_cost(plan, spec) == fsum_plan_cost(plan, spec)
+
+    @pytest.mark.parametrize(
+        "carrier, pair",
+        [
+            (independence(2, 8), (1, 2)),
+            (random_copula(np.random.default_rng(31), 3, 4), (1, 3)),
+            (discretize(comonotone(3), 4), (2, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("pairs", [((2.0, 1.0), (3.0, 1.5)), ((1.0, 2.0), (1.5, 3.0))], ids=["q<p", "q>p"])
+    def test_exponents_only_pick_the_adversary(self, carrier, pair, pairs):
+        # Two exponent pairs that pick the same adversary build the same
+        # skeleton, byte for byte.
+        def arrays(skeleton):
+            plans = (skeleton.diamond_plan, skeleton.alt_plan)
+            rows = [getattr(plan, name) for plan in plans for name in ("i", "j", "w")]
+            return [skeleton.law.atoms, skeleton.law.weights, skeleton.adversary, *rows]
+
+        first, second = (arrays(pair_skeleton(carrier, p, q, pair)) for p, q in pairs)
+        for a, b in zip(first, second):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_scaled_plans_keep_the_skeleton_rows(self):
         # The skeleton's rows are canonical, so plan_from_indices neither
@@ -454,14 +479,14 @@ class TestPairSkeleton:
             assert np.array_equal(getattr(alt_plan, name), getattr(reference, name)), name
 
     @pytest.mark.parametrize("n, k", [(2, 1), (2, 5), (3, 3), (4, 2), (4, 3)])
-    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
-    def test_grid_competitor_rows_equal_the_block_loop(self, n, k, adversary):
+    @PICKS
+    def test_grid_competitor_rows_equal_the_block_loop(self, n, k, pick):
         # A full grid's layout has no padding; its rows are the block loop's
         # bytes, dtypes included.
         carrier = independence(n, k)
         for pair in itertools.combinations(range(1, n + 1), 2):
-            alt_plan = pair_skeleton(carrier, 2.0, 1.0, pair, adversary=adversary).alt_plan
-            reference = block_competitor_plan(carrier, 2.0, 1.0, pair, adversary)
+            alt_plan = pair_skeleton(carrier, *pick, pair).alt_plan
+            reference = block_competitor_plan(carrier, *pick, pair)
             for name in ("i", "j", "w"):
                 built, expected = getattr(alt_plan, name), getattr(reference, name)
                 assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes(), (pair, name)
@@ -583,12 +608,12 @@ class TestCostSweep:
         assert set(calls) == ({"_grid_row_sums"} if grid else {"_row_codes", "_gathered_row_sums"})
 
     @pytest.mark.parametrize("carrier", [independence(2, 8), independence(3, 3), checkerboard(2, 3, RAGGED)])
-    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
-    def test_control_skeleton_at_equal_exponents_sweeps(self, carrier, adversary):
-        # At p = q there is no default adversary: the sweep reads the one the
-        # skeleton was built with.
+    @PICKS
+    def test_control_skeleton_at_equal_exponents_sweeps(self, carrier, pick):
+        # At p = q there is no adversary of the cost's own: the sweep reads
+        # the one that the skeleton's exponents picked.
         spec = CostSpec(2.0, 2.0)
-        skeleton = pair_skeleton(carrier, 2.0, 2.0, (1, 2), adversary=adversary)
+        skeleton = pair_skeleton(carrier, *pick, (1, 2))
         schedule = (0.5, 0.25, 2.0**-10)
         expected = []
         for eps in schedule:
@@ -734,14 +759,6 @@ class TestLimitScores:
         with pytest.raises(ValueError, match="discretize monotone copulas first"):
             limit_scores(copula, (1, 2), 2.0, 1.0)
 
-    def test_adversary_override(self):
-        ld_default, la_flip = limit_scores(independence(2, 8), (1, 2), 2.0, 1.0)
-        ld2, la_keep = limit_scores(
-            independence(2, 8), (1, 2), 2.0, 1.0, adversary=comonotone(2)
-        )
-        assert ld_default == ld2
-        assert la_keep != la_flip
-
     @pytest.mark.parametrize("p,q", [(3.0, 2.0), (1.0, 3.0), (3.0, 1.5), (1.5, 3.0)])
     @pytest.mark.parametrize(
         "carrier",
@@ -756,7 +773,7 @@ class TestLimitScores:
         k = carrier.k
         m = (np.arange(k) + 0.5) / k
         cost = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
-        adv = _adversary_index_map(adversary_copula(p, q), k)
+        adv = _adversary_index_map(p, q, k)
         masses = carrier.masses
         assert ld.hex() == math.fsum((masses * cost).ravel()).hex()
         assert la.hex() == math.fsum(masses.sum(axis=1) * cost[np.arange(k), adv]).hex()
@@ -770,7 +787,7 @@ class TestLimitPotentials:
         # the adversary's cells (a, adv[a]) only: each walk alone is also
         # tight on a neighbouring diagonal, and the strictly Monge L leaves
         # every other cell strictly positive slack.
-        adv = _adversary_index_map(adversary_copula(p, q), k)
+        adv = _adversary_index_map(p, q, k)
         f, g = limit_potentials(adv, p, q)
         m = (np.arange(k) + 0.5) / k
         limit = (m[:, None] ** q + m[None, :] ** q) ** (p / q)
@@ -818,11 +835,11 @@ class TestCertificatePotentials:
         assert_blocks_match_staircase_walks(skeleton, p, q, epsilon)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 1.0), (1.0, 2.0)])
-    @pytest.mark.parametrize("adversary", [comonotone(2), countermonotone()])
-    def test_a_control_skeleton_gets_potentials_of_its_own_adversary(self, p, q, adversary):
-        # At p = q there is no default adversary, and away from it the
-        # skeleton's adversary may be the other one: both levels read it.
-        skeleton = pair_skeleton(independence(2, 4), p, q, (1, 2), adversary=adversary)
+    @PICKS
+    def test_a_control_skeleton_gets_potentials_of_its_own_adversary(self, p, q, pick):
+        # Costed at other exponents than it was built at, p = q included, the
+        # skeleton keeps its own adversary: both levels read it.
+        skeleton = pair_skeleton(independence(2, 4), *pick, (1, 2))
         assert_blocks_match_staircase_walks(skeleton, p, q, 0.1)
 
 

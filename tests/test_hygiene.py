@@ -153,6 +153,29 @@ def test_cost_powers_are_taken_only_by_the_two_primitives():
     assert POWER_PRIMITIVES | NON_COST_POWERS <= set(found)
 
 
+# The construction's distance tables have one builder, which the gap sweep
+# and the certificate's potentials both read; the limit problem's costs,
+# which no epsilon scales, are the only other distance powers there.
+TABLE_BUILDERS = {"counterexample._pair_tables", "counterexample._limit_costs"}
+
+
+def readers_of(module: str, name: str) -> set[str]:
+    """The top-level functions of a package module that read ``name``, bare or as an attribute."""
+    path = ROOT / "src" / "copula_ot" / f"{module}.py"
+    found = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            ):
+                found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_the_table_builders_take_distance_powers_in_the_construction():
+    assert readers_of("counterexample", "_distance_powers") == TABLE_BUILDERS
+
+
 # np.sum adds fewer than 8 columns left to right and 8 or more pairwise.  One
 # routine owns that order, so a change to it changes one body alone.
 COORDINATE_SUM = "transport._coordinate_sums"

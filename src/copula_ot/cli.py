@@ -11,8 +11,11 @@ root.  All file output is deterministic for a fixed seed and config: floats
 are serialized with repr round-tripping and rows keep generation order.
 
 Exit codes: 0 success; 1 verification found optimality violations; 2 bad
-usage, unparseable input or an input too large for memory; 3 exact solve
-over the pair cap; 4 no violating coordinate pair; 5 epsilon schedule
+usage, unparseable input, an input too large for memory, an exact LP that
+HiGHS cannot solve (its status and the largest cost are named), or a
+checkerboard file whose margins are uniform only within its slice
+tolerance, too loosely for the gap construction's rewired law; 3 exact
+solve over the pair cap; 4 no violating coordinate pair; 5 epsilon schedule
 exhausted without a significant gap.
 """
 

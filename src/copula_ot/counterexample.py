@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .transport import (
     DEFAULT_PAIR_CAP,
     CostSpec,
     TransportPlan,
-    _assignment_shaped,
     _check_atoms,
     _coordinate_sums,
     _distance_powers,
@@ -261,7 +260,10 @@ def pair_skeleton(carrier: Copula, p: float, q: float, pair: tuple[int, int]) ->
     through the adversary while keeping all conditionals, which leaves its
     law unchanged.  Both plans are validated against (``law``, ``law``), and
     the rewired target law is checked against ``law`` exactly (same atoms,
-    weights within 1e-12); either failure raises a ``RuntimeError``.
+    weights within 1e-12).  A rewired law off by more is the input's fault,
+    a carrier whose margins are uniform only within its slice tolerance, and
+    raises a ``ValueError``; a plan that fails validation raises a
+    ``RuntimeError``.
     p and q are read only to pick the adversary (:func:`adversary_copula`).
     """
     i, j, adv = _pair_arguments("pair_skeleton", carrier, pair, p, q)
@@ -295,7 +297,7 @@ def pair_skeleton(carrier: Copula, p: float, q: float, pair: tuple[int, int]) ->
     alt_plan = plan_from_indices(atoms, atoms, *(_read_only(part.ravel()) for part in competitor))
 
     if not measures_close(alt_plan.second_marginal(), law, 1e-12):
-        raise RuntimeError(
+        raise ValueError(
             "pair_skeleton: the rewired target law does not match the original one; "
             "the carrier's margins are too far from uniform"
         )
@@ -349,17 +351,15 @@ def _pair_tables(mids: np.ndarray, eps_mids: np.ndarray, q: float, others: bool)
     return [_distance_powers(np.subtract(s[..., :, None], t[..., None, :]), q) for s, t in sides]
 
 
-def _cost_sweep(
-    skeleton: PairSkeleton, spec: CostSpec
-) -> Callable[[Sequence[float]], list[tuple[float, float]]]:
-    """Both plan costs of the construction at any epsilons, from per-coordinate distance tables.
+def _cost_sweep(skeleton: PairSkeleton, spec: CostSpec, epsilons: Sequence[float]) -> list[tuple[float, float]]:
+    """Both plan costs of the construction at each of ``epsilons``, from per-coordinate distance tables.
 
-    Returns ``costs(epsilons) -> [(diamond_cost, alt_cost), ...]``, one pair
-    per epsilon, equal bit for bit to :func:`plan_cost` of each skeleton
-    plan's rows (i, j, w) on the scaled atoms of :func:`_scaled_sides`.
-    Coordinate d of atom c is the midpoint m[cells[d, c]] times 1 or
-    epsilon, so a row's distance in coordinate d is an entry (a, b) of a
-    k x k table of :func:`_pair_tables`.
+    Returns ``[(diamond_cost, alt_cost), ...]``, one pair per epsilon,
+    equal bit for bit to :func:`plan_cost` of each skeleton plan's rows
+    (i, j, w) on the scaled atoms of :func:`_scaled_sides`.  Coordinate d of
+    atom c is the midpoint m[cells[d, c]] times 1 or epsilon, so a row's
+    distance in coordinate d is an entry (a, b) of a k x k table of
+    :func:`_pair_tables`.
 
     The epsilons are costed in blocks of up to ``_SWEEP_BLOCK_VALUES // rows``
     (``rows`` the competitor's row count), so that each numpy call does a
@@ -370,65 +370,62 @@ def _cost_sweep(
     :func:`_row_cost_sums`, which sums each epsilon's row costs exactly on
     its own.  The row sums add the coordinates' distances by
     :func:`_coordinate_sums`, as ``plan_cost`` adds them, so every row sum
-    is the same float.  The blocks' buffers live for one call, so they are
-    freed before the certificate's cost matrix is built.
+    is the same float.  The buffers live for one call, so they are freed
+    before the certificate's cost matrix is built.
 
-    The quantile plan's row c pairs atom c with itself, so its row sums
-    read only the two coordinates that move, the diagonals of t_i and t_j
-    at the cell's indices on i and j.  Its other distances are
-    |eps m - eps m| = +0, and adding +0 changes no float in either of
-    ``_coordinate_sums``'s orders, so the sum of the two is ``plan_cost``'s.
-    On a full grid (:func:`_full_grid`), as the independence carriers of
+    Each plan's row sums come from one of two builders.  On a full grid
+    (:func:`_full_grid`), as the independence carriers of
     ``copula-ot counterexample`` and ``scripts/gap_curve.py`` are, the
     competitor builds no row index and reads none: the tables are broadcast
-    onto a view of its row sums (:func:`_grid_row_sums`).  On other carriers
-    it gathers each row's distances by codes found once per search
-    (:func:`_row_codes`, :func:`_gathered_row_sums`).
+    onto a view of its row sums (:func:`_grid_row_sums`).  Every other plan
+    gathers each row's distances by codes found once per call
+    (:func:`_row_codes`, :func:`_gathered_row_sums`).  The quantile plan's
+    row c pairs atom c with itself, so on every carrier it gathers only the
+    two coordinates that move, from t_i and t_j.  Its other distances are
+    |eps m - eps m| = +0, and adding +0 changes no float in either of
+    ``_coordinate_sums``'s orders, so the sum of the two is ``plan_cost``'s.
 
     Each epsilon checks the scaled atoms through the scaled midpoints:
     multiplying by a positive float keeps their order, so while they stay
     finite and strictly increasing the scaled atoms stay sorted and
-    distinct.  Only when midpoints merge or overflow does ``costs`` check
-    the atoms whole, by :func:`_scaled_sides`, whose ``ValueError`` names
-    the first too small epsilon.  No plan is built at any epsilon.
+    distinct.  Only when midpoints merge or overflow are the atoms checked
+    whole, by :func:`_scaled_sides`, whose ``ValueError`` names the first
+    too small epsilon.  No plan is built at any epsilon.
     """
     n = skeleton.law.dimension
     mids, cells = skeleton.midpoints, skeleton.cells
     k = len(mids)
     i, j = skeleton.pair
-    diamond_cells = (cells[i - 1], cells[j - 1])
     grid = _full_grid(k, n, len(skeleton.law))
-    alt_codes = None if grid else _row_codes(skeleton.alt_plan, cells, k)
-    block = max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan))
-
-    def costs(epsilons: Sequence[float]) -> list[tuple[float, float]]:
-        size = min(block, max(1, len(epsilons)))
-        # Per plan, its row sums and their work space.
-        buffers = [np.empty((size, len(plan))) for plan in (skeleton.diamond_plan, skeleton.alt_plan) for _ in range(2)]
-        results = []
-        for start in range(0, len(epsilons), size):
-            chunk = epsilons[start : start + size]
-            eps_mids = np.multiply.outer(np.array(chunk, dtype=float), mids)
-            kept = np.isfinite(eps_mids).all(axis=1) & (eps_mids[:, 1:] > eps_mids[:, :-1]).all(axis=1)
-            for epsilon, ok in zip(chunk, kept):
-                if not ok:
-                    _scaled_sides(skeleton, epsilon)
-            t_i, t_j, *t_o = _pair_tables(mids, eps_mids, spec.q, n > 2)
-            tables = [t_i if d == i - 1 else t_j if d == j - 1 else t_o[0] for d in range(n)]
-            diamond, diamond_work, alt, alt_work = (buffer[: len(chunk)] for buffer in buffers)
-            moving = [np.diagonal(t, axis1=1, axis2=2) for t in (t_i, t_j)]
-            _coordinate_sums(
-                diamond, 2, lambda m: np.take(moving[m], diamond_cells[m], axis=1, out=diamond_work, mode="clip")
-            )
-            if grid:
-                _grid_row_sums(alt, tables, skeleton)
+    moving = [i - 1, j - 1]
+    # Per plan: the coordinates its row sums read, and their row codes, None on the grid path.
+    plans = [
+        (skeleton.diamond_plan, moving, _row_codes(skeleton.diamond_plan, cells[moving], k)),
+        (skeleton.alt_plan, range(n), None if grid else _row_codes(skeleton.alt_plan, cells, k)),
+    ]
+    size = min(max(1, _SWEEP_BLOCK_VALUES // len(skeleton.alt_plan)), max(1, len(epsilons)))
+    # Per plan, its row sums and their work space.
+    buffers = [[np.empty((size, len(plan))) for _ in range(2)] for plan, _, _ in plans]
+    results = []
+    for start in range(0, len(epsilons), size):
+        chunk = epsilons[start : start + size]
+        eps_mids = np.multiply.outer(np.array(chunk, dtype=float), mids)
+        kept = np.isfinite(eps_mids).all(axis=1) & (eps_mids[:, 1:] > eps_mids[:, :-1]).all(axis=1)
+        for epsilon, ok in zip(chunk, kept):
+            if not ok:
+                _scaled_sides(skeleton, epsilon)
+        t_i, t_j, *t_o = _pair_tables(mids, eps_mids, spec.q, n > 2)
+        tables = [t_i if d == i - 1 else t_j if d == j - 1 else t_o[0] for d in range(n)]
+        plan_costs = []
+        for (plan, coordinates, codes), buffer in zip(plans, buffers):
+            per_row, work = (part[: len(chunk)] for part in buffer)
+            if codes is None:
+                _grid_row_sums(per_row, tables, skeleton)
             else:
-                _gathered_row_sums(alt, alt_work, tables, alt_codes)
-            diamond_costs = _row_cost_sums(diamond, skeleton.diamond_plan.w, spec, diamond_work)
-            results.extend(zip(diamond_costs, _row_cost_sums(alt, skeleton.alt_plan.w, spec, alt_work)))
-        return results
-
-    return costs
+                _gathered_row_sums(per_row, work, [tables[d] for d in coordinates], codes)
+            plan_costs.append(_row_cost_sums(per_row, plan.w, spec, work))
+        results.extend(zip(*plan_costs))
+    return results
 
 
 def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: PairSkeleton) -> None:
@@ -457,17 +454,20 @@ def _grid_row_sums(per_row: np.ndarray, tables: list[np.ndarray], skeleton: Pair
 
 
 def _row_codes(plan: TransportPlan, cells: np.ndarray, k: int) -> list[np.ndarray]:
-    """Per coordinate, each plan row's flat k x k table index a * k + b, for its source cell a and target cell b."""
+    """Per row of ``cells``, each plan row's flat k x k table index a * k + b, for its source cell a and target cell b."""
     return [c[plan.i] * k + c[plan.j] for c in cells]
 
 
 def _gathered_row_sums(
     per_row: np.ndarray, work: np.ndarray, tables: list[np.ndarray], codes: list[np.ndarray]
 ) -> None:
-    """One plan's row sums off the full grid, gathered from the flattened tables by its :func:`_row_codes`.
+    """One plan's row sums, gathered from the flattened tables by its :func:`_row_codes`.
 
-    Each coordinate's distances are gathered into ``work`` as
-    :func:`_coordinate_sums` reads them, so one (block, rows) buffer serves them all.
+    ``tables[d]`` and ``codes[d]`` belong to the d-th coordinate that the
+    plan's row sums read: all n for the competitor off the full grid, the
+    two moving ones for the quantile plan.  Each coordinate's distances are
+    gathered into ``work`` as :func:`_coordinate_sums` reads them, so one
+    (block, rows) buffer serves them all.
     """
     flat = [table.reshape(len(table), -1) for table in tables]
     # Every code is in range; "clip" spares the copy that "raise" makes.
@@ -604,22 +604,23 @@ def gap_search(
     distance tables, several epsilons per numpy call (:func:`_cost_sweep`),
     so no plan is built at any epsilon.  On a carrier whose every cell has
     mass, as the default independence copula's has, the tables are
-    broadcast onto the plans' product layout; other carriers gather them by
-    row codes found once.  The row sums are added in the same order either
-    way, so the costs are the same floats.
+    broadcast onto the competitor's product layout; every other plan,
+    the quantile plan on every carrier included, gathers them by row codes
+    found once.  The row sums are added in the same order either way, so
+    the costs are the same floats.
     The exact certificate at the accepted epsilon solves between the two
     scaled measures: the scaled atoms of each side with the law's weights.
     The source's atoms are a product grid on the independence carrier, so
-    the cost matrix is spread from per-axis tables into one buffer.  When
-    those weights are all the same float the problem is an assignment, and
+    the cost matrix is spread from per-axis tables into one buffer.
     :func:`exact_ot` gets :func:`certificate_potentials`: the duals of the
     problem it tends to as epsilon -> 0 (:func:`limit_potentials`), refined
-    inside each of that problem's k blocks at the accepted epsilon.  If each
-    row's cheapest column of the reduced costs is strict and distinct, those
-    columns are the optimal permutation and no solver runs (on
-    ``independence(2, k)`` they are); otherwise the potentials warm-start
-    the assignment.  They move no output.  Unequal weights take the LP,
-    which reads no potentials, so none are built.  When the
+    inside each of that problem's k blocks at the accepted epsilon.
+    ``exact_ot`` alone picks the solve.  When the law's weights are all the
+    same float the problem is an assignment: if each row's cheapest column
+    of the reduced costs is strict and distinct, those columns are the
+    optimal permutation and no solver runs (on ``independence(2, k)`` they
+    are); otherwise the potentials warm-start the assignment.  Unequal
+    weights take the LP, which ignores them.  They move no output.  When the
     support-pair count exceeds ``pair_cap`` neither the measures nor the
     potentials are built and ``exact_cost`` is None.  Raises a
     ``ValueError`` when the copula has fewer than two coordinates, since the
@@ -647,10 +648,9 @@ def gap_search(
     if not eps_values or not all(0.0 < e < 1.0 for e in eps_values):
         raise ValueError("gap_search: schedule must be nonempty with entries in (0, 1)")
     skeleton = pair_skeleton(carrier, p, q, (i, j))
-    costs = _cost_sweep(skeleton, spec)
     curve = [
         CurvePoint(epsilon=float(eps), diamond_cost=dc, alt_cost=ac, gap=dc - ac)
-        for eps, (dc, ac) in zip(eps_values, costs(eps_values))
+        for eps, (dc, ac) in zip(eps_values, _cost_sweep(skeleton, spec, eps_values))
     ]
     significant = [
         pt for pt in curve if pt.gap > GAP_SIGNIFICANCE * max(1.0, pt.diamond_cost)
@@ -671,9 +671,7 @@ def gap_search(
         weights = skeleton.law.weights
         mu = MultivariateMeasure(atoms=source, weights=weights)
         rho = MultivariateMeasure(atoms=target, weights=weights)
-        g = None  # the LP reads no potentials
-        if _assignment_shaped(weights, weights):
-            g = certificate_potentials(skeleton, p, q, accepted.epsilon)
+        g = certificate_potentials(skeleton, p, q, accepted.epsilon)
         exact_cost = exact_ot(mu, rho, spec, pair_cap, g).value
     if exact_cost is not None and exact_cost > accepted.alt_cost + 1e-9 * max(1.0, accepted.alt_cost):
         raise RuntimeError(

@@ -448,6 +448,9 @@ def solve_transport(row_weights: np.ndarray, col_weights: np.ndarray, cost_matri
     the HiGHS simplex at tight feasibility tolerances, whatever the weights.
     :func:`exact_ot` calls it only for weights that are not assignment-shaped
     (:func:`_assignment_shaped`); those it solves as an assignment.
+    An LP that HiGHS cannot solve, as costs near 1e20 make it, is the
+    input's fault, so it raises a ``ValueError`` that names the solver's
+    status and the largest cost.
     """
     a, b = cost_matrix.shape
     if row_weights.shape != (a,) or col_weights.shape != (b,):
@@ -470,7 +473,10 @@ def solve_transport(row_weights: np.ndarray, col_weights: np.ndarray, cost_matri
         options=_LP_OPTIONS,
     )
     if res.status != 0:
-        raise RuntimeError(f"solve_transport: LP solver failed with status {res.status}: {res.message}")
+        raise ValueError(
+            f"solve_transport: the HiGHS LP failed with status {res.status} ({res.message}); "
+            f"the largest cost is {float(cost_matrix.max())!r}"
+        )
     return res.x.reshape(a, b)
 
 

@@ -3,12 +3,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from copula_ot import cli
+from copula_ot import cli, transport
 from copula_ot.cli import _fmt, main
-from copula_ot.copulas import copula_to_dict, countermonotone, discretize, independence
+from copula_ot.copulas import checkerboard, copula_to_dict, countermonotone, discretize, independence
 from copula_ot.counterexample import gap_search, report_to_dict
 from copula_ot.measures import make_measure, measure_to_dict
 from copula_ot.transport import validate_plan
@@ -134,6 +136,24 @@ class TestExact:
         rho = write_measure(tmp_path / "rho.json", [[0.0], [5.0]], [0.5, 0.5])
         assert main(["exact", "--mu", mu, "--rho", rho]) == 2
         assert "below the 1e-15 that the LP resolves" in capsys.readouterr().err
+
+    def test_unsolvable_lp_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        # Costs up to (1.2e10 + 8e9)^2 = 4e20 at p = q = 2, on which HiGHS
+        # returned status 4.  The solver is replaced by one that fails, so
+        # the test does not depend on the HiGHS version.
+        mu = write_measure(tmp_path / "mu.json", [[0.0], [4e9], [1.2e10]], [1.0, 2.0, 3.0])
+        rho = write_measure(tmp_path / "rho.json", [[-8e9], [2e9]], [1.0, 1.0])
+        failed = SimpleNamespace(status=4, message="numerical difficulties", x=None, success=False)
+        monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: failed)
+        plan_path = tmp_path / "plan.json"
+        argv = ["exact", "--mu", mu, "--rho", rho, "--p", "2", "--q", "2", "--emit-plan", str(plan_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: solve_transport: the HiGHS LP failed with status 4 (numerical difficulties); "
+            "the largest cost is 4e+20\n"
+        )
+        assert captured.out == "" and not plan_path.exists()
 
     def test_loads_measure_files_in_the_readme_shape(self, tmp_path, capsys):
         # written by hand as the README's "File formats" shows, weights unnormalized
@@ -430,6 +450,23 @@ class TestCounterexample:
         assert err.startswith("error: checkerboard:")
         assert all(word in err for word in words)
         assert not out.exists()
+
+    def test_checkerboard_file_too_loose_for_the_rewired_law_is_a_usage_error(self, tmp_path, capsys):
+        # Moving 5e-11 between two diagonal cells keeps every slice within
+        # the checkerboard's tolerance, so the file loads, but the rewired
+        # target law then misses the original by more than 1e-12.
+        masses = np.full((4, 4), 1.0 / 16.0)
+        masses[0, 0] += 5e-11
+        masses[1, 1] -= 5e-11
+        cop_path = tmp_path / "cop.json"
+        cop_path.write_text(json.dumps(copula_to_dict(checkerboard(2, 4, masses))))
+        out = tmp_path / "report.json"
+        argv = ["counterexample", "--p", "2", "--q", "1", "--copula", f"checkerboard:{cop_path}", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: pair_skeleton: the rewired target law does not match")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [cop_path]
 
     @pytest.mark.parametrize("k", [16, 17])
     def test_antidiagonal_file_has_no_violating_pair(self, tmp_path, capsys, k):

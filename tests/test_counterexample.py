@@ -307,7 +307,7 @@ class TestConstructionAtEpsilon:
         masses[0, 0] += 5e-11
         masses[1, 1] -= 5e-11
         carrier = checkerboard(2, 4, masses)
-        with pytest.raises(RuntimeError, match="rewired target law"):
+        with pytest.raises(ValueError, match="rewired target law"):
             pair_skeleton(carrier, 2.0, 1.0, (1, 2))
 
     def test_plans_validate_and_preserve_source_law(self):
@@ -516,9 +516,8 @@ class TestPairSkeleton:
     def test_epsilon_that_merges_atoms_is_named(self):
         # At 5e-324 the scaled midpoints round to 0 or 5e-324 and atoms merge.
         skeleton = pair_skeleton(independence(2, 4), 2.0, 1.0, (1, 2))
-        costs = counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0))
         with pytest.raises(ValueError, match=r"epsilon=5e-324 is too small"):
-            costs([5e-324])
+            counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0), [5e-324])
 
 
 # Uniform margins with columns of unequal cell counts.
@@ -569,14 +568,14 @@ class TestCostSweep:
                 fsum_plan_cost(built.diamond_plan, spec),
                 fsum_plan_cost(built.alt_plan, spec),
             ), eps
-        assert counterexample._cost_sweep(skeleton, spec)(schedule) == expected
+        assert counterexample._cost_sweep(skeleton, spec, schedule) == expected
         # Blocks of 1, 3 and 8 epsilons on 13 epsilons, which 3 and 8 do not
         # divide, at every number of coordinates.
         blocks = spy_on_sweep_blocks(monkeypatch)
         for block in (1, 3, 8):
             monkeypatch.setattr(counterexample, "_SWEEP_BLOCK_VALUES", block * len(skeleton.alt_plan))
             blocks.clear()
-            assert counterexample._cost_sweep(skeleton, spec)(schedule[:13]) == expected[:13], block
+            assert counterexample._cost_sweep(skeleton, spec, schedule[:13]) == expected[:13], block
             sizes = [min(block, 13 - start) for start in range(0, 13, block)]
             assert blocks == [size for size in sizes for _plan in range(2)]
 
@@ -593,19 +592,27 @@ class TestCostSweep:
         ],
     )
     def test_only_full_grids_take_the_grid_path(self, monkeypatch, carrier, pair, grid):
-        # A full grid builds no row codes and gathers nothing, at any number
-        # of coordinates; every other carrier gathers by codes.
+        # The quantile plan gathers by row codes on every carrier.  The
+        # competitor is broadcast, with no row codes, exactly on a full grid,
+        # at any number of coordinates; every other carrier gathers it too.
+        # Each call is recorded with the row count of the plan it serves.
         calls = []
         for name in ("_grid_row_sums", "_row_codes", "_gathered_row_sums"):
 
-            def spy(*args, _name=name, _fn=getattr(counterexample, name)):
-                calls.append(_name)
-                return _fn(*args)
+            def spy(rows, *args, _name=name, _fn=getattr(counterexample, name)):
+                calls.append((_name, len(rows) if isinstance(rows, TransportPlan) else rows.shape[1]))
+                return _fn(rows, *args)
 
             monkeypatch.setattr(counterexample, name, spy)
         skeleton = pair_skeleton(carrier, 2.0, 1.0, pair)
-        counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0))([0.5, 0.25])
-        assert set(calls) == ({"_grid_row_sums"} if grid else {"_row_codes", "_gathered_row_sums"})
+        counterexample._cost_sweep(skeleton, CostSpec(2.0, 1.0), [0.5, 0.25])
+        quantile, competitor = len(skeleton.diamond_plan), len(skeleton.alt_plan)
+        assert quantile != competitor
+        gathered = {("_row_codes", quantile), ("_gathered_row_sums", quantile)}
+        if grid:
+            assert set(calls) == gathered | {("_grid_row_sums", competitor)}
+        else:
+            assert set(calls) == gathered | {("_row_codes", competitor), ("_gathered_row_sums", competitor)}
 
     @pytest.mark.parametrize("carrier", [independence(2, 8), independence(3, 3), checkerboard(2, 3, RAGGED)])
     @PICKS
@@ -619,25 +626,22 @@ class TestCostSweep:
         for eps in schedule:
             built = construction_at(skeleton, eps)
             expected.append((plan_cost(built.diamond_plan, spec), plan_cost(built.alt_plan, spec)))
-        assert counterexample._cost_sweep(skeleton, spec)(schedule) == expected
+        assert counterexample._cost_sweep(skeleton, spec, schedule) == expected
 
     def test_gap_sweep_peak_allocation(self):
-        # On independence(2, 48) the sweep's setup allocates nothing of the
-        # competitor's length, and a search's 16 epsilons hold its two
-        # (1, rows) buffers, the quantile plan's and the tables at their peak.
+        # On independence(2, 48) a search's 16 epsilons hold the competitor's
+        # two (1, rows) buffers, and beside them only what has the length of
+        # the quantile plan or of the tables: the sweep's setup allocates
+        # nothing of the competitor's length.
         p, q = 2.0, 1.0
         skeleton = pair_skeleton(independence(2, 48), p, q, (1, 2))
         size = len(skeleton.alt_plan) * 8
         tracemalloc.start()
         try:
-            costs = counterexample._cost_sweep(skeleton, CostSpec(p, q))
-            setup_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            costs(default_schedule())
+            counterexample._cost_sweep(skeleton, CostSpec(p, q), default_schedule())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert setup_peak < size
         assert 2 * size <= peak < 2.5 * size
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 2.0)])
@@ -648,9 +652,9 @@ class TestCostSweep:
         # is decided after its first level, with no fsum call: each total
         # sits at least 10**4 error bounds away from a rounding midpoint.
         spec = CostSpec(p, q)
-        costs = counterexample._cost_sweep(pair_skeleton(independence(2, 48), p, q, (1, 2)), spec)
+        skeleton = pair_skeleton(independence(2, 48), p, q, (1, 2))
         lengths = fsum_lengths(monkeypatch)
-        costs(default_schedule())
+        counterexample._cost_sweep(skeleton, spec, default_schedule())
         assert lengths == []
 
     def test_epsilon_that_merges_atoms_is_named(self):
@@ -681,11 +685,10 @@ class TestCostSweep:
 
         spec = CostSpec(2.0, 1.0)
         skeleton = pair_skeleton(discretize(comonotone(2), 16), 2.0, 1.0, (1, 2))
-        costs = counterexample._cost_sweep(skeleton, spec)
         monkeypatch.setattr(counterexample, "_check_atoms", counted)
-        costs([0.5])
+        counterexample._cost_sweep(skeleton, spec, [0.5])
         assert checked == []
-        (got,) = costs([3e-323])
+        (got,) = counterexample._cost_sweep(skeleton, spec, [3e-323])
         monkeypatch.undo()
         built = construction_at(skeleton, 3e-323)
         assert len(checked) == 2
@@ -1056,12 +1059,13 @@ class TestGapSearch:
             except NoViolatingPair:
                 continue
             ((g, plan),) = exact_calls
-            weights = pair_skeleton(carrier, p, q, report.pair).law.weights
-            if not (weights == weights[0]).all():
-                assert g is None and solver_calls == []
-                continue
             cost, potentials = certificate_problem(report, carrier, p, q)
             assert np.array_equal(g, potentials)
+            weights = pair_skeleton(carrier, p, q, report.pair).law.weights
+            if not (weights == weights[0]).all():
+                # exact_ot sends unequal weights to the LP, which ignores g.
+                assert solver_calls == []
+                continue
             warm = assignment_columns(plan)
             if solver_calls:
                 ((shifted, cols),) = solver_calls

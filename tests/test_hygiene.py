@@ -176,6 +176,22 @@ def test_only_the_table_builders_take_distance_powers_in_the_construction():
     assert readers_of("counterexample", "_distance_powers") == TABLE_BUILDERS
 
 
+# exact_ot alone picks the exact solve's path, so no other module asks
+# whether the weights make an assignment.
+def modules_naming(name: str) -> set[str]:
+    """The package modules that define, import or read ``name``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "copula_ot").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                found.add(path.stem)
+    return found
+
+
+def test_only_transport_asks_whether_the_solve_is_an_assignment():
+    assert modules_naming("_assignment_shaped") == {"transport"}
+
+
 # np.sum adds fewer than 8 columns left to right and 8 or more pairwise.  One
 # routine owns that order, so a change to it changes one body alone.
 COORDINATE_SUM = "transport._coordinate_sums"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +383,14 @@ class TestSolveTransport:
     def test_weight_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_transport(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
+
+    def test_failed_lp_is_a_value_error_naming_status_and_largest_cost(self, monkeypatch):
+        # A failed solve comes from the input, as costs near 1e20 make it.
+        failed = SimpleNamespace(status=4, message="numerical difficulties", x=None, success=False)
+        monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: failed)
+        cost = np.array([[1.0, 4e20], [2.0, 3.0]])
+        with pytest.raises(ValueError, match=r"status 4 \(numerical difficulties\); the largest cost is 4e\+20$"):
+            solve_transport(np.array([0.25, 0.75]), np.array([0.5, 0.5]), cost)
 
     def test_uniform_equal_size_weights_take_the_lp(self, monkeypatch):
         # solve_transport is the HiGHS LP alone; exact_ot owns the assignment.
